@@ -28,12 +28,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import min_norm_solve_batch
+from .numerics import CONSISTENT_TOL, min_norm_solve_batch
 from .scenario import AGGREGATE, PER_SYMBOL
 
 TWO_PI = 2.0 * np.pi
 FEASIBLE_TOL = 1e-12     # slack on the beta_n <= 1 amplitude constraint
-CONSISTENT_TOL = 1e-8    # residual/||B|| threshold for an exact cancellation
 
 
 @dataclass(frozen=True)

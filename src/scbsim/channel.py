@@ -77,28 +77,34 @@ def assemble_batch(cfg, flat):
     block row-major.  Returns (w, h, g) with a leading trial axis.
     """
     M, K, L, N = cfg.M, cfg.K, cfg.L, cfg.N
-    flat = np.asarray(flat, dtype=np.float64)
+    flat = np.ascontiguousarray(flat, dtype=np.float64)
     squeeze = flat.ndim == 1
     if squeeze:
         flat = flat[None, :]
     T = flat.shape[0]
-    z = (flat[:, 0::2] + 1j * flat[:, 1::2]) * _SQRT_HALF
+    z = flat.view(np.complex128)     # the interleaved pairs, without a copy
 
-    pos = N * M
-    h = z[:, :pos].reshape(T, N, M)
+    # each block is scaled straight into its slot and the Rician mix is then
+    # applied in place: the same operations in the same order as
+    # los + nlos * (z * sqrt(1/2)), so the values are bit-identical
+    h = np.empty((T, N, M), dtype=np.complex128)
     w = np.empty((T, M, K, L, M), dtype=np.complex128)
     g = np.empty((T, M, K, L, N), dtype=np.complex128)
+    pos = N * M
+    np.multiply(z[:, :pos].reshape(T, N, M), _SQRT_HALF, out=h)
     for m in range(M):
         for k in range(K):
-            w[:, m, k] = z[:, pos:pos + L * M].reshape(T, L, M)
+            np.multiply(z[:, pos:pos + L * M].reshape(T, L, M), _SQRT_HALF, out=w[:, m, k])
             pos += L * M
-            g[:, m, k] = z[:, pos:pos + L * N].reshape(T, L, N)
+            np.multiply(z[:, pos:pos + L * N].reshape(T, L, N), _SQRT_HALF, out=g[:, m, k])
             pos += L * N
 
     los1, nlos1 = rician_mix(cfg.rician_k1)
     los2, nlos2 = rician_mix(cfg.rician_k2)
-    h = los1 + nlos1 * h
-    g = los2 + nlos2 * g
+    h *= nlos1
+    h += los1
+    g *= nlos2
+    g += los2
     if squeeze:
         return w[0], h[0], g[0]
     return w, h, g

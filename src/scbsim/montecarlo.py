@@ -33,7 +33,7 @@ from . import beamforming as bf
 from . import linkmetrics as lm
 from .channel import assemble_batch, draw_realization, normals_per_trial
 from .pathloss import compute_gains
-from .scenario import fingerprint
+from .scenario import ConfigError, fingerprint
 
 CHUNK = 2048          # fixed chunk size; must not depend on the thread count
 _MASK64 = (1 << 64) - 1
@@ -389,8 +389,14 @@ _INT_SWEEP_VARS = ("N", "L", "M", "K", "resolution_bits", "trials")
 
 
 def sweep_config(cfg, variable, value):
-    """Config copy with one swept variable replaced (validated)."""
+    """Config copy with one swept variable replaced (validated).
+
+    Integer variables reject non-integral values instead of truncating them,
+    so the value a CSV row reports is the value that was simulated.
+    """
     if variable in _INT_SWEEP_VARS:
+        if not float(value).is_integer():
+            raise ConfigError(f"{variable} must be an integer, got {value!r}")
         value = int(value)
     else:
         value = float(value)

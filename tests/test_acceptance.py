@@ -41,17 +41,20 @@ def test_criterion_03_channel_statistics(cfg):
     assert res.passed, res.detail
 
 
+@pytest.mark.slow
 def test_criterion_04_op_matches_closed_form(cfg):
     res = report(validation.check_op_vs_closed_form(
         cfg, powers_dbm=(20.0, 25.0, 30.0, 35.0), trials=250000))
     assert res.passed, res.detail
 
 
+@pytest.mark.slow
 def test_criterion_05_diversity_orders(cfg):
     res = report(validation.check_diversity_order(cfg, trials=600000))
     assert res.passed, res.detail
 
 
+@pytest.mark.slow
 def test_criterion_06_ergodic_rate_closed_form(cfg):
     quad = report(validation.check_er_closed_vs_quadrature())
     assert quad.passed, quad.detail
@@ -76,6 +79,7 @@ def test_criterion_06_negative_control(cfg):
     assert pulls > 3.0
 
 
+@pytest.mark.slow
 def test_criterion_07_high_snr_slopes(cfg):
     res = report(validation.check_high_snr_slopes(cfg, trials=100000))
     assert res.passed, res.detail

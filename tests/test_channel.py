@@ -3,6 +3,7 @@ import pytest
 
 from scbsim.channel import (
     assemble_batch,
+    rician_mix,
     draw_rayleigh_matrix,
     draw_realization,
     draw_rician_matrix,
@@ -81,6 +82,46 @@ def test_assemble_batch_matches_single(baseline_cfg):
         assert np.array_equal(w[t], wt)
         assert np.array_equal(h[t], ht)
         assert np.array_equal(g[t], gt)
+
+
+def strided_reference(cfg, flat):
+    """The documented layout, read with strided (real, imag) slices.
+
+    Per trial: H (N x M), then for each (m, k) in lexicographic order
+    W[m, k] (L x M) followed by G[m, k] (L x N), each block row-major.
+    """
+    M, K, L, N = cfg.M, cfg.K, cfg.L, cfg.N
+    lead = flat.shape[:-1]
+    z = (flat[..., 0::2] + 1j * flat[..., 1::2]) * (1.0 / np.sqrt(2.0))
+    los1, nlos1 = rician_mix(cfg.rician_k1)
+    los2, nlos2 = rician_mix(cfg.rician_k2)
+    h = los1 + nlos1 * z[..., :N * M].reshape(lead + (N, M))
+    per_user = L * M + L * N
+    w_blocks, g_blocks = [], []
+    for m in range(M):
+        for k in range(K):
+            off = N * M + (m * K + k) * per_user
+            w_blocks.append(z[..., off:off + L * M].reshape(lead + (L, M)))
+            g_blocks.append(z[..., off + L * M:off + per_user].reshape(lead + (L, N)))
+    axis = len(lead)
+    w = np.stack(w_blocks, axis=axis).reshape(lead + (M, K, L, M))
+    g = los2 + nlos2 * np.stack(g_blocks, axis=axis).reshape(lead + (M, K, L, N))
+    return w, h, g
+
+
+@pytest.mark.parametrize("dims", [{}, {"N": 256, "resolution_bits": 3},
+                                  {"M": 3, "L": 4, "N": 96}])
+def test_assemble_batch_matches_strided_layout(baseline_cfg, dims):
+    if "M" in dims:
+        dims = dict(dims, d_user=((160.0, 80.0),) * 3, d_direct=((200.0, 100.0),) * 3)
+    cfg = baseline_cfg.with_updates(**dims)
+    flat = rng(15).standard_normal((5, normals_per_trial(cfg)))
+    for block in (flat, flat[3]):
+        got = assemble_batch(cfg, block)
+        want = strided_reference(cfg, block)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
 
 
 def test_unit_mean_power_through_assembly(baseline_cfg):

@@ -187,6 +187,17 @@ def test_sweep_config_casts_integers(fast_cfg):
     assert sweep_config(fast_cfg, "tx_power_dbm", 12.0).tx_power_dbm == 12.0
 
 
+def test_sweep_config_rejects_non_integral_integers(fast_cfg):
+    for var in ("N", "L", "M", "K", "resolution_bits", "trials"):
+        with pytest.raises(ValueError, match="integer"):
+            sweep_config(fast_cfg, var, 40.7)
+    # recorded as a per-point failure, not silently truncated to N=16
+    spec = SweepSpec(variable="N", values=(16.5, 16.0), metrics=("OP_user",))
+    rows, failures = run_sweep(fast_cfg.with_updates(trials=500), spec, threads=1)
+    assert [v for v, _ in failures] == [16.5]
+    assert {v for v, _ in rows} == {16.0}
+
+
 def test_run_sweep_order_and_failures(fast_cfg):
     spec = SweepSpec(variable="tx_power_dbm", values=(0.0, 10.0), metrics=("OP_user",))
     rows, failures = run_sweep(fast_cfg.with_updates(trials=500), spec, threads=1)

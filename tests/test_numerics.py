@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from scbsim import numerics
 from scbsim.numerics import (
     NumericsError,
     adaptive_quadrature,
@@ -56,6 +58,14 @@ def test_min_norm_overdetermined_least_squares():
     lstsq = np.linalg.lstsq(a, b, rcond=None)[0]
     assert np.allclose(x, lstsq, atol=1e-10)
     assert resid == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-12)
+    # a stack of tall systems never takes the Gram path
+    a = np.stack([a, 2.0 * a, a.conj()])
+    b = np.stack([b, b, b.conj()])
+    xs, resids = min_norm_solve_batch(a, b)
+    for t in range(3):
+        lstsq = np.linalg.lstsq(a[t], b[t], rcond=None)[0]
+        assert np.allclose(xs[t], lstsq, atol=1e-10)
+        assert resids[t] == pytest.approx(np.linalg.norm(a[t] @ lstsq - b[t]), rel=1e-10)
 
 
 def test_min_norm_batch_matches_single():
@@ -83,6 +93,108 @@ def test_min_norm_rank_deficient_truncation():
     x, resid = min_norm_solve(a, [1.0, 0.0])
     assert np.isfinite(x).all()
     assert resid == pytest.approx(np.sqrt(0.5), rel=1e-10)
+
+
+def _complex_normals(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("r,c", [(8, 40), (8, 256), (24, 96), (3, 4)])
+def test_min_norm_gram_path_matches_svd(r, c):
+    rng = np.random.default_rng(r * 1000 + c)
+    a = _complex_normals(rng, (64, r, c))
+    b = _complex_normals(rng, (64, r))
+    _, _, accepted = numerics._gram_min_norm(a, b)
+    assert accepted.all()
+    x, resid = min_norm_solve_batch(a, b)
+    x_svd, resid_svd = numerics._svd_min_norm(a, b, 1e-10)
+    rel = np.linalg.norm(x - x_svd, axis=-1) / np.linalg.norm(x_svd, axis=-1)
+    assert rel.max() <= 1e-12
+    assert resid.max() <= 1e-12 * np.linalg.norm(b, axis=-1).min()
+    assert resid_svd.max() <= 1e-12 * np.linalg.norm(b, axis=-1).min()
+
+
+def test_min_norm_gram_fallback_is_per_trial():
+    rng = np.random.default_rng(7)
+    a = _complex_normals(rng, (6, 2, 3))
+    b = _complex_normals(rng, (6, 2))
+    # trial 1: two parallel rows with a consistent target (rank 1); its Gram
+    # matrix is singular up to rounding
+    a[1] = [[1.0, 1j, 0.5], [2.0, 2j, 1.0]]
+    b[1] = [1.0, 2.0]
+    # trial 4: an all-zero row; its Gram matrix is exactly singular, which
+    # would make a stacked LU solve raise
+    a[4] = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    b[4] = [3.0, 0.0]
+    _, _, accepted = numerics._gram_min_norm(a, b)
+    assert accepted.tolist() == [True, False, True, True, False, True]
+
+    x, resid = min_norm_solve_batch(a, b)
+    alone = [0, 2, 3, 5]
+    x_alone, resid_alone = min_norm_solve_batch(a[alone], b[alone])
+    assert np.array_equal(x[alone], x_alone)
+    assert np.array_equal(resid[alone], resid_alone)
+    x_svd, resid_svd = numerics._svd_min_norm(a[[1, 4]], b[[1, 4]], 1e-10)
+    assert np.array_equal(x[[1, 4]], x_svd)
+    assert np.array_equal(resid[[1, 4]], resid_svd)
+    assert np.allclose(x[4], [3.0, 0.0, 0.0], atol=1e-14)
+    assert np.allclose(x[1], np.linalg.pinv(a[1]) @ b[1], atol=1e-12)
+    assert resid[1] <= 1e-12
+
+
+def test_min_norm_large_rank_tol_still_truncates():
+    # singular-value ratios 0.1 (trial 0) and 0.9 (trial 1): both pass the
+    # Gram eigenvalue bound, but rank_tol = 0.5 must truncate trial 0
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(_complex_normals(rng, (2, 2, 2)))[0]
+    vh = np.linalg.qr(_complex_normals(rng, (2, 5, 2)))[0].conj().swapaxes(-1, -2)
+    s = np.array([[1.0, 0.1], [1.0, 0.9]])
+    a = u @ (s[..., None] * vh)
+    b = _complex_normals(rng, (2, 2))
+    _, _, accepted = numerics._gram_min_norm(a, b, 0.5)
+    assert accepted.tolist() == [False, True]
+    x, resid = min_norm_solve_batch(a, b, rank_tol=0.5)
+    x_svd, resid_svd = numerics._svd_min_norm(a, b, 0.5)
+    assert np.array_equal(x[0], x_svd[0])
+    assert np.array_equal(resid[0], resid_svd[0])
+    assert resid[0] > 0.1 * np.linalg.norm(b[0])   # the small direction was dropped
+    assert np.allclose(x[1], x_svd[1], rtol=0.0, atol=1e-13)
+
+
+def test_min_norm_gram_overflow_falls_back_quietly():
+    # the Gram matrix overflows to inf; the SVD path still solves the system
+    a = np.array([[[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]]])
+    b = np.ones((1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, resid = min_norm_solve_batch(a, b)
+    assert np.allclose(x, [[1e-200, 1e-200, 0.0]], rtol=1e-12, atol=0.0)
+    assert resid[0] <= 1e-12
+
+
+def test_min_norm_batch_leading_shapes():
+    rng = np.random.default_rng(9)
+    a = _complex_normals(rng, (2, 3, 4, 10))
+    b = _complex_normals(rng, (2, 3, 4))
+    x, resid = min_norm_solve_batch(a, b)
+    assert x.shape == (2, 3, 10) and resid.shape == (2, 3)
+    x2, resid2 = min_norm_solve_batch(a[1, 2], b[1, 2])
+    assert x2.shape == (10,) and resid2.shape == ()
+    assert np.allclose(x2, x[1, 2], atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 8), (4, 6, 3)])
+def test_min_norm_batch_rejects_non_finite(shape):
+    rng = np.random.default_rng(10)
+    a = _complex_normals(rng, shape)
+    b = _complex_normals(rng, shape[:2])
+    b[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite input"):
+        min_norm_solve_batch(a, b)
+    b[2, 1] = 0.0
+    a[3, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite input"):
+        min_norm_solve_batch(a, b)
 
 
 # -- regularized lower incomplete gamma ----------------------------------------
