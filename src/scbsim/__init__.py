@@ -7,80 +7,4 @@ linkmetrics (SINR/rate/outage), analytics (closed forms), montecarlo
 (deterministic trial engine), validation (cross-checks), cli.
 """
 
-from .scenario import (
-    AGGREGATE,
-    ANOMALOUS,
-    DIFFUSE,
-    PER_SYMBOL,
-    ConfigError,
-    PowerModel,
-    ScenarioConfig,
-    dbm_to_watt,
-    fingerprint,
-    load_config,
-    noise_power_dbm,
-    serialize_config,
-    watt_to_dbm,
-)
-from .channel import ChannelRealization, draw_rayleigh_matrix, draw_rician_matrix, draw_realization
-from .pathloss import (
-    LargeScaleGains,
-    compute_gains,
-    largescale_anomalous,
-    largescale_diffuse,
-    largescale_direct,
-    min_ris_anomalous,
-    min_ris_diffuse,
-    min_ris_overall,
-    table2,
-)
-from .numerics import (
-    NumericsError,
-    adaptive_quadrature,
-    exponential_integral_ei,
-    lower_incomplete_gamma_regularized,
-    min_norm_solve,
-    quadrature_semi_infinite,
-)
-from .beamforming import (
-    EffectiveSystem,
-    PassiveBeamforming,
-    build_effective_matrix,
-    build_interference_target,
-    quantize,
-    residue,
-    solve_passive,
-)
-from .linkmetrics import (
-    LinkMetrics,
-    effective_gain,
-    exact_per_symbol_sinr,
-    oma_snr,
-    sic_chain,
-    sinr_ideal,
-    sinr_nonideal,
-)
-from .analytics import (
-    ClosedFormInputs,
-    InfeasibleRatesError,
-    diversity_order,
-    energy_efficiency,
-    er_ceiling_user_k,
-    er_user_K,
-    high_snr_slope,
-    op_closed_form,
-    op_oma,
-    spectral_efficiency,
-)
-from .montecarlo import (
-    EstimatorResult,
-    SweepSpec,
-    TrialBatch,
-    estimate,
-    run_sweep,
-    run_trial,
-    run_trials,
-    trial_key,
-)
-
 __version__ = "0.1.0"

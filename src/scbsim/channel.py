@@ -1,52 +1,22 @@
-"""Small-scale fading generators.
+"""Small-scale fading: standard normals carved into channel arrays.
 
 Direct BS-user links are Rayleigh (each squared entry magnitude is unit-mean
 exponential).  BS-RIS and RIS-user links are Rician with a deterministic
 line-of-sight component fixed to the constant 1, so that for a large Rician
-factor every entry tends to 1 + 0j.  All generators are normalized to
-E[|entry|^2] = 1; large-scale effects live exclusively in the pathloss module.
+factor every entry tends to 1 + 0j.  Every entry has E[|entry|^2] = 1;
+large-scale effects live exclusively in the pathloss module.
 
-A realization consumes a fixed number of standard normals carved from a
-single flat draw in a documented order, which makes one realization a pure
-function of the stream state and lets the Monte Carlo engine assemble whole
-batches from per-trial streams without changing any value.
+A trial consumes a fixed number of standard normals from its own stream in
+a documented order (``assemble_batch``), so its channels are a pure function
+of that stream and the Monte Carlo engine assembles whole batches from
+per-trial streams without changing any value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One random draw of every small-scale fading matrix.
-
-    w: (M, K, L, M) complex, direct BS-user fading per (cluster, user)
-    h: (N, M) complex, BS-RIS fading
-    g: (M, K, L, N) complex, RIS-user fading per (cluster, user)
-    """
-
-    w: np.ndarray
-    h: np.ndarray
-    g: np.ndarray
-
-
-def complex_normal(rng, shape):
-    """I.i.d. circularly-symmetric complex Gaussians, zero mean, unit variance."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * _SQRT_HALF
-
-
-def draw_rayleigh_matrix(rows, cols, rng):
-    """Rayleigh fading matrix: |entry|^2 is unit-mean exponential."""
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be >= 1")
-    return complex_normal(rng, (rows, cols))
 
 
 def rician_mix(k_factor):
@@ -54,12 +24,6 @@ def rician_mix(k_factor):
     if k_factor < 0:
         raise ValueError(f"Rician factor must be >= 0, got {k_factor}")
     return np.sqrt(k_factor / (k_factor + 1.0)), np.sqrt(1.0 / (k_factor + 1.0))
-
-
-def draw_rician_matrix(rows, cols, k_factor, rng):
-    """Rician fading matrix with all-ones LoS component; E[|entry|^2] = 1."""
-    los, nlos = rician_mix(k_factor)
-    return los + nlos * draw_rayleigh_matrix(rows, cols, rng)
 
 
 def normals_per_trial(cfg):
@@ -74,7 +38,13 @@ def assemble_batch(cfg, flat):
     Layout per trial: the flat vector is interpreted as interleaved
     (real, imag) pairs of complex Gaussians, consumed block-wise in the order
     [H, then W and G alternating over (m, k) in lexicographic order], each
-    block row-major.  Returns (w, h, g) with a leading trial axis.
+    block row-major.  Returns (w, h, g) with a leading trial axis:
+
+    w: (T, M, K, L, M) direct BS-user fading per (cluster, user)
+    h: (T, N, M) BS-RIS fading
+    g: (T, M, K, L, N) RIS-user fading per (cluster, user)
+
+    A 1-D ``flat`` is one trial and returns the arrays without the trial axis.
     """
     M, K, L, N = cfg.M, cfg.K, cfg.L, cfg.N
     flat = np.ascontiguousarray(flat, dtype=np.float64)
@@ -108,10 +78,3 @@ def assemble_batch(cfg, flat):
     if squeeze:
         return w[0], h[0], g[0]
     return w, h, g
-
-
-def draw_realization(cfg, rng):
-    """Draw all fading matrices for one trial from the given stream."""
-    flat = rng.standard_normal(normals_per_trial(cfg))
-    w, h, g = assemble_batch(cfg, flat)
-    return ChannelRealization(w=w, h=h, g=g)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .analytics import (
     op_closed_form,
     op_oma,
 )
-from .channel import draw_realization
+from .channel import assemble_batch
 from .montecarlo import METRICS, SweepSpec
 from .pathloss import (
     TABLE2_GOLDEN,
@@ -199,10 +200,9 @@ def cmd_simulate(args):
     for i, value in enumerate(values):
         print(f"[{i + 1}/{total}] {var}={_fmt(value)} "
               f"({cfg.trials} trials)", file=sys.stderr, flush=True)
-        rows, failures = mc.run_sweep(
-            cfg, SweepSpec(variable=var, values=(value,), metrics=metrics),
-            threads=args.threads, feasible_only=args.feasible_only,
-        )
+        rows, failures = mc.run_sweep(cfg, replace(sweep, values=(value,)),
+                                      threads=args.threads,
+                                      feasible_only=args.feasible_only)
         all_failures.extend(failures)
         for val, r in rows:
             lines.append(csv_row(var, val, r.m, r.k, r.metric, r.estimate,
@@ -282,12 +282,9 @@ def cmd_dump(args):
     """Debug dump of one trial: channels, stacked system, solution, residues."""
     cfg = _load_cfg(args)
     gains = compute_gains(cfg)
-    rng = mc.trial_rng(cfg.master_seed, args.trial)
-    ch = draw_realization(cfg, rng)
-    system = bf.build_effective_matrix(ch, gains, cfg.cancellation_mode)
-    pb = bf.solve_passive(system)
-    if cfg.resolution_bits is not None:
-        pb = bf.quantize(pb, cfg.resolution_bits)
+    w, h, g = assemble_batch(cfg, mc.draw_chunk_normals(cfg, args.trial, 1))
+    h_tilde, b, phi, _, _ = mc._cancel(cfg, gains, w, h, g)
+    residue = bf.residues_batch(w, h, g, gains, phi)
     lines = ["block,row,col,re,im"]
 
     def emit_matrix(name, mat):
@@ -297,18 +294,17 @@ def cmd_dump(args):
                 z = complex(mat[i, j])
                 lines.append(f"{name},{i},{j},{_fmt(z.real)},{_fmt(z.imag)}")
 
-    emit_matrix("H", ch.h)
+    emit_matrix("H", h[0])
     for m in range(cfg.M):
         for k in range(cfg.K):
-            emit_matrix(f"W[{m}][{k}]", ch.w[m, k])
-            emit_matrix(f"G[{m}][{k}]", ch.g[m, k])
-    emit_matrix("H_tilde", system.h_tilde)
-    emit_matrix("B", system.b_target.reshape(-1, 1))
-    emit_matrix("phi", pb.phi.reshape(-1, 1))
+            emit_matrix(f"W[{m}][{k}]", w[0, m, k])
+            emit_matrix(f"G[{m}][{k}]", g[0, m, k])
+    emit_matrix("H_tilde", h_tilde[0])
+    emit_matrix("B", b[0].reshape(-1, 1))
+    emit_matrix("phi", phi[0].reshape(-1, 1))
     for m in range(cfg.M):
         for k in range(cfg.K):
-            r = bf.residue(ch, gains, pb, m, k)
-            lines.append(f"residue,{m},{k},{_fmt(r)},{_fmt(0.0)}")
+            lines.append(f"residue,{m},{k},{_fmt(float(residue[0, m, k]))},{_fmt(0.0)}")
     _write_lines(args.out, lines)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Per-realization link quality: effective gains, SINRs, rates, outage.
+"""Link quality from effective gains and residues: SINRs, rates, outage.
 
 User indexing is 0-based: user 0 is the farthest user in a cluster and the
 first one decoded by everyone's successive cancellation chain.  All SINR
@@ -30,18 +30,8 @@ class LinkMetrics:
     oma_rate: np.ndarray    # (M, K)
     oma_outage: np.ndarray  # (M, K) bool
     feasible: bool
-    residual_norm: float
+    residual_rel: float     # solver residual / ||B|| of the continuous solve
     exact_sinr: np.ndarray | None = None   # (M, K) diagnostic
-
-
-def effective_gain(ch, m, k):
-    """Sum of squared desired-column magnitudes, sum_l |w_{l,m}|^2."""
-    return float(np.square(np.abs(ch.w[m, k, :, m])).sum())
-
-
-def effective_gain_literal(ch, m, k):
-    """|sum_l w_{l,m}|^2: the all-ones detector applied literally (diagnostic)."""
-    return float(np.square(np.abs(ch.w[m, k, :, m].sum())))
 
 
 def sinr_sic(eff_gain, residue, l_direct, p_watt, power_alloc, v, noise_watt, L):
@@ -56,16 +46,6 @@ def sinr_sic(eff_gain, residue, l_direct, p_watt, power_alloc, v, noise_watt, L)
     den = np.asarray(residue, dtype=float) * p_watt + signal * intra + L * noise_watt
     out = signal * power_alloc[v] / den
     return float(out) if np.isscalar(eff_gain) else out
-
-
-def sinr_ideal(eff_gain, l_direct, p_watt, power_alloc, k, noise_watt, L):
-    """Ideal-surface SINR of user k decoding its own signal (zero residue)."""
-    return sinr_sic(eff_gain, 0.0, l_direct, p_watt, power_alloc, k, noise_watt, L)
-
-
-def sinr_nonideal(eff_gain, residue, l_direct, p_watt, power_alloc, k, noise_watt, L):
-    """Finite-resolution SINR: the interference residue adds residue * p noise."""
-    return sinr_sic(eff_gain, residue, l_direct, p_watt, power_alloc, k, noise_watt, L)
 
 
 def sic_chain(eff_gain, residue, l_direct, p_watt, power_alloc, target_rate, k,
@@ -104,17 +84,18 @@ def oma_snr(eff_gain, l_direct, p_watt, noise_watt, L, K, target_rate):
     return snr, outage
 
 
-def exact_per_symbol_sinr(ch, gains, pb, m, k, p_watt, power_alloc, noise_watt):
+def exact_per_symbol_sinr(w, h, g, phi, gains, m, k, p_watt, power_alloc, noise_watt):
     """Diagnostic SINR from the true per-antenna combined coefficients.
 
-    Combines reflected and direct paths per transmit antenna with the
-    all-ones detector; the inter-cluster term carries the full superposed
-    power of the other clusters.  Complements the aggregate-statistic SINR,
-    which is what the closed forms describe.
+    w, h, g and phi are one trial's arrays (no trial axis).  Combines
+    reflected and direct paths per transmit antenna with the all-ones
+    detector; the inter-cluster term carries the full superposed power of
+    the other clusters.  Complements the aggregate-statistic SINR, which is
+    what the closed forms describe.
     """
-    M, L = ch.h.shape[1], ch.w.shape[2]
-    mixed = ch.g[m, k] @ (pb.phi[:, None] * ch.h)   # (L, M) reflected coefficients
-    comb = np.sqrt(gains.l_reflect[m, k]) * mixed + np.sqrt(gains.l_direct[m, k]) * ch.w[m, k]
+    L = w.shape[2]
+    mixed = g[m, k] @ (phi[:, None] * h)            # (L, M) reflected coefficients
+    comb = np.sqrt(gains.l_reflect[m, k]) * mixed + np.sqrt(gains.l_direct[m, k]) * w[m, k]
     c = comb.sum(axis=0)                            # all-ones detector per TX antenna
     own = np.square(np.abs(c[m]))
     inter = float(np.square(np.abs(np.delete(c, m))).sum())

@@ -31,19 +31,12 @@ import numpy as np
 
 from . import beamforming as bf
 from . import linkmetrics as lm
-from .channel import assemble_batch, draw_realization, normals_per_trial
+from .channel import assemble_batch, normals_per_trial
 from .pathloss import compute_gains
 from .scenario import ConfigError, fingerprint
 
 CHUNK = 2048          # fixed chunk size; must not depend on the thread count
 _MASK64 = (1 << 64) - 1
-
-METRICS = ("OP_user", "OP_pair", "ER_user", "SE", "EE",
-           "residue_mean", "feasibility_rate", "OP_oma")
-
-# metrics estimated per (cluster, user) / per cluster / globally
-_PER_USER = ("OP_user", "ER_user", "residue_mean", "OP_oma")
-_PER_CLUSTER = ("OP_pair", "SE", "EE")
 
 
 def splitmix64(x):
@@ -88,12 +81,12 @@ class SweepSpec:
 
     def __post_init__(self):
         if not self.values:
-            raise ValueError("sweep needs at least one value")
+            raise ConfigError("sweep needs at least one value")
         if any(v is None or not np.isfinite(v) for v in self.values):
-            raise ValueError("sweep values must be finite")
+            raise ConfigError("sweep values must be finite")
         unknown = [m for m in self.metrics if m not in METRICS]
         if unknown:
-            raise ValueError(f"unknown metrics {unknown}; choose from {METRICS}")
+            raise ConfigError(f"unknown metrics {unknown}; choose from {METRICS}")
 
 
 @dataclass(frozen=True)
@@ -147,23 +140,34 @@ def draw_chunk_normals(cfg, start, count):
     return out
 
 
-def _metrics_from_channels(cfg, gains, w, h, g):
-    """Vectorized per-trial metrics for a batch of channel draws."""
-    M, K, L = cfg.M, cfg.K, cfg.L
-    p = cfg.tx_power_watt
-    noise = cfg.noise_watt
+def _cancel(cfg, gains, w, h, g):
+    """Build, solve and (on a finite-resolution surface) quantize a (T, ...) stack.
 
+    Returns (h_tilde, b, phi, feasible, residual_rel).  phi is what the
+    surface applies, quantized when cfg.resolution_bits is set; feasibility
+    and the solver residual / ||b|| refer to the continuous solve, because
+    quantized levels are within [0, 1) by construction.
+    """
     h_tilde = bf.build_matrix_batch(h, g, gains.l_reflect, cfg.cancellation_mode)
     b = bf.build_target_batch(w, gains.l_direct, cfg.cancellation_mode)
     phi, resid, feasible, _ = bf.solve_passive_batch(h_tilde, b)
     norm_b = np.linalg.norm(b, axis=-1)
     residual_rel = np.where(norm_b > 0, resid / np.where(norm_b > 0, norm_b, 1.0), 0.0)
-
-    # feasibility always refers to the continuous solve: quantized levels are
-    # within [0, 1) by construction, so they carry no information
     if cfg.resolution_bits is not None:
         amp, ph = bf.quantize_levels(np.abs(phi), np.angle(phi), cfg.resolution_bits)
         phi = amp * np.exp(1j * ph)
+    return h_tilde, b, phi, feasible, residual_rel
+
+
+def _metrics_from_channels(cfg, gains, w, h, g, phi):
+    """Vectorized per-trial residues, SIC and OMA outcomes for surface phi.
+
+    Returns (outage, rate, oma_outage, oma_rate, residue, eff_gain), each
+    (T, M, K).
+    """
+    M, K, L = cfg.M, cfg.K, cfg.L
+    p = cfg.tx_power_watt
+    noise = cfg.noise_watt
 
     residue = bf.residues_batch(w, h, g, gains, phi)
     eff = np.square(np.abs(bf.desired_columns(w))).sum(axis=-1)   # (T, M, K)
@@ -186,13 +190,13 @@ def _metrics_from_channels(cfg, gains, w, h, g):
             snr, oout = lm.oma_snr(gmk, lb, p, noise, L, K, cfg.target_rate[k])
             oma_outage[:, m, k] = oout
             oma_rate[:, m, k] = np.log2(1.0 + snr) / K
-    return outage, rate, oma_outage, oma_rate, residue, eff, feasible, residual_rel
+    return outage, rate, oma_outage, oma_rate, residue, eff
 
 
 def _simulate_chunk(cfg, gains, start, count):
-    flat = draw_chunk_normals(cfg, start, count)
-    w, h, g = assemble_batch(cfg, flat)
-    return _metrics_from_channels(cfg, gains, w, h, g)
+    w, h, g = assemble_batch(cfg, draw_chunk_normals(cfg, start, count))
+    _, _, phi, feasible, residual_rel = _cancel(cfg, gains, w, h, g)
+    return _metrics_from_channels(cfg, gains, w, h, g, phi) + (feasible, residual_rel)
 
 
 def run_trials(cfg, trials=None, threads=None):
@@ -254,69 +258,88 @@ def run_trials(cfg, trials=None, threads=None):
 
 
 def run_trial(cfg, trial_index):
-    """One end-to-end realization as a LinkMetrics record (diagnostics included)."""
-    gains = compute_gains(cfg)
-    rng = trial_rng(cfg.master_seed, trial_index)
-    ch = draw_realization(cfg, rng)
-    system = bf.build_effective_matrix(ch, gains, cfg.cancellation_mode)
-    pb = bf.solve_passive(system)
-    solve_feasible = pb.feasible
-    if cfg.resolution_bits is not None:
-        pb = bf.quantize(pb, cfg.resolution_bits)
+    """Trial ``trial_index`` of ``run_trials`` as a LinkMetrics record.
 
-    M, K, L = cfg.M, cfg.K, cfg.L
-    p, noise = cfg.tx_power_watt, cfg.noise_watt
-    eff = np.empty((M, K))
-    residue = np.empty((M, K))
+    The engine's arrays for a one-trial chunk, so every field shared with
+    TrialBatch equals that trial's row bit for bit; adds the SINR ladder and
+    the per-symbol diagnostic SINR.
+    """
+    gains = compute_gains(cfg)
+    w, h, g = assemble_batch(cfg, draw_chunk_normals(cfg, trial_index, 1))
+    _, _, phi, feasible, residual_rel = _cancel(cfg, gains, w, h, g)
+    outage, rate, oma_outage, oma_rate, residue, eff = (
+        a[0] for a in _metrics_from_channels(cfg, gains, w, h, g, phi))
+
+    M, K = cfg.M, cfg.K
     sinr = np.full((M, K, K), np.nan)
-    rate = np.empty((M, K))
-    outage = np.empty((M, K), dtype=bool)
-    oma_rate = np.empty((M, K))
-    oma_outage = np.empty((M, K), dtype=bool)
     exact = np.empty((M, K))
     for m in range(M):
         for k in range(K):
-            eff[m, k] = lm.effective_gain(ch, m, k)
-            residue[m, k] = bf.residue(ch, gains, pb, m, k)
-            lb = gains.l_direct[m, k]
             for v in range(k + 1):
-                sinr[m, k, v] = lm.sinr_sic(eff[m, k], residue[m, k], lb, p,
-                                            cfg.power_alloc, v, noise, L)
-            out_mk, _ = lm.sic_chain(eff[m, k], residue[m, k], lb, p,
-                                     cfg.power_alloc, cfg.target_rate, k, noise, L)
-            outage[m, k] = out_mk
-            rate[m, k] = np.log2(1.0 + sinr[m, k, k])
-            snr, oout = lm.oma_snr(eff[m, k], lb, p, noise, L, K, cfg.target_rate[k])
-            oma_rate[m, k] = np.log2(1.0 + snr) / K
-            oma_outage[m, k] = oout
-            exact[m, k] = lm.exact_per_symbol_sinr(ch, gains, pb, m, k, p,
-                                                   cfg.power_alloc, noise)
+                sinr[m, k, v] = lm.sinr_sic(eff[m, k], residue[m, k], gains.l_direct[m, k],
+                                            cfg.tx_power_watt, cfg.power_alloc, v,
+                                            cfg.noise_watt, cfg.L)
+            exact[m, k] = lm.exact_per_symbol_sinr(w[0], h[0], g[0], phi[0], gains, m, k,
+                                                   cfg.tx_power_watt, cfg.power_alloc,
+                                                   cfg.noise_watt)
     return lm.LinkMetrics(
         eff_gain=eff, residue=residue, sinr=sinr, rate=rate, outage=outage,
-        oma_rate=oma_rate, oma_outage=oma_outage, feasible=solve_feasible,
-        residual_norm=pb.residual_norm, exact_sinr=exact,
+        oma_rate=oma_rate, oma_outage=oma_outage, feasible=bool(feasible[0]),
+        residual_rel=float(residual_rel[0]), exact_sinr=exact,
     )
 
 
-def _mean_result(metric, m, k, sample, fp):
+def _mean(sample, cfg):
     n = sample.size
     est = float(sample.mean())
     se = float(sample.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return _result(metric, m, k, est, se, n, fp)
+    return est, se
 
 
-def _proportion_result(metric, m, k, sample, fp):
-    n = sample.size
+def _proportion(sample, cfg):
     phat = float(sample.mean())
-    se = float(np.sqrt(phat * (1.0 - phat) / n))
-    return _result(metric, m, k, phat, se, n, fp)
+    return phat, float(np.sqrt(phat * (1.0 - phat) / sample.size))
 
 
-def _result(metric, m, k, est, se, n, fp):
-    return EstimatorResult(
-        metric=metric, m=m, k=k, estimate=est, stderr=se,
-        ci_low=est - 1.96 * se, ci_high=est + 1.96 * se, trials=n, fingerprint=fp,
-    )
+def _sum_rate(rate, cfg):
+    """Mean cluster sum rate from a (trials, K) rate slice."""
+    return _mean(rate.sum(axis=1), cfg)
+
+
+def _energy_efficiency(rate, cfg):
+    pm = cfg.power_model
+    denom = (pm.p_bs_watt + cfg.K * pm.p_user_watt
+             + cfg.tx_power_watt * pm.amp_factor + cfg.N * pm.p_ris_watt)
+    est, se = _sum_rate(rate, cfg)
+    return est / denom, se / denom
+
+
+def _pair_outage(outage, cfg):
+    """Product of the users' outage proportions, delta-method stderr."""
+    users = [_proportion(outage[:, k], cfg) for k in range(outage.shape[1])]
+    est = float(np.prod([p for p, _ in users]))
+    var = 0.0
+    for k, (_, se) in enumerate(users):
+        others = np.prod([p for j, (p, _) in enumerate(users) if j != k])
+        var += (others * se) ** 2
+    return est, float(np.sqrt(var))
+
+
+# metric -> (TrialBatch field, scope, estimator(sample, cfg) -> (estimate, stderr)).
+# A "user" metric gets one row per (cluster, user) from the field's (trials,)
+# sample, a "cluster" metric one row per cluster from its (trials, K) slice,
+# and the "global" feasibility rate one row over every trial that did not fail.
+_ESTIMATORS = {
+    "OP_user": ("outage", "user", _proportion),
+    "OP_pair": ("outage", "cluster", _pair_outage),
+    "ER_user": ("rate", "user", _mean),
+    "SE": ("rate", "cluster", _sum_rate),
+    "EE": ("rate", "cluster", _energy_efficiency),
+    "residue_mean": ("residue", "user", _mean),
+    "feasibility_rate": ("feasible", "global", _proportion),
+    "OP_oma": ("oma_outage", "user", _proportion),
+}
+METRICS = tuple(_ESTIMATORS)
 
 
 def estimates_from_batch(cfg, batch, metric, feasible_only=False):
@@ -326,53 +349,23 @@ def estimates_from_batch(cfg, batch, metric, feasible_only=False):
     keep = ~batch.failed
     if feasible_only:
         keep = keep & batch.feasible
-    n = int(keep.sum())
-    if n < 1:
+    if not keep.any():
         raise ValueError("no usable trials survived the feasibility filter")
-    fp = batch.fingerprint
-    M, K = cfg.M, cfg.K
+    field, scope, estimator = _ESTIMATORS[metric]
+    data = getattr(batch, field)
+    if scope == "global":
+        cells = [(None, None, data[~batch.failed])]
+    elif scope == "cluster":
+        cells = [(m, None, data[keep, m]) for m in range(cfg.M)]
+    else:
+        cells = [(m, k, data[keep, m, k]) for m in range(cfg.M) for k in range(cfg.K)]
     out = []
-    if metric == "OP_user":
-        for m in range(M):
-            for k in range(K):
-                out.append(_proportion_result(metric, m, k, batch.outage[keep, m, k], fp))
-    elif metric == "OP_oma":
-        for m in range(M):
-            for k in range(K):
-                out.append(_proportion_result(metric, m, k, batch.oma_outage[keep, m, k], fp))
-    elif metric == "ER_user":
-        for m in range(M):
-            for k in range(K):
-                out.append(_mean_result(metric, m, k, batch.rate[keep, m, k], fp))
-    elif metric == "residue_mean":
-        for m in range(M):
-            for k in range(K):
-                out.append(_mean_result(metric, m, k, batch.residue[keep, m, k], fp))
-    elif metric == "SE":
-        for m in range(M):
-            out.append(_mean_result(metric, m, None, batch.rate[keep, m, :].sum(axis=1), fp))
-    elif metric == "EE":
-        pm = cfg.power_model
-        denom = (pm.p_bs_watt + K * pm.p_user_watt
-                 + cfg.tx_power_watt * pm.amp_factor + cfg.N * pm.p_ris_watt)
-        for m in range(M):
-            se_res = _mean_result(metric, m, None, batch.rate[keep, m, :].sum(axis=1), fp)
-            out.append(_result(metric, m, None, se_res.estimate / denom,
-                               se_res.stderr / denom, n, fp))
-    elif metric == "OP_pair":
-        for m in range(M):
-            users = [_proportion_result("OP_user", m, k, batch.outage[keep, m, k], fp)
-                     for k in range(K)]
-            est = float(np.prod([u.estimate for u in users]))
-            # delta method on the product of independent proportions
-            var = 0.0
-            for k in range(K):
-                others = np.prod([u.estimate for j, u in enumerate(users) if j != k])
-                var += (others * users[k].stderr) ** 2
-            out.append(_result(metric, m, None, est, float(np.sqrt(var)), n, fp))
-    elif metric == "feasibility_rate":
-        out.append(_proportion_result(metric, None, None,
-                                      batch.feasible[~batch.failed], fp))
+    for m, k, sample in cells:
+        est, se = estimator(sample, cfg)
+        out.append(EstimatorResult(
+            metric=metric, m=m, k=k, estimate=est, stderr=se,
+            ci_low=est - 1.96 * se, ci_high=est + 1.96 * se, trials=len(sample),
+            fingerprint=batch.fingerprint))
     return out
 
 

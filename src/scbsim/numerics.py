@@ -138,14 +138,6 @@ def _svd_min_norm(a, b, rank_tol):
     return x, np.linalg.norm(resid, axis=-1)
 
 
-def min_norm_solve(a, b, rank_tol=1e-10):
-    """Single-system variant of min_norm_solve_batch."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    x, resid = min_norm_solve_batch(a[None], b[None], rank_tol)
-    return x[0], float(resid[0])
-
-
 # -- regularized lower incomplete gamma ------------------------------------
 
 def _gamma_series(s, x):

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from scbsim.beamforming import (
-    build_effective_matrix,
-    build_interference_target,
-    quantize,
+    build_matrix_batch,
+    build_target_batch,
     quantize_levels,
-    residue,
     residues_batch,
-    solve_passive,
+    solve_passive_batch,
 )
-from scbsim.channel import ChannelRealization, draw_realization
+from scbsim.channel import assemble_batch, normals_per_trial
 from scbsim.pathloss import LargeScaleGains, compute_gains
 from scbsim.scenario import AGGREGATE, PER_SYMBOL
 
@@ -21,15 +19,34 @@ def unit_gains(M, K):
     return LargeScaleGains(l_direct=np.ones((M, K)), l_reflect=np.ones((M, K)))
 
 
-def manual_channel(w, h, g):
-    return ChannelRealization(w=np.asarray(w, complex), h=np.asarray(h, complex),
-                              g=np.asarray(g, complex))
+def one_trial(w, h, g):
+    """A stack of one trial from (M, K, L, M), (N, M) and (M, K, L, N) arrays."""
+    return tuple(np.asarray(x, complex)[None] for x in (w, h, g))
 
 
 def random_channel(rng, M, K, L, N):
     def cx(shape):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    return manual_channel(cx((M, K, L, M)), cx((N, M)), cx((M, K, L, N)))
+    return one_trial(cx((M, K, L, M)), cx((N, M)), cx((M, K, L, N)))
+
+
+def drawn_channel(cfg, seed, trials=1):
+    flat = np.random.default_rng(seed).standard_normal((trials, normals_per_trial(cfg)))
+    return assemble_batch(cfg, flat)
+
+
+def system(w, h, g, gains, mode):
+    return (build_matrix_batch(h, g, gains.l_reflect, mode),
+            build_target_batch(w, gains.l_direct, mode))
+
+
+def dense_residue(w, h, g, gains, phi, m, k):
+    """Residue of user (m, k) of one trial, evaluated without row stacking."""
+    M = h.shape[1]
+    refl = np.sqrt(gains.l_reflect[m, k]) * (g[m, k] @ (phi * (h @ np.ones(M))))
+    wbar = np.delete(w[m, k], m, axis=1)
+    direct = np.sqrt(gains.l_direct[m, k]) * (wbar @ np.ones(M - 1))
+    return float(np.square(np.abs(refl + direct)).sum())
 
 
 # -- interference target -------------------------------------------------------
@@ -39,8 +56,8 @@ def test_target_single_interferer():
     w[0, 0, 0] = [1.5 + 0.5j, 2.0 - 1.0j]
     w[1, 0, 0] = [0.3, 0.7]
     gains = LargeScaleGains(l_direct=np.full((2, 1), 0.25), l_reflect=np.ones((2, 1)))
-    ch = manual_channel(w, np.zeros((4, 2)), np.zeros((2, 1, 1, 4)))
-    b = build_interference_target(ch, gains, AGGREGATE)
+    w, _, _ = one_trial(w, np.zeros((4, 2)), np.zeros((2, 1, 1, 4)))
+    b = build_target_batch(w, gains.l_direct, AGGREGATE)[0]
     # cluster 0 sees column 1, cluster 1 sees column 0; sqrt(0.25) = 0.5
     assert b[0] == pytest.approx(-0.5 * (2.0 - 1.0j))
     assert b[1] == pytest.approx(-0.5 * 0.3)
@@ -48,37 +65,35 @@ def test_target_single_interferer():
 
 def test_target_all_ones_channels():
     M, K, L = 3, 2, 2
-    ch = manual_channel(np.ones((M, K, L, M)), np.ones((4, M)), np.ones((M, K, L, 4)))
-    b = build_interference_target(ch, unit_gains(M, K), AGGREGATE)
-    assert b.shape == (M * K * L,)
+    w, _, _ = one_trial(np.ones((M, K, L, M)), np.ones((4, M)), np.ones((M, K, L, 4)))
+    b = build_target_batch(w, unit_gains(M, K).l_direct, AGGREGATE)
+    assert b.shape == (1, M * K * L)
     assert np.allclose(b, -(M - 1))
 
 
 def test_row_counts_by_mode():
     rng = np.random.default_rng(0)
     for M, K, L in ((2, 2, 2), (3, 2, 2)):
-        ch = random_channel(rng, M, K, L, 8)
-        agg = build_effective_matrix(ch, unit_gains(M, K), AGGREGATE)
-        per = build_effective_matrix(ch, unit_gains(M, K), PER_SYMBOL)
-        assert agg.h_tilde.shape == (M * K * L, 8)
-        assert per.h_tilde.shape == (M * K * L * (M - 1), 8)
-        assert len(agg.row_index) == agg.h_tilde.shape[0]
-        assert len(per.row_index) == per.h_tilde.shape[0]
-        assert len(set(per.row_index)) == len(per.row_index)
+        w, h, g = random_channel(rng, M, K, L, 8)
+        for mode, rows in ((AGGREGATE, M * K * L), (PER_SYMBOL, M * K * L * (M - 1))):
+            h_tilde, b = system(w, h, g, unit_gains(M, K), mode)
+            assert h_tilde.shape == (1, rows, 8)
+            assert b.shape == (1, rows)
 
 
 def test_single_cluster_has_empty_system(baseline_cfg):
     cfg = baseline_cfg.with_updates(M=1, d_user=((160.0, 80.0),),
                                     d_direct=((200.0, 100.0),))
-    ch = draw_realization(cfg, np.random.default_rng(5))
+    w, h, g = drawn_channel(cfg, 5, trials=3)
     gains = compute_gains(cfg)
     for mode in (AGGREGATE, PER_SYMBOL):
-        system = build_effective_matrix(ch, gains, mode)
-        assert system.h_tilde.shape[0] == 0
-        assert system.b_target.shape == (0,)
-        pb = solve_passive(system)
-        assert np.allclose(pb.phi, 0.0)
-        assert pb.feasible and pb.consistent
+        h_tilde, b = system(w, h, g, gains, mode)
+        assert h_tilde.shape == (3, 0, cfg.N)
+        assert b.shape == (3, 0)
+        phi, resid, feasible, consistent = solve_passive_batch(h_tilde, b)
+        assert phi.shape == (3, cfg.N) and np.all(phi == 0.0)
+        assert np.all(resid == 0.0)
+        assert feasible.all() and consistent.all()
 
 
 # -- effective matrix ------------------------------------------------------------
@@ -90,76 +105,70 @@ def test_matrix_single_row_expansion():
     g[0, 0, 0, 0] = 1.5 - 0.5j
     g[1, 0, 0, 0] = 0.8
     gains = LargeScaleGains(l_direct=np.ones((2, 1)), l_reflect=np.full((2, 1), 0.04))
-    ch = manual_channel(np.zeros((2, 1, 1, 2)), h, g)
-    system = build_effective_matrix(ch, gains, AGGREGATE)
-    expected = 0.2 * (1.5 - 0.5j) * (h[0, 0] + h[0, 1])
-    assert system.h_tilde[0, 0] == pytest.approx(expected)
+    _, h, g = one_trial(np.zeros((2, 1, 1, 2)), h, g)
+    h_tilde = build_matrix_batch(h, g, gains.l_reflect, AGGREGATE)
+    expected = 0.2 * (1.5 - 0.5j) * (h[0, 0, 0] + h[0, 0, 1])
+    assert h_tilde[0, 0, 0] == pytest.approx(expected)
 
 
 def test_matrix_all_ones_channels():
     M, K, L, N = 3, 1, 2, 5
-    ch = manual_channel(np.ones((M, K, L, M)), np.ones((N, M)), np.ones((M, K, L, N)))
-    system = build_effective_matrix(ch, unit_gains(M, K), AGGREGATE)
-    assert np.allclose(system.h_tilde, M)
+    _, h, g = one_trial(np.ones((M, K, L, M)), np.ones((N, M)), np.ones((M, K, L, N)))
+    h_tilde = build_matrix_batch(h, g, unit_gains(M, K).l_reflect, AGGREGATE)
+    assert np.allclose(h_tilde, M)
 
 
 def test_matrix_action_matches_dense_evaluation():
     """h_tilde @ phi must equal the per-user aggregate reflected signal."""
     rng = np.random.default_rng(7)
     M, K, L, N = 2, 2, 2, 9
-    ch = random_channel(rng, M, K, L, N)
+    _, h, g = random_channel(rng, M, K, L, N)
     l_reflect = rng.random((M, K)) * 0.5 + 0.1
-    gains = LargeScaleGains(l_direct=np.ones((M, K)), l_reflect=l_reflect)
-    system = build_effective_matrix(ch, gains, AGGREGATE)
+    h_tilde = build_matrix_batch(h, g, l_reflect, AGGREGATE)[0]
     phi = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    action = system.h_tilde @ phi
-    for row, (m, k, l) in enumerate(system.row_index):
+    action = h_tilde @ phi
+    rows = [(m, k, l) for m in range(M) for k in range(K) for l in range(L)]
+    assert len(rows) == len(action)
+    for row, (m, k, l) in enumerate(rows):
         dense = np.sqrt(l_reflect[m, k]) * (
-            ch.g[m, k] @ np.diag(phi) @ ch.h @ np.ones(M))[l]
+            g[0, m, k] @ np.diag(phi) @ h[0] @ np.ones(M))[l]
         assert action[row] == pytest.approx(dense, rel=1e-12)
 
 
 def test_per_symbol_matrix_action():
     rng = np.random.default_rng(8)
     M, K, L, N = 3, 1, 2, 14
-    ch = random_channel(rng, M, K, L, N)
-    gains = unit_gains(M, K)
-    system = build_effective_matrix(ch, gains, PER_SYMBOL)
+    _, h, g = random_channel(rng, M, K, L, N)
+    h_tilde = build_matrix_batch(h, g, unit_gains(M, K).l_reflect, PER_SYMBOL)[0]
     phi = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    action = system.h_tilde @ phi
-    for row, (m, k, l, mp) in enumerate(system.row_index):
-        dense = (ch.g[m, k] @ np.diag(phi) @ ch.h)[l, mp]
+    action = h_tilde @ phi
+    rows = [(m, k, l, mp) for m in range(M) for k in range(K) for l in range(L)
+            for mp in range(M) if mp != m]
+    assert len(rows) == len(action)
+    for row, (m, k, l, mp) in enumerate(rows):
+        dense = (g[0, m, k] @ np.diag(phi) @ h[0])[l, mp]
         assert action[row] == pytest.approx(dense, rel=1e-12)
 
 
 # -- solve -------------------------------------------------------------------------
 
 def test_solve_consistent_underdetermined(baseline_cfg):
-    ch = draw_realization(baseline_cfg, np.random.default_rng(1))
-    gains = compute_gains(baseline_cfg)
-    system = build_effective_matrix(ch, gains, AGGREGATE)
-    pb = solve_passive(system, n=baseline_cfg.N)
-    assert pb.residual_norm <= 1e-10 * np.linalg.norm(system.b_target)
-    assert pb.consistent and not pb.quantized
-    assert np.allclose(pb.phi, pb.amplitudes * np.exp(1j * pb.phases))
-    assert ((0 <= pb.phases) & (pb.phases < TWO_PI)).all()
+    w, h, g = drawn_channel(baseline_cfg, 1, trials=4)
+    h_tilde, b = system(w, h, g, compute_gains(baseline_cfg), AGGREGATE)
+    phi, resid, feasible, consistent = solve_passive_batch(h_tilde, b)
+    assert phi.shape == (4, baseline_cfg.N)
+    assert (resid <= 1e-10 * np.linalg.norm(b, axis=-1)).all()
+    assert consistent.all()
+    assert np.array_equal(feasible, np.abs(phi).max(axis=-1) <= 1.0 + 1e-12)
 
 
 def test_solve_below_rank_bound_is_flagged(baseline_cfg):
     cfg = baseline_cfg.with_updates(N=baseline_cfg.M * baseline_cfg.K * baseline_cfg.L - 1)
-    ch = draw_realization(cfg, np.random.default_rng(2))
-    gains = compute_gains(cfg)
-    system = build_effective_matrix(ch, gains, AGGREGATE)
-    pb = solve_passive(system)
-    assert pb.residual_norm > 0
-    assert not pb.consistent
-
-
-def test_solve_rejects_wrong_column_count(baseline_cfg):
-    ch = draw_realization(baseline_cfg, np.random.default_rng(3))
-    system = build_effective_matrix(ch, compute_gains(baseline_cfg), AGGREGATE)
-    with pytest.raises(ValueError):
-        solve_passive(system, n=baseline_cfg.N + 1)
+    w, h, g = drawn_channel(cfg, 2, trials=4)
+    h_tilde, b = system(w, h, g, compute_gains(cfg), AGGREGATE)
+    _, resid, _, consistent = solve_passive_batch(h_tilde, b)
+    assert (resid > 0).all()
+    assert not consistent.any()
 
 
 # -- quantization --------------------------------------------------------------------
@@ -211,76 +220,50 @@ def test_quantize_error_bound():
         assert err.max() <= bound + 1e-12
 
 
-def test_quantize_wrapper_flags(baseline_cfg):
-    ch = draw_realization(baseline_cfg, np.random.default_rng(4))
-    system = build_effective_matrix(ch, compute_gains(baseline_cfg), AGGREGATE)
-    pb = solve_passive(system)
-    q = quantize(pb, 3)
-    assert q.quantized
-    levels = np.round(q.amplitudes * 8)
-    assert np.allclose(q.amplitudes * 8, levels)
-    with pytest.raises(ValueError):
-        quantize(q, 3)
-
-
 # -- residue ---------------------------------------------------------------------------
 
 def test_residue_zero_for_exact_solution(baseline_cfg):
-    ch = draw_realization(baseline_cfg, np.random.default_rng(6))
+    w, h, g = drawn_channel(baseline_cfg, 6, trials=3)
     gains = compute_gains(baseline_cfg)
-    system = build_effective_matrix(ch, gains, AGGREGATE)
-    pb = solve_passive(system)
-    total_b = float(np.square(np.abs(system.b_target)).sum())
-    for m in range(2):
-        for k in range(2):
-            assert residue(ch, gains, pb, m, k) <= 1e-18 * total_b
+    h_tilde, b = system(w, h, g, gains, AGGREGATE)
+    phi, _, _, _ = solve_passive_batch(h_tilde, b)
+    total_b = np.square(np.abs(b)).sum(axis=-1)
+    assert (residues_batch(w, h, g, gains, phi) <= 1e-18 * total_b[:, None, None]).all()
 
 
 def test_residue_with_zero_coefficients_is_direct_power(baseline_cfg):
-    ch = draw_realization(baseline_cfg, np.random.default_rng(7))
+    w, h, g = drawn_channel(baseline_cfg, 7)
     gains = compute_gains(baseline_cfg)
-    pb = solve_passive(build_effective_matrix(ch, gains, AGGREGATE))
-    zero = type(pb)(phi=np.zeros_like(pb.phi), amplitudes=np.zeros_like(pb.amplitudes),
-                    phases=np.zeros_like(pb.phases), feasible=True, quantized=False,
-                    residual_norm=0.0, consistent=False)
+    got = residues_batch(w, h, g, gains, np.zeros((1, baseline_cfg.N), complex))
     for m in range(2):
         for k in range(2):
-            wbar = np.delete(ch.w[m, k], m, axis=1)
+            wbar = np.delete(w[0, m, k], m, axis=1)
             expected = gains.l_direct[m, k] * np.square(
                 np.abs(wbar @ np.ones(1))).sum()
-            assert residue(ch, gains, zero, m, k) == pytest.approx(expected, rel=1e-12)
+            assert got[0, m, k] == pytest.approx(expected, rel=1e-12)
 
 
 def test_block_consistency_for_arbitrary_phi(baseline_cfg):
     """Sum of per-user residues equals ||h_tilde phi - b||^2 in aggregate mode."""
     rng = np.random.default_rng(8)
-    ch = draw_realization(baseline_cfg, rng)
+    w, h, g = drawn_channel(baseline_cfg, 8)
     gains = compute_gains(baseline_cfg)
-    system = build_effective_matrix(ch, gains, AGGREGATE)
-    pb = solve_passive(system)
-    for phi in (pb.phi, rng.standard_normal(40) * np.exp(1j * rng.random(40))):
-        fake = type(pb)(phi=phi, amplitudes=np.abs(phi),
-                        phases=np.mod(np.angle(phi), TWO_PI), feasible=True,
-                        quantized=False, residual_norm=0.0, consistent=False)
-        total = sum(residue(ch, gains, fake, m, k) for m in range(2) for k in range(2))
-        direct = float(np.square(np.abs(system.h_tilde @ phi - system.b_target)).sum())
+    h_tilde, b = system(w, h, g, gains, AGGREGATE)
+    solved, _, _, _ = solve_passive_batch(h_tilde, b)
+    for phi in (solved[0], rng.standard_normal(40) * np.exp(1j * rng.random(40))):
+        total = residues_batch(w, h, g, gains, phi[None]).sum()
+        direct = float(np.square(np.abs(h_tilde[0] @ phi - b[0])).sum())
         assert total == pytest.approx(direct, rel=1e-10, abs=1e-30)
 
 
 def test_residues_batch_matches_single(baseline_cfg):
     rng = np.random.default_rng(9)
     gains = compute_gains(baseline_cfg)
-    chs = [draw_realization(baseline_cfg, np.random.default_rng(100 + t)) for t in range(3)]
-    w = np.stack([c.w for c in chs])
-    h = np.stack([c.h for c in chs])
-    g = np.stack([c.g for c in chs])
+    w, h, g = drawn_channel(baseline_cfg, 100, trials=3)
     phi = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
     batch = residues_batch(w, h, g, gains, phi)
-    for t, c in enumerate(chs):
-        fake = type(solve_passive(build_effective_matrix(c, gains, AGGREGATE)))(
-            phi=phi[t], amplitudes=np.abs(phi[t]), phases=np.mod(np.angle(phi[t]), TWO_PI),
-            feasible=True, quantized=False, residual_norm=0.0, consistent=False)
+    for t in range(3):
         for m in range(2):
             for k in range(2):
                 assert batch[t, m, k] == pytest.approx(
-                    residue(c, gains, fake, m, k), rel=1e-10)
+                    dense_residue(w[t], h[t], g[t], gains, phi[t], m, k), rel=1e-10)

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from scbsim.channel import (
-    assemble_batch,
-    rician_mix,
-    draw_rayleigh_matrix,
-    draw_realization,
-    draw_rician_matrix,
-    normals_per_trial,
-)
+from scbsim.channel import assemble_batch, normals_per_trial, rician_mix
+from scbsim.montecarlo import draw_chunk_normals
 from scbsim.numerics import ks_critical, ks_statistic
 
 
@@ -16,61 +10,81 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def test_rayleigh_power_moments():
-    z = draw_rayleigh_matrix(1000, 1000, rng(1))
-    power = np.square(np.abs(z))
+def fading(cfg, trials, seed):
+    """(w, h, g) of ``trials`` independent trials through assemble_batch."""
+    return assemble_batch(cfg, rng(seed).standard_normal((trials, normals_per_trial(cfg))))
+
+
+def unit_exponential_ks(power):
+    return ks_statistic(power, lambda x: 1.0 - np.exp(-x)) < ks_critical(power.size, alpha=0.01)
+
+
+def test_rayleigh_power_moments(baseline_cfg):
+    # the direct links W are Rayleigh: 16 entries per trial at N=1
+    w, _, _ = fading(baseline_cfg.with_updates(N=1), 62500, 1)
+    power = np.square(np.abs(w))
+    assert power.size == 1_000_000
     assert power.mean() == pytest.approx(1.0, abs=0.005)
     assert power.var() == pytest.approx(1.0, abs=0.01)
 
 
-def test_rayleigh_power_is_unit_exponential():
-    power = np.square(np.abs(draw_rayleigh_matrix(100000, 1, rng(2)))).ravel()
-    stat = ks_statistic(power, lambda x: 1.0 - np.exp(-x))
-    assert stat < ks_critical(power.size, alpha=0.01)
+def test_rayleigh_power_is_unit_exponential(baseline_cfg):
+    w, _, _ = fading(baseline_cfg.with_updates(N=1), 6250, 2)
+    assert unit_exponential_ks(np.square(np.abs(w)).ravel())
 
 
-def test_rician_large_factor_collapses_to_los():
-    z = draw_rician_matrix(20, 20, 1e6, rng(3))
-    dev = np.abs(z - 1.0)
-    assert dev.mean() < 1.2e-3
-    assert dev.max() < 5e-3
-    z = draw_rician_matrix(20, 20, 1e12, rng(3))
-    assert np.abs(z - 1.0).max() < 5e-6
+def test_rician_large_factor_collapses_to_los(baseline_cfg):
+    cfg = baseline_cfg.with_updates(N=50, rician_k1=1e6, rician_k2=1e6)
+    _, h, g = fading(cfg, 1, 3)
+    for z in (h, g):
+        dev = np.abs(z - 1.0)
+        assert dev.mean() < 1.2e-3
+        assert dev.max() < 5e-3
+    _, h, g = fading(cfg.with_updates(rician_k1=1e12, rician_k2=1e12), 1, 3)
+    assert np.abs(h - 1.0).max() < 5e-6
+    assert np.abs(g - 1.0).max() < 5e-6
 
 
-def test_rician_zero_factor_is_rayleigh():
-    power = np.square(np.abs(draw_rician_matrix(100000, 1, 0.0, rng(4)))).ravel()
-    stat = ks_statistic(power, lambda x: 1.0 - np.exp(-x))
-    assert stat < ks_critical(power.size, alpha=0.01)
+def test_rician_zero_factor_is_rayleigh(baseline_cfg):
+    # configs require a positive factor; 1e-12 leaves a 1e-6 LoS term
+    assert rician_mix(0.0) == (0.0, 1.0)
+    cfg = baseline_cfg.with_updates(N=50, rician_k1=1e-12, rician_k2=1e-12)
+    _, h, g = fading(cfg, 250, 4)
+    assert unit_exponential_ks(np.square(np.abs(h)).ravel())
+    assert unit_exponential_ks(np.square(np.abs(g)).ravel())
 
 
-def test_rician_unit_mean_power():
-    z = draw_rician_matrix(1000, 1000, 3.0, rng(5))
-    assert np.square(np.abs(z)).mean() == pytest.approx(1.0, abs=0.01)
+def test_rician_unit_mean_power(baseline_cfg):
+    _, h, g = fading(baseline_cfg.with_updates(N=50, rician_k1=3.0, rician_k2=3.0), 2500, 5)
+    assert np.square(np.abs(h)).mean() == pytest.approx(1.0, abs=0.01)
+    assert np.square(np.abs(g)).mean() == pytest.approx(1.0, abs=0.01)
 
 
 def test_rician_rejects_negative_factor():
     with pytest.raises(ValueError):
-        draw_rician_matrix(2, 2, -0.5, rng(6))
+        rician_mix(-0.5)
 
 
 def test_realization_shapes(baseline_cfg):
     cfg = baseline_cfg.with_updates(N=8)
-    ch = draw_realization(cfg, rng(7))
-    assert ch.h.shape == (8, 2)
-    assert ch.w.shape == (2, 2, 2, 2)
-    assert ch.g.shape == (2, 2, 2, 8)
-    assert np.isfinite(ch.w).all() and np.isfinite(ch.h).all() and np.isfinite(ch.g).all()
+    w, h, g = fading(cfg, 3, 7)
+    assert h.shape == (3, 8, 2)
+    assert w.shape == (3, 2, 2, 2, 2)
+    assert g.shape == (3, 2, 2, 2, 8)
+    assert np.isfinite(w).all() and np.isfinite(h).all() and np.isfinite(g).all()
+    one = assemble_batch(cfg, draw_chunk_normals(cfg, 0, 1)[0])
+    assert [x.shape for x in one] == [(2, 2, 2, 2), (8, 2), (2, 2, 2, 8)]
 
 
 def test_realization_deterministic(baseline_cfg):
-    a = draw_realization(baseline_cfg, rng(11))
-    b = draw_realization(baseline_cfg, rng(11))
-    assert np.array_equal(a.w, b.w)
-    assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.g, b.g)
-    c = draw_realization(baseline_cfg, rng(12))
-    assert not np.array_equal(a.w, c.w)
+    a = assemble_batch(baseline_cfg, draw_chunk_normals(baseline_cfg, 11, 2))
+    b = assemble_batch(baseline_cfg, draw_chunk_normals(baseline_cfg, 11, 2))
+    for x, y in zip(a, b):
+        assert x.tobytes() == y.tobytes()
+    other = baseline_cfg.with_updates(master_seed=1)
+    c = assemble_batch(other, draw_chunk_normals(other, 11, 2))
+    assert not np.array_equal(a[0], c[0])
+    assert not np.array_equal(a[0][0], a[0][1])    # trials 11 and 12 differ
 
 
 def test_assemble_batch_matches_single(baseline_cfg):

@@ -3,7 +3,8 @@ from pathlib import Path
 import pytest
 
 from scbsim import cli
-from scbsim.scenario import serialize_config
+from scbsim.montecarlo import run_trials
+from scbsim.scenario import load_config, serialize_config
 
 BASE = Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
 
@@ -48,6 +49,15 @@ def test_config_errors_exit2(tmp_path, capsys):
     bad.write_text(BASE.read_text().replace("0.6, 0.4", "0.7, 0.4"))
     assert run_cli(["simulate", "--config", bad]) == 2
     assert "sum to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [["--metrics", "bogus"],
+                                 ["--sweep", "tx_power_dbm=nan"]])
+def test_simulate_bad_sweep_request_exit2(small_cfg_file, bad, capsys):
+    assert run_cli(["simulate", "--config", small_cfg_file, "--trials", "500", *bad]) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert not captured.out
 
 
 def test_simulate_csv_schema(small_cfg_file, tmp_path, capsys):
@@ -140,6 +150,21 @@ def test_dump_blocks(small_cfg_file, tmp_path):
     lines = out.read_text().strip().splitlines()
     blocks = {l.split(",")[0] for l in lines[1:]}
     assert {"H", "W[0][0]", "G[1][1]", "H_tilde", "B", "phi", "residue"} <= blocks
+
+
+@pytest.mark.parametrize("mode,bits", [("ideal", None), ("bits=3", 3)])
+def test_dump_residues_are_the_engine_residues(small_cfg_file, tmp_path, mode, bits):
+    cfg = load_config(small_cfg_file.read_text()).with_updates(resolution_bits=bits)
+    for t in (0, 2):
+        out = tmp_path / f"dump{t}.csv"
+        assert run_cli(["dump", "--config", small_cfg_file, "--mode", mode,
+                        "--trial", t, "--out", out]) == 0
+        residue = run_trials(cfg, t + 1, threads=1).residue[t]
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if l.startswith("residue,")]
+        assert len(rows) == cfg.M * cfg.K
+        for _, m, k, re, im in rows:
+            assert re == repr(float(residue[int(m), int(k)])) and im == "0.0"
 
 
 def test_validate_subset_quick(small_cfg_file, capsys):

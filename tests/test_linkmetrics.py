@@ -3,18 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from scbsim.beamforming import build_effective_matrix, solve_passive
-from scbsim.channel import ChannelRealization, draw_realization
-from scbsim.linkmetrics import (
-    effective_gain,
-    effective_gain_literal,
-    exact_per_symbol_sinr,
-    oma_snr,
-    sic_chain,
-    sinr_ideal,
-    sinr_nonideal,
-    sinr_sic,
+from scbsim.beamforming import (
+    build_matrix_batch,
+    build_target_batch,
+    desired_columns,
+    solve_passive_batch,
 )
+from scbsim.channel import assemble_batch, normals_per_trial
+from scbsim.linkmetrics import exact_per_symbol_sinr, oma_snr, sic_chain, sinr_sic
 from scbsim.numerics import gamma_cdf, ks_critical, ks_statistic
 from scbsim.pathloss import compute_gains
 from scbsim.scenario import PER_SYMBOL, dbm_to_watt
@@ -22,24 +18,23 @@ from scbsim.scenario import PER_SYMBOL, dbm_to_watt
 NOISE = dbm_to_watt(-94.0)
 
 
-def ones_channel(M, K, L, N):
-    return ChannelRealization(w=np.ones((M, K, L, M), complex),
-                              h=np.ones((N, M), complex),
-                              g=np.ones((M, K, L, N), complex))
-
-
-def test_effective_gain_all_ones():
-    ch = ones_channel(2, 2, 3, 4)
-    assert effective_gain(ch, 0, 0) == pytest.approx(3.0)
-    assert effective_gain_literal(ch, 0, 0) == pytest.approx(9.0)
+def drawn_trial(cfg, seed):
+    """One trial's (w, h, g), the phi solving its cancellation system, and consistency."""
+    w, h, g = assemble_batch(cfg, np.random.default_rng(seed).standard_normal(
+        (1, normals_per_trial(cfg))))
+    gains = compute_gains(cfg)
+    phi, _, _, consistent = solve_passive_batch(
+        build_matrix_batch(h, g, gains.l_reflect, cfg.cancellation_mode),
+        build_target_batch(w, gains.l_direct, cfg.cancellation_mode))
+    return w[0], h[0], g[0], phi[0], bool(consistent[0])
 
 
 def test_effective_gain_uses_desired_column():
-    w = np.zeros((2, 1, 2, 2), complex)
-    w[1, 0, :, 1] = [3.0, 4.0]       # desired column of cluster 1
-    w[1, 0, :, 0] = [100.0, 100.0]   # interfering column must not count
-    ch = ChannelRealization(w=w, h=np.zeros((1, 2)), g=np.zeros((2, 1, 2, 1)))
-    assert effective_gain(ch, 1, 0) == pytest.approx(25.0)
+    w = np.zeros((1, 2, 1, 2, 2), complex)
+    w[0, 1, 0, :, 1] = [3.0, 4.0]       # desired column of cluster 1
+    w[0, 1, 0, :, 0] = [100.0, 100.0]   # interfering column must not count
+    eff = np.square(np.abs(desired_columns(w))).sum(axis=-1)
+    assert eff[0, 1, 0] == pytest.approx(25.0)
 
 
 @pytest.mark.parametrize("L", [1, 2, 4])
@@ -51,28 +46,27 @@ def test_effective_gain_is_gamma_distributed(L):
 
 
 def test_sinr_last_user_has_no_intra_interference():
-    got = sinr_ideal(2.0, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2)
+    got = sinr_sic(2.0, 0.0, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2)
     assert got == pytest.approx(2.0 * 1e-7 * 0.4 / (2 * NOISE), rel=1e-12)
 
 
 def test_sinr_frozen_value():
     # g=1, Lb=1e-7, p=1 W, alloc=0.4, L=2, sigma^2 at -94 dBm
-    assert sinr_ideal(1.0, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2) == pytest.approx(
+    assert sinr_sic(1.0, 0.0, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2) == pytest.approx(
         50237.72863019165, rel=1e-12)
 
 
 def test_sinr_far_user_saturates_at_allocation_ratio():
-    high_p = sinr_ideal(1.0, 1e-7, 1e12, (0.6, 0.4), 0, NOISE, 2)
+    high_p = sinr_sic(1.0, 0.0, 1e-7, 1e12, (0.6, 0.4), 0, NOISE, 2)
     assert high_p == pytest.approx(0.6 / 0.4, rel=1e-6)
 
 
 def test_sinr_nonideal_reduces_and_saturates():
-    base = sinr_ideal(1.0, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2)
-    assert sinr_nonideal(1.0, 0.0, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2) == base
-    with_res = sinr_nonideal(1.0, 1e-9, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2)
+    base = sinr_sic(1.0, 0.0, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2)
+    with_res = sinr_sic(1.0, 1e-9, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2)
     assert with_res < base
-    assert sinr_nonideal(1.0, 2e-9, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2) < with_res
-    ceiling = sinr_nonideal(1.0, 1e-9, 1e-7, 1e15, (0.6, 0.4), 1, NOISE, 2)
+    assert sinr_sic(1.0, 2e-9, 1e-7, 1.0, (0.6, 0.4), 1, NOISE, 2) < with_res
+    ceiling = sinr_sic(1.0, 1e-9, 1e-7, 1e15, (0.6, 0.4), 1, NOISE, 2)
     assert ceiling == pytest.approx(1e-7 * 0.4 / 1e-9, rel=1e-4)
 
 
@@ -113,49 +107,44 @@ def test_oma_threshold_and_identity():
     # OMA SNR equals the last NOMA user's SINR divided by its allocation
     eff, lb, p = 1.7, 1e-7, 2.0
     snr, _ = oma_snr(eff, lb, p, NOISE, 2, 2, 1.0)
-    noma = sinr_ideal(eff, lb, p, (0.6, 0.4), 1, NOISE, 2)
+    noma = sinr_sic(eff, 0.0, lb, p, (0.6, 0.4), 1, NOISE, 2)
     assert snr == pytest.approx(noma / 0.4, rel=1e-12)
 
 
 def test_oma_single_user_reduces_to_noma():
     eff = 0.8
     snr, out = oma_snr(eff, 1e-7, 1.0, NOISE, 2, 1, 1.0)
-    noma = sinr_ideal(eff, 1e-7, 1.0, (1.0,), 0, NOISE, 2)
+    noma = sinr_sic(eff, 0.0, 1e-7, 1.0, (1.0,), 0, NOISE, 2)
     assert snr == pytest.approx(noma, rel=1e-12)
     assert out == (math.log2(1 + noma) <= 1.0)
 
 
 def test_exact_sinr_per_symbol_cancellation(baseline_cfg):
     cfg = baseline_cfg.with_updates(cancellation_mode=PER_SYMBOL, N=24)
-    ch = draw_realization(cfg, np.random.default_rng(31))
+    w, h, g, phi, consistent = drawn_trial(cfg, 31)
     gains = compute_gains(cfg)
-    pb = solve_passive(build_effective_matrix(ch, gains, PER_SYMBOL))
-    assert pb.consistent
+    assert consistent
     p, noise = cfg.tx_power_watt, cfg.noise_watt
     for m in range(2):
         for k in range(2):
             # the per-TX combined interference coefficients are zeroed
-            mixed = ch.g[m, k] @ (pb.phi[:, None] * ch.h)
+            mixed = g[m, k] @ (phi[:, None] * h)
             comb = (np.sqrt(gains.l_reflect[m, k]) * mixed
-                    + np.sqrt(gains.l_direct[m, k]) * ch.w[m, k]).sum(axis=0)
+                    + np.sqrt(gains.l_direct[m, k]) * w[m, k]).sum(axis=0)
             inter = np.square(np.abs(np.delete(comb, m))).sum()
             assert inter <= 1e-16 * np.square(np.abs(comb[m]))
-            assert exact_per_symbol_sinr(ch, gains, pb, m, k, p,
+            assert exact_per_symbol_sinr(w, h, g, phi, gains, m, k, p,
                                          cfg.power_alloc, noise) > 0
 
 
 def test_exact_sinr_with_zero_phi_counts_direct_interference(baseline_cfg):
-    ch = draw_realization(baseline_cfg, np.random.default_rng(32))
+    w, h, g, phi, _ = drawn_trial(baseline_cfg, 32)
     gains = compute_gains(baseline_cfg)
-    pb = solve_passive(build_effective_matrix(ch, gains, baseline_cfg.cancellation_mode))
-    zero = type(pb)(phi=np.zeros_like(pb.phi), amplitudes=np.zeros_like(pb.amplitudes),
-                    phases=np.zeros_like(pb.phases), feasible=True, quantized=False,
-                    residual_norm=0.0, consistent=False)
     p, noise = baseline_cfg.tx_power_watt, baseline_cfg.noise_watt
     m, k = 0, 1
-    got = exact_per_symbol_sinr(ch, gains, zero, m, k, p,
+    got = exact_per_symbol_sinr(w, h, g, np.zeros_like(phi), gains, m, k, p,
                                 baseline_cfg.power_alloc, noise)
-    c = np.sqrt(gains.l_direct[m, k]) * ch.w[m, k].sum(axis=0)
+    c = np.sqrt(gains.l_direct[m, k]) * w[m, k].sum(axis=0)
     own = np.square(np.abs(c[m]))
     inter = np.square(np.abs(np.delete(c, m))).sum()
     expected = own * p * 0.4 / (inter * p + 2 * noise)

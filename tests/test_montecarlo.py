@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from scbsim.analytics import ClosedFormInputs, op_closed_form
+from scbsim.beamforming import build_matrix_batch, build_target_batch, solve_passive_batch
+from scbsim.channel import assemble_batch, normals_per_trial
 from scbsim.montecarlo import (
     CHUNK,
     SweepSpec,
+    draw_chunk_normals,
     estimate,
     estimates_from_batch,
     run_sweep,
@@ -17,6 +20,7 @@ from scbsim.montecarlo import (
     trial_key,
     trial_rng,
 )
+from scbsim.pathloss import compute_gains
 
 
 @pytest.fixture(scope="module")
@@ -47,15 +51,29 @@ def test_run_trial_deterministic(fast_cfg):
     assert not np.array_equal(a.eff_gain, c.eff_gain)
 
 
+def test_draw_chunk_normals_matches_trial_streams(fast_cfg):
+    """Row i of a chunk is bit for bit trial (start + i)'s own Philox stream."""
+    start = 5
+    n = normals_per_trial(fast_cfg)
+    flat = draw_chunk_normals(fast_cfg, start, CHUNK + 1)
+    assert flat.shape == (CHUNK + 1, n)
+    for i in (0, CHUNK - 1, CHUNK):
+        want = trial_rng(fast_cfg.master_seed, start + i).standard_normal(n)
+        assert flat[i].tobytes() == want.tobytes()
+
+
 def test_run_trial_matches_batch_row(fast_cfg):
-    batch = run_trials(fast_cfg, 8, threads=1)
-    for t in (0, 5):
-        single = run_trial(fast_cfg, t)
-        assert np.allclose(single.eff_gain, batch.eff_gain[t], rtol=1e-12)
-        assert np.allclose(single.rate, batch.rate[t], rtol=1e-10)
-        assert np.allclose(single.residue, batch.residue[t], rtol=1e-6, atol=1e-28)
-        assert np.array_equal(single.outage, batch.outage[t])
-        assert np.array_equal(single.oma_outage, batch.oma_outage[t])
+    for updates in ({}, {"cancellation_mode": "per-symbol"}, {"resolution_bits": 3}):
+        cfg = fast_cfg.with_updates(**updates)
+        batch = run_trials(cfg, CHUNK + 1, threads=2)
+        for t in (0, CHUNK - 1, CHUNK):
+            single = run_trial(cfg, t)
+            for name in ("outage", "rate", "oma_outage", "oma_rate", "residue", "eff_gain",
+                         "feasible", "residual_rel"):
+                want = getattr(batch, name)[t]
+                got = np.asarray(getattr(single, name), dtype=want.dtype)
+                assert got.shape == want.shape, (updates, t, name)
+                assert got.tobytes() == want.tobytes(), (updates, t, name)
 
 
 def test_thread_count_does_not_change_results(fast_cfg):
@@ -243,10 +261,6 @@ def test_per_symbol_mode_end_to_end(baseline_cfg):
     The aggregate-style residue stays positive there: it also sums the
     reflected desired column, which the per-symbol design never constrains.
     """
-    from scbsim.channel import draw_realization
-    from scbsim.montecarlo import trial_rng
-    from scbsim.pathloss import compute_gains
-
     cfg = baseline_cfg.with_updates(cancellation_mode="per-symbol", N=20,
                                     tx_power_dbm=0.0)
     batch = run_trials(cfg, 1000, threads=1)
@@ -255,15 +269,14 @@ def test_per_symbol_mode_end_to_end(baseline_cfg):
 
     # residue identity: exactly the reflected desired-column power
     t = 7
-    single = run_trial(cfg, t)
-    assert np.allclose(single.eff_gain, batch.eff_gain[t], rtol=1e-12)
-    ch = draw_realization(cfg, trial_rng(cfg.master_seed, t))
+    w, h, g = assemble_batch(cfg, draw_chunk_normals(cfg, t, 1)[0])
     gains = compute_gains(cfg)
-    from scbsim.beamforming import build_effective_matrix, solve_passive
-    pb = solve_passive(build_effective_matrix(ch, gains, "per-symbol"))
+    phi, _, _, _ = solve_passive_batch(
+        build_matrix_batch(h[None], g[None], gains.l_reflect, "per-symbol"),
+        build_target_batch(w[None], gains.l_direct, "per-symbol"))
     for m in range(2):
         for k in range(2):
-            mixed = ch.g[m, k] @ (pb.phi[:, None] * ch.h)
+            mixed = g[m, k] @ (phi[0][:, None] * h)
             desired_col = gains.l_reflect[m, k] * np.square(
                 np.abs(mixed[:, m])).sum()
             assert batch.residue[t, m, k] == pytest.approx(desired_col, rel=1e-8)

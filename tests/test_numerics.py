@@ -14,7 +14,6 @@ from scbsim.numerics import (
     ks_critical,
     ks_statistic,
     lower_incomplete_gamma_regularized,
-    min_norm_solve,
     min_norm_solve_batch,
     quadrature_semi_infinite,
 )
@@ -23,13 +22,13 @@ from scbsim.numerics import (
 # -- minimum-norm solver ------------------------------------------------------
 
 def test_min_norm_axis_solution():
-    x, resid = min_norm_solve([[1.0, 0.0, 0.0]], [2.0])
+    x, resid = min_norm_solve_batch([[1.0, 0.0, 0.0]], [2.0])
     assert np.allclose(x, [2.0, 0.0, 0.0])
     assert resid == pytest.approx(0.0, abs=1e-14)
 
 
 def test_min_norm_identity():
-    x, resid = min_norm_solve(np.eye(2), [1.0, 1j])
+    x, resid = min_norm_solve_batch(np.eye(2), [1.0, 1j])
     assert np.allclose(x, [1.0, 1j])
     assert resid < 1e-14
 
@@ -38,7 +37,7 @@ def test_min_norm_underdetermined_null_space_oracle():
     rng = np.random.default_rng(42)
     a = (rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))) / np.sqrt(2)
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    x, resid = min_norm_solve(a, b)
+    x, resid = min_norm_solve_batch(a, b)
     assert resid <= 1e-10 * np.linalg.norm(b)
     # any null-space perturbation must increase the norm
     pinv = np.linalg.pinv(a)
@@ -54,7 +53,7 @@ def test_min_norm_overdetermined_least_squares():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x, resid = min_norm_solve(a, b)
+    x, resid = min_norm_solve_batch(a, b)
     lstsq = np.linalg.lstsq(a, b, rcond=None)[0]
     assert np.allclose(x, lstsq, atol=1e-10)
     assert resid == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-12)
@@ -74,23 +73,23 @@ def test_min_norm_batch_matches_single():
     b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     xs, resids = min_norm_solve_batch(a, b)
     for t in range(5):
-        x, r = min_norm_solve(a[t], b[t])
+        x, r = min_norm_solve_batch(a[t], b[t])
         assert np.allclose(xs[t], x, atol=1e-12)
         assert resids[t] == pytest.approx(r, abs=1e-12)
 
 
 def test_min_norm_rejects_bad_input():
     with pytest.raises(ValueError, match="dimension"):
-        min_norm_solve(np.eye(3), [1.0, 2.0])
+        min_norm_solve_batch(np.eye(3), [1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
-        min_norm_solve([[np.nan, 1.0]], [1.0])
+        min_norm_solve_batch([[np.nan, 1.0]], [1.0])
     with pytest.raises(ValueError, match="rank_tol"):
         min_norm_solve_batch(np.eye(2)[None], np.ones((1, 2)), rank_tol=2.0)
 
 
 def test_min_norm_rank_deficient_truncation():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])   # rank 1
-    x, resid = min_norm_solve(a, [1.0, 0.0])
+    x, resid = min_norm_solve_batch(a, [1.0, 0.0])
     assert np.isfinite(x).all()
     assert resid == pytest.approx(np.sqrt(0.5), rel=1e-10)
 
