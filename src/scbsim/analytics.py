@@ -24,6 +24,8 @@ from .numerics import exp_scaled_e1, lower_incomplete_gamma_regularized
 from .pathloss import largescale_direct
 
 LN2 = math.log(2.0)
+CEILING_MAX_RATIO = 1e12   # alloc_k / sum_{q>k} alloc_q above which a ceiling is degenerate
+DIVERSITY_OP_CAP = 1e-2    # only outage values below this enter a diversity-order fit
 
 
 class InfeasibleRatesError(ValueError):
@@ -116,25 +118,25 @@ def er_from_threshold_scale(c, L):
     return total / LN2
 
 
-def er_ceiling_user_k(power_alloc, k, max_ratio=1e12):
+def er_ceiling_user_k(power_alloc, k):
     """High-SNR rate ceiling log2(1 + alloc_k / sum_{q>k} alloc_q) of user k < K-1."""
     if k >= len(power_alloc) - 1:
         raise ValueError("the nearest user has no interference-limited ceiling")
     rest = sum(power_alloc[k + 1:])
-    if rest <= 0 or power_alloc[k] / rest > max_ratio:
-        raise ValueError("degenerate allocation: ceiling exceeds the configured cap")
+    if rest <= 0 or power_alloc[k] / rest > CEILING_MAX_RATIO:
+        raise ValueError("degenerate allocation: ceiling exceeds the cap")
     return math.log2(1.0 + power_alloc[k] / rest)
 
 
-def diversity_order(curve, op_cap=1e-2):
+def diversity_order(curve):
     """Fitted high-SNR slope -dlog10(P) / dlog10(p) of an outage curve.
 
     curve holds (p_watt, outage) pairs; only points with outage in
-    (0, op_cap) qualify, and the two largest-power points are used.
+    (0, DIVERSITY_OP_CAP) qualify, and the two largest-power points are used.
     """
-    pts = sorted((p, v) for p, v in curve if 0.0 < v < op_cap)
+    pts = sorted((p, v) for p, v in curve if 0.0 < v < DIVERSITY_OP_CAP)
     if len(pts) < 2:
-        raise ValueError(f"need at least two points with outage below {op_cap}")
+        raise ValueError(f"need at least two points with outage below {DIVERSITY_OP_CAP}")
     (p1, v1), (p2, v2) = pts[-2], pts[-1]
     return -(math.log10(v2) - math.log10(v1)) / (math.log10(p2) - math.log10(p1))
 
@@ -146,14 +148,6 @@ def high_snr_slope(curve):
         raise ValueError("need at least two curve points")
     (p1, r1), (p2, r2) = pts[-2], pts[-1]
     return (r2 - r1) / (math.log2(p2) - math.log2(p1))
-
-
-def spectral_efficiency(rates):
-    """Cluster spectral efficiency: sum of per-user rates (bits/s/Hz)."""
-    rates = list(rates)
-    if not rates:
-        raise ValueError("need at least one per-user rate")
-    return float(sum(rates))
 
 
 def energy_efficiency(se, power_model, p_watt, K, N):

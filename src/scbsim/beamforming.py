@@ -90,12 +90,12 @@ def build_matrix_batch(h, g, l_reflect, mode):
     raise ValueError(f"unknown cancellation mode {mode!r}")
 
 
-def solve_passive_batch(h_tilde, b, rank_tol=1e-10):
+def solve_passive_batch(h_tilde, b):
     """Minimum-norm coefficients for a batch of systems.
 
     Returns (phi, residual_norm, feasible, consistent) arrays.
     """
-    phi, resid = min_norm_solve_batch(h_tilde, b, rank_tol=rank_tol)
+    phi, resid = min_norm_solve_batch(h_tilde, b)
     amp = np.abs(phi)
     feasible = amp.max(axis=-1) <= 1.0 + FEASIBLE_TOL if phi.shape[-1] else np.ones(phi.shape[:-1], bool)
     norm_b = np.linalg.norm(b, axis=-1)

@@ -43,14 +43,9 @@ def assemble_batch(cfg, flat):
     w: (T, M, K, L, M) direct BS-user fading per (cluster, user)
     h: (T, N, M) BS-RIS fading
     g: (T, M, K, L, N) RIS-user fading per (cluster, user)
-
-    A 1-D ``flat`` is one trial and returns the arrays without the trial axis.
     """
     M, K, L, N = cfg.M, cfg.K, cfg.L, cfg.N
     flat = np.ascontiguousarray(flat, dtype=np.float64)
-    squeeze = flat.ndim == 1
-    if squeeze:
-        flat = flat[None, :]
     T = flat.shape[0]
     z = flat.view(np.complex128)     # the interleaved pairs, without a copy
 
@@ -75,6 +70,4 @@ def assemble_batch(cfg, flat):
     h += los1
     g *= nlos2
     g += los2
-    if squeeze:
-        return w[0], h[0], g[0]
     return w, h, g

@@ -11,8 +11,8 @@ locale), so a fixed seed yields byte-identical files for any --threads.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .analytics import (
     op_oma,
 )
 from .channel import assemble_batch
-from .montecarlo import METRICS, SweepSpec
+from .montecarlo import METRICS
 from .pathloss import (
     TABLE2_GOLDEN,
     compute_gains,
@@ -57,6 +57,9 @@ EXIT_GOLDEN = 3
 EXIT_IO = 4
 EXIT_ASSUMPTION = 5
 EXIT_VALIDATION = 6
+
+DEFAULT_METRICS = ("OP_user", "ER_user")
+ANALYTIC_METRICS = ("OP_user", "OP_pair", "OP_oma", "ER_user")
 
 
 def _fmt(value):
@@ -121,7 +124,7 @@ def _load_cfg(args):
 
 
 def parse_sweep(text):
-    """'VAR=a:b:step' or 'VAR=v1,v2,...' -> (variable, values tuple)."""
+    """'VAR=a:b:step' or 'VAR=v1,v2,...' -> (variable, tuple of finite values)."""
     if "=" not in text:
         raise ConfigError("--sweep expects VAR=START:STOP:STEP or VAR=v1,v2,...")
     var, _, spec = text.partition("=")
@@ -141,13 +144,23 @@ def parse_sweep(text):
             values = tuple(float(p) for p in spec.split(",") if p.strip())
         if not values:
             raise ValueError
-    except ValueError:
+    except (ValueError, OverflowError):   # int() of a nan or infinite point count
         raise ConfigError(f"cannot parse sweep spec {spec!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"sweep values must be finite, got {spec!r}")
     return var, values
 
 
-def _default_sweep(cfg):
-    return "tx_power_dbm", (cfg.tx_power_dbm,)
+def _sweep_request(args, cfg, allowed):
+    """(variable, values, metrics) of a sweep command, checked before any work."""
+    var, values = (parse_sweep(args.sweep) if args.sweep
+                   else ("tx_power_dbm", (cfg.tx_power_dbm,)))
+    metrics = (tuple(m.strip() for m in args.metrics.split(",")) if args.metrics
+               else DEFAULT_METRICS)
+    unknown = [m for m in metrics if m not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown metrics {unknown}; choose from {allowed}")
+    return var, values, metrics
 
 
 # -- subcommands -------------------------------------------------------------
@@ -190,75 +203,60 @@ def cmd_feasibility(args):
 
 def cmd_simulate(args):
     cfg = _load_cfg(args)
-    var, values = parse_sweep(args.sweep) if args.sweep else _default_sweep(cfg)
-    metrics = tuple(m.strip() for m in args.metrics.split(",")) if args.metrics \
-        else ("OP_user", "ER_user")
-    sweep = SweepSpec(variable=var, values=values, metrics=metrics)
+    var, values, metrics = _sweep_request(args, cfg, METRICS)
     lines = [CSV_HEADER]
-    total = len(values)
-    all_failures = []
+    failures = []
     for i, value in enumerate(values):
-        print(f"[{i + 1}/{total}] {var}={_fmt(value)} "
+        print(f"[{i + 1}/{len(values)}] {var}={_fmt(value)} "
               f"({cfg.trials} trials)", file=sys.stderr, flush=True)
-        rows, failures = mc.run_sweep(cfg, replace(sweep, values=(value,)),
-                                      threads=args.threads,
-                                      feasible_only=args.feasible_only)
-        all_failures.extend(failures)
-        for val, r in rows:
-            lines.append(csv_row(var, val, r.m, r.k, r.metric, r.estimate,
-                                 r.stderr, r.trials, mc.sweep_config(cfg, var, val),
-                                 r.fingerprint))
-    for value, msg in all_failures:
+        try:
+            point = mc.sweep_config(cfg, var, value)
+            batch = mc.run_trials(point, point.trials, args.threads)
+            if batch.failures:
+                failures.append(
+                    (value, f"{batch.failures} trials failed numerically (excluded)"))
+            for metric in metrics:
+                for r in mc.estimates_from_batch(point, batch, metric, args.feasible_only):
+                    lines.append(csv_row(var, value, r.m, r.k, r.metric, r.estimate,
+                                         r.stderr, r.trials, point, r.fingerprint))
+            del batch   # free this point's arrays before the next point allocates its own
+        except Exception as exc:   # noqa: BLE001 - per-point isolation is the contract
+            failures.append((value, f"{type(exc).__name__}: {exc}"))
+    for value, msg in failures:
         print(f"point {var}={_fmt(value)} failed: {msg}", file=sys.stderr)
     _write_lines(args.out, lines)
     return EXIT_OK
 
 
+def _closed_form(point, metric, m, k):
+    """Closed-form value of one analytic row; k is None for OP_pair."""
+    if metric == "OP_pair":
+        return math.prod(_closed_form(point, "OP_user", m, j) for j in range(point.K))
+    inputs = ClosedFormInputs.from_config(point, m, k)
+    if metric == "ER_user":
+        return er_user_K(inputs)
+    return (op_closed_form if metric == "OP_user" else op_oma)(inputs, k)
+
+
 def cmd_analytic(args):
     cfg = _load_cfg(args)
-    var, values = parse_sweep(args.sweep) if args.sweep else _default_sweep(cfg)
-    metrics = tuple(m.strip() for m in args.metrics.split(",")) if args.metrics \
-        else ("OP_user", "ER_user")
-    allowed = ("OP_user", "OP_pair", "OP_oma", "ER_user")
-    bad = [m for m in metrics if m not in allowed]
-    if bad:
-        raise ConfigError(f"analytic supports metrics {allowed}, got {bad}")
+    var, values, metrics = _sweep_request(args, cfg, ANALYTIC_METRICS)
     lines = [CSV_HEADER]
     assumption_violated = False
     for value in values:
         point = mc.sweep_config(cfg, var, value)
         fp = fingerprint(point)
-
-        def emit(m, k, metric, estimate):
-            lines.append(csv_row(var, value, m, k, metric, estimate, 0.0, 0,
-                                 point, fp))
-
         for metric in metrics:
-            if metric == "ER_user":
-                for m in range(point.M):
-                    emit(m, point.K - 1, metric,
-                         er_user_K(ClosedFormInputs.from_config(point, m, point.K - 1)))
-            elif metric == "OP_pair":
-                for m in range(point.M):
+            # ER_user has a closed form for the nearest user only, OP_pair one per cluster
+            users = {"ER_user": (point.K - 1,), "OP_pair": (None,)}.get(metric, range(point.K))
+            for m in range(point.M):
+                for k in users:
                     try:
-                        pair = 1.0
-                        for k in range(point.K):
-                            pair *= op_closed_form(
-                                ClosedFormInputs.from_config(point, m, k), k)
-                        emit(m, None, metric, pair)
+                        name, estimate = metric, _closed_form(point, metric, m, k)
                     except InfeasibleRatesError:
                         assumption_violated = True
-                        emit(m, None, metric + "_infeasible", 1.0)
-            else:
-                fn = op_closed_form if metric == "OP_user" else op_oma
-                for m in range(point.M):
-                    for k in range(point.K):
-                        try:
-                            emit(m, k, metric,
-                                 fn(ClosedFormInputs.from_config(point, m, k), k))
-                        except InfeasibleRatesError:
-                            assumption_violated = True
-                            emit(m, k, metric + "_infeasible", 1.0)
+                        name, estimate = metric + "_infeasible", 1.0
+                    lines.append(csv_row(var, value, m, k, name, estimate, 0.0, 0, point, fp))
     _write_lines(args.out, lines)
     return EXIT_ASSUMPTION if assumption_violated else EXIT_OK
 
@@ -266,10 +264,10 @@ def cmd_analytic(args):
 def cmd_validate(args):
     cfg = _load_cfg(args)
     names = [c.strip() for c in args.checks.split(",")] if args.checks else None
-    scale = 0.1 if args.quick else 1.0
     print(f"validating config {fingerprint(cfg)} "
-          f"(scale={scale}, threads={args.threads or 'auto'})", file=sys.stderr)
-    results = validation.run_checks(cfg, names=names, scale=scale,
+          f"({'quick' if args.quick else 'full'} trial counts, "
+          f"threads={args.threads or 'auto'})", file=sys.stderr)
+    results = validation.run_checks(cfg, names=names, quick=args.quick,
                                     threads=args.threads, trials=args.trials)
     failed = False
     for r in results:
@@ -354,14 +352,15 @@ def build_parser():
     p = sub.add_parser("analytic", help="closed-form sweep to CSV")
     _add_common(p)
     p.add_argument("--sweep", help="VAR=START:STOP:STEP or VAR=v1,v2,...")
-    p.add_argument("--metrics", help="comma list from OP_user,OP_pair,OP_oma,ER_user")
+    p.add_argument("--metrics", help=f"comma list from {ANALYTIC_METRICS}")
     p.set_defaults(fn=cmd_analytic)
 
     p = sub.add_parser("validate", help="simulation-vs-closed-form check suite")
     _add_common(p)
     p.add_argument("--checks", help="comma list of check names (default: all)")
     p.add_argument("--quick", action="store_true",
-                   help="reduce trial counts 10x (tolerances unchanged)")
+                   help="divide trial counts by 10, to no fewer than "
+                        f"{validation.TRIALS_FLOOR} (tolerances unchanged)")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("dump", help="debug dump of one trial as CSV")

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import beamforming as bf
 from . import linkmetrics as lm
+from .analytics import energy_efficiency
 from .channel import assemble_batch, normals_per_trial
 from .pathloss import compute_gains
 from .scenario import ConfigError, fingerprint
@@ -69,24 +70,6 @@ class EstimatorResult:
     ci_high: float
     trials: int
     fingerprint: str
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-dimensional parameter sweep request."""
-
-    variable: str
-    values: tuple
-    metrics: tuple
-
-    def __post_init__(self):
-        if not self.values:
-            raise ConfigError("sweep needs at least one value")
-        if any(v is None or not np.isfinite(v) for v in self.values):
-            raise ConfigError("sweep values must be finite")
-        unknown = [m for m in self.metrics if m not in METRICS]
-        if unknown:
-            raise ConfigError(f"unknown metrics {unknown}; choose from {METRICS}")
 
 
 @dataclass(frozen=True)
@@ -307,11 +290,8 @@ def _sum_rate(rate, cfg):
 
 
 def _energy_efficiency(rate, cfg):
-    pm = cfg.power_model
-    denom = (pm.p_bs_watt + cfg.K * pm.p_user_watt
-             + cfg.tx_power_watt * pm.amp_factor + cfg.N * pm.p_ris_watt)
-    est, se = _sum_rate(rate, cfg)
-    return est / denom, se / denom
+    return tuple(energy_efficiency(v, cfg.power_model, cfg.tx_power_watt, cfg.K, cfg.N)
+                 for v in _sum_rate(rate, cfg))
 
 
 def _pair_outage(outage, cfg):
@@ -394,27 +374,3 @@ def sweep_config(cfg, variable, value):
     else:
         value = float(value)
     return cfg.with_updates(**{variable: value})
-
-
-def run_sweep(cfg, sweep, threads=None, feasible_only=False):
-    """Estimate the requested metrics at every sweep value.
-
-    Returns (rows, failures): rows are (value, EstimatorResult) in sweep
-    order; per-point failures are recorded as (value, message) and the sweep
-    continues.
-    """
-    rows = []
-    failures = []
-    for value in sweep.values:
-        try:
-            point_cfg = sweep_config(cfg, sweep.variable, value)
-            batch = run_trials(point_cfg, point_cfg.trials, threads)
-            if batch.failures:
-                failures.append(
-                    (value, f"{batch.failures} trials failed numerically (excluded)"))
-            for metric in sweep.metrics:
-                for res in estimates_from_batch(point_cfg, batch, metric, feasible_only):
-                    rows.append((value, res))
-        except Exception as exc:   # noqa: BLE001 - per-point isolation is the contract
-            failures.append((value, f"{type(exc).__name__}: {exc}"))
-    return rows, failures

@@ -5,13 +5,12 @@ cancellation system is underdetermined whenever the surface has more elements
 than constraint rows).  Stacks with rows <= columns are solved through the
 small r x r Gram matrix A A^H; a trial falls back to the truncated SVD when
 its Gram matrix is ill-conditioned (eigenvalue ratio at most
-GRAM_MIN_EIG_RATIO, or rank_tol**2 when that is larger), its solution is
-non-finite or its residual exceeds CONSISTENT_TOL * ||b||.  Stacks with
-rows > columns (least squares) always use the SVD.  The regularized lower
-incomplete gamma function and the exponential integral feed the closed-form
-outage and rate expressions.  An adaptive Gauss-Kronrod quadrature provides
-the independent oracle used by the test suite and the validate command; it
-never sits on the hot path.
+GRAM_MIN_EIG_RATIO), its solution is non-finite or its residual exceeds
+CONSISTENT_TOL * ||b||.  Stacks with rows > columns (least squares) always
+use the SVD.  The regularized lower incomplete gamma function and the
+exponential integral feed the closed-form outage and rate expressions.  An
+adaptive Gauss-Kronrod quadrature provides the independent oracle used by
+the test suite and the validate command; it never sits on the hot path.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ _FPMIN = float(np.finfo(float).tiny) / _EPS
 _ITMAX = 20000
 
 CONSISTENT_TOL = 1e-8       # residual/||b|| threshold for an exact (consistent) solve
+RANK_TOL = 1e-10            # the SVD truncates singular values below RANK_TOL * s_max
 GRAM_MIN_EIG_RATIO = 1e-4   # smallest lambda_min/lambda_max of a a^H the Gram path accepts
 _GRAM_BLOCK = 256           # systems conjugated at a time: the temporary copy stays cache-sized
 
@@ -35,7 +35,7 @@ class NumericsError(ArithmeticError):
 
 # -- minimum-norm least squares --------------------------------------------
 
-def min_norm_solve_batch(a, b, rank_tol=1e-10):
+def min_norm_solve_batch(a, b):
     """Minimum-norm least-squares solutions for a stack of complex systems.
 
     a: (..., r, c), b: (..., r).  Returns (x, residual_norm) with x of shape
@@ -44,13 +44,14 @@ def min_norm_solve_batch(a, b, rank_tol=1e-10):
     Dispatch: when r <= c each system is first solved through its Gram
     matrix, x = a^H (a a^H)^{-1} b.  A trial keeps that answer only when x is
     finite, the Gram eigenvalue ratio lambda_min / lambda_max exceeds
-    max(GRAM_MIN_EIG_RATIO, rank_tol**2) and the residual is at most
-    CONSISTENT_TOL * ||b||.  The ratio is tested first, so a trial that fails
-    it goes to the SVD without a Gram solve.  The normal equations square the
-    condition number, so the ratio bound caps cond(a) at 100 and the
-    relative error of x near 1e-12.  Every other trial, and every stack with
-    r > c, is solved by SVD with singular values below rank_tol * s_max
-    truncated.
+    GRAM_MIN_EIG_RATIO and the residual is at most CONSISTENT_TOL * ||b||.
+    The ratio is tested first, so a trial that fails it goes to the SVD
+    without a Gram solve.  The normal equations square the condition number,
+    so the ratio bound caps cond(a) at 100 and the relative error of x near
+    1e-12.  Every other trial, and every stack with
+    r > c, is solved by SVD with singular values below RANK_TOL * s_max
+    truncated; GRAM_MIN_EIG_RATIO >> RANK_TOL**2, so no trial with such a
+    singular value passes the ratio test.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -59,26 +60,24 @@ def min_norm_solve_batch(a, b, rank_tol=1e-10):
     r, c = a.shape[-2], a.shape[-1]
     if b.shape[-1] != r or a.shape[:-2] != b.shape[:-1]:
         raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
-    if not (0 < rank_tol < 1):
-        raise ValueError("rank_tol must be in (0, 1)")
     if r == 0:
         return np.zeros(b.shape[:-1] + (c,), dtype=np.complex128), np.zeros(b.shape[:-1])
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("non-finite input")
     if r > c:
-        return _svd_min_norm(a, b, rank_tol)
+        return _svd_min_norm(a, b)
 
     lead = b.shape[:-1]
     a = a.reshape(-1, r, c)
     b = b.reshape(-1, r)
-    x, resid, ok = _gram_min_norm(a, b, rank_tol)
+    x, resid, ok = _gram_min_norm(a, b)
     if not ok.all():
         bad = ~ok
-        x[bad], resid[bad] = _svd_min_norm(a[bad], b[bad], rank_tol)
+        x[bad], resid[bad] = _svd_min_norm(a[bad], b[bad])
     return x.reshape(lead + (c,)), resid.reshape(lead)
 
 
-def _gram_min_norm(a, b, rank_tol=1e-10):
+def _gram_min_norm(a, b):
     """Gram-matrix min-norm solve of a (T, r, c) stack; returns (x, residual, accepted).
 
     The conditioning test runs first, and only the trials that pass it are
@@ -92,9 +91,7 @@ def _gram_min_norm(a, b, rank_tol=1e-10):
         # LAPACK leaves non-finite input unspecified: keep it out of eigvalsh
         gram[~ok] = np.eye(a.shape[-2])
         ev = np.linalg.eigvalsh(gram)
-        # a Gram eigenvalue ratio below rank_tol**2 means a singular value of
-        # a below rank_tol * s_max, which the SVD must truncate
-        ok &= ev[..., 0] > max(GRAM_MIN_EIG_RATIO, rank_tol ** 2) * ev[..., -1]
+        ok &= ev[..., 0] > GRAM_MIN_EIG_RATIO * ev[..., -1]
         if ok.all():
             return _gram_solve(a, b, gram)
         x = np.zeros(a.shape[:-2] + a.shape[-1:], dtype=np.complex128)
@@ -127,10 +124,10 @@ def _gram(a):
     return out
 
 
-def _svd_min_norm(a, b, rank_tol):
+def _svd_min_norm(a, b):
     """Truncated-SVD min-norm least squares of a stack; returns (x, residual)."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = rank_tol * np.max(s, axis=-1, keepdims=True)
+    cutoff = RANK_TOL * np.max(s, axis=-1, keepdims=True)
     inv = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
     y = np.einsum("...ij,...i->...j", u.conj(), b)
     x = np.einsum("...kj,...k->...j", vh.conj(), inv * y)
@@ -190,10 +187,10 @@ def lower_incomplete_gamma_regularized(s, x):
     return 1.0 - _gamma_cf(s, x)
 
 
-def gamma_cdf(x, shape, scale=1.0):
-    """CDF of a Gamma(shape, scale) variate; accepts arrays."""
+def gamma_cdf(x, shape):
+    """CDF of a Gamma(shape, 1) variate; accepts arrays."""
     xs = np.asarray(x, dtype=float)
-    out = np.array([lower_incomplete_gamma_regularized(shape, max(v, 0.0) / scale)
+    out = np.array([lower_incomplete_gamma_regularized(shape, max(v, 0.0))
                     for v in np.ravel(xs)])
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 

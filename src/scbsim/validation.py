@@ -1,9 +1,10 @@
 """Cross-validation checks: simulation against closed forms and oracles.
 
 Each check returns a CheckResult and is consumed both by the ``validate``
-CLI command and by the acceptance test suite.  Tolerances are fixed here;
-the ``scale`` argument only shrinks trial counts for quick interactive runs
-and is never applied by the acceptance tests.
+CLI command and by the acceptance test suite.  Tolerances are fixed here.
+Every Monte Carlo check takes its trial counts as arguments: the acceptance
+tests pass the full counts, and ``run_checks`` holds the defaults of the
+``validate`` command and alone shrinks them for ``--quick``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .numerics import (
     quadrature_semi_infinite,
 )
 from .pathloss import TABLE2_GOLDEN, table2
+from .scenario import ConfigError
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
@@ -54,10 +56,6 @@ class CheckResult:
 
 def _finish(name, t0, ok, detail):
     return CheckResult(name, PASS if ok else FAIL, detail, time.perf_counter() - t0)
-
-
-def _scaled(trials, scale):
-    return max(2000, int(trials * scale))
 
 
 # -- 1: reference feasibility table -----------------------------------------
@@ -93,10 +91,9 @@ def check_special_functions():
 
 # -- 3: effective channel gain distribution ----------------------------------
 
-def check_channel_statistics(cfg, draws=100000, scale=1.0, threads=None):
+def check_channel_statistics(cfg, draws):
     """KS test of the effective gain against Gamma(L, 1) for L in {1, 2, 4}."""
     t0 = time.perf_counter()
-    draws = _scaled(draws, scale)
     details = []
     ok = True
     for L in (1, 2, 4):
@@ -113,15 +110,14 @@ def check_channel_statistics(cfg, draws=100000, scale=1.0, threads=None):
 
 # -- 4: Monte Carlo vs closed-form outage ------------------------------------
 
-def check_op_vs_closed_form(cfg, powers_dbm=(20.0, 25.0, 30.0, 35.0),
-                            trials=250000, scale=1.0, threads=None):
+def check_op_vs_closed_form(cfg, trials, powers_dbm=(20.0, 25.0, 30.0, 35.0),
+                            threads=None):
     """|OP_MC - OP_closed| <= 3 SE at every power point and user.
 
     With zero observed events the estimator SE collapses, so the comparison
     scale is the binomial SE under whichever probability is larger.
     """
     t0 = time.perf_counter()
-    trials = _scaled(trials, scale)
     worst = 0.0
     worst_at = ""
     for p_dbm in powers_dbm:
@@ -156,10 +152,9 @@ def _invert_closed_op(inputs_factory, k, target):
 
 # -- 5: diversity order -------------------------------------------------------
 
-def check_diversity_order(cfg, trials=600000, scale=1.0, threads=None):
+def check_diversity_order(cfg, trials, threads=None):
     """Closed-form OP slope within 10% of L; simulated within 15% of L."""
     t0 = time.perf_counter()
-    trials = _scaled(trials, scale)
     details = []
     ok = True
     for L in (1, 2, 3):
@@ -213,11 +208,9 @@ def check_er_closed_vs_quadrature():
                    f"max |ER_closed - quadrature| = {worst:.2e} (tol 1e-6)")
 
 
-def check_er_vs_closed_form(cfg, powers_dbm=(20.0, 30.0, 40.0), trials=100000,
-                            scale=1.0, threads=None):
+def check_er_vs_closed_form(cfg, trials, powers_dbm=(20.0, 30.0, 40.0), threads=None):
     """|ER_MC - ER_closed| <= 3 SE for the nearest user at each power."""
     t0 = time.perf_counter()
-    trials = _scaled(trials, scale)
     worst = 0.0
     worst_at = ""
     k_near = cfg.K - 1
@@ -239,9 +232,8 @@ def check_er_vs_closed_form(cfg, powers_dbm=(20.0, 30.0, 40.0), trials=100000,
 
 # -- 7: high-SNR slopes, ceilings and floors ----------------------------------
 
-def check_high_snr_slopes(cfg, trials=100000, scale=1.0, threads=None):
+def check_high_snr_slopes(cfg, trials, threads=None):
     t0 = time.perf_counter()
-    trials = _scaled(trials, scale)
     k_near = cfg.K - 1
     details = []
 
@@ -290,11 +282,8 @@ def check_high_snr_slopes(cfg, trials=100000, scale=1.0, threads=None):
 
 # -- 8: cancellation residues --------------------------------------------------
 
-def check_residue(cfg, trials_exact=2000, trials_bits=10000, scale=1.0,
-                  threads=None):
+def check_residue(cfg, trials_exact, trials_bits, threads=None):
     t0 = time.perf_counter()
-    trials_exact = _scaled(trials_exact, scale)
-    trials_bits = _scaled(trials_bits, scale)
     details = []
 
     # (a) exact cancellation whenever N covers the rank bound
@@ -346,7 +335,7 @@ def check_noma_vs_oma(cfg, p_dbm=30.0):
 
 # -- 10: determinism across worker counts ---------------------------------------
 
-def check_determinism(cfg, trials=5000, scale=1.0):
+def check_determinism(cfg, trials):
     """simulate CSV must be byte-identical for 1 and 8 worker threads."""
     import tempfile
     from pathlib import Path
@@ -354,7 +343,6 @@ def check_determinism(cfg, trials=5000, scale=1.0):
     from . import cli
 
     t0 = time.perf_counter()
-    trials = _scaled(trials, scale)
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "det.cfg"
         from .scenario import serialize_config
@@ -379,42 +367,44 @@ def check_determinism(cfg, trials=5000, scale=1.0):
 # -- runner ----------------------------------------------------------------------
 
 CLOSED_FORM_CHECKS = ("op_vs_closed_form", "er_vs_closed_form")
+TRIALS_FLOOR = 2000   # fewest Monte Carlo trials per point a check runs
 
 
-def run_checks(cfg, names=None, scale=1.0, threads=None, trials=None):
+def run_checks(cfg, names=None, quick=False, threads=None, trials=None):
     """Run the named checks (all by default) against a config.
 
-    ``trials`` overrides the per-point Monte Carlo counts of every
-    simulation-backed check; ``scale`` multiplies the defaults instead.
+    Each Monte Carlo check runs its default per-point trial count, or
+    ``trials`` (at least TRIALS_FLOOR) in its place; the exact-residual and
+    determinism runs cap it at 20000 and 50000.  ``quick`` then divides the
+    count by 10, to no fewer than TRIALS_FLOOR trials.
     """
-    def _t(default):
-        return default if trials is None else int(trials)
+    if trials is not None and trials < TRIALS_FLOOR:
+        raise ConfigError(f"validation needs at least {TRIALS_FLOOR} trials per point, "
+                          f"got {trials}")
+
+    def count(default, cap=math.inf):
+        per_point = min(default if trials is None else int(trials), cap)
+        return max(TRIALS_FLOOR, int(per_point * 0.1)) if quick else per_point
 
     registry = {
-        "table2": lambda: check_table2(),
-        "special_functions": lambda: check_special_functions(),
-        "channel_statistics": lambda: check_channel_statistics(
-            cfg, draws=_t(100000), scale=scale, threads=threads),
-        "op_vs_closed_form": lambda: check_op_vs_closed_form(
-            cfg, trials=_t(250000), scale=scale, threads=threads),
-        "diversity_order": lambda: check_diversity_order(
-            cfg, trials=_t(600000), scale=scale, threads=threads),
-        "er_closed_vs_quadrature": lambda: check_er_closed_vs_quadrature(),
-        "er_vs_closed_form": lambda: check_er_vs_closed_form(
-            cfg, trials=_t(100000), scale=scale, threads=threads),
-        "high_snr_slopes": lambda: check_high_snr_slopes(
-            cfg, trials=_t(100000), scale=scale, threads=threads),
-        "residue": lambda: check_residue(
-            cfg, trials_exact=min(_t(2000), 20000), trials_bits=_t(10000),
-            scale=scale, threads=threads),
+        "table2": check_table2,
+        "special_functions": check_special_functions,
+        "channel_statistics": lambda: check_channel_statistics(cfg, count(100000)),
+        "op_vs_closed_form": lambda: check_op_vs_closed_form(cfg, count(250000),
+                                                             threads=threads),
+        "diversity_order": lambda: check_diversity_order(cfg, count(600000), threads),
+        "er_closed_vs_quadrature": check_er_closed_vs_quadrature,
+        "er_vs_closed_form": lambda: check_er_vs_closed_form(cfg, count(100000),
+                                                             threads=threads),
+        "high_snr_slopes": lambda: check_high_snr_slopes(cfg, count(100000), threads),
+        "residue": lambda: check_residue(cfg, count(2000, cap=20000), count(10000), threads),
         "noma_vs_oma": lambda: check_noma_vs_oma(cfg),
-        "determinism": lambda: check_determinism(cfg, trials=min(_t(5000), 50000),
-                                                 scale=scale),
+        "determinism": lambda: check_determinism(cfg, count(5000, cap=50000)),
     }
     names = list(registry) if names is None else list(names)
     unknown = [n for n in names if n not in registry]
     if unknown:
-        raise ValueError(f"unknown checks {unknown}; choose from {list(registry)}")
+        raise ConfigError(f"unknown checks {unknown}; choose from {list(registry)}")
     results = []
     for name in names:
         if cfg.resolution_bits is not None and name in CLOSED_FORM_CHECKS:

@@ -15,7 +15,6 @@ from scbsim.analytics import (
     op_closed_form,
     op_oma,
     sic_threshold,
-    spectral_efficiency,
 )
 from scbsim.numerics import gamma_cdf, quadrature_semi_infinite
 from scbsim.scenario import PowerModel, dbm_to_watt
@@ -192,12 +191,6 @@ def test_high_snr_slope_zero_for_ceiling():
 
 
 # -- efficiency ---------------------------------------------------------------------------
-
-def test_spectral_efficiency_sum():
-    assert spectral_efficiency([1.32, 3.5]) == pytest.approx(4.82)
-    with pytest.raises(ValueError):
-        spectral_efficiency([])
-
 
 def test_energy_efficiency_reference():
     # defaults: 10 + 2*0.1 + 1*1.2 + 100*0.01 = 12.4

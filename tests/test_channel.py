@@ -72,8 +72,8 @@ def test_realization_shapes(baseline_cfg):
     assert w.shape == (3, 2, 2, 2, 2)
     assert g.shape == (3, 2, 2, 2, 8)
     assert np.isfinite(w).all() and np.isfinite(h).all() and np.isfinite(g).all()
-    one = assemble_batch(cfg, draw_chunk_normals(cfg, 0, 1)[0])
-    assert [x.shape for x in one] == [(2, 2, 2, 2), (8, 2), (2, 2, 2, 8)]
+    one = assemble_batch(cfg, draw_chunk_normals(cfg, 0, 1))
+    assert [x.shape for x in one] == [(1, 2, 2, 2, 2), (1, 8, 2), (1, 2, 2, 2, 8)]
 
 
 def test_realization_deterministic(baseline_cfg):
@@ -92,10 +92,10 @@ def test_assemble_batch_matches_single(baseline_cfg):
     flat = rng(13).standard_normal((3, n))
     w, h, g = assemble_batch(baseline_cfg, flat)
     for t in range(3):
-        wt, ht, gt = assemble_batch(baseline_cfg, flat[t])
-        assert np.array_equal(w[t], wt)
-        assert np.array_equal(h[t], ht)
-        assert np.array_equal(g[t], gt)
+        wt, ht, gt = assemble_batch(baseline_cfg, flat[t:t + 1])
+        assert np.array_equal(w[t], wt[0])
+        assert np.array_equal(h[t], ht[0])
+        assert np.array_equal(g[t], gt[0])
 
 
 def strided_reference(cfg, flat):
@@ -130,7 +130,7 @@ def test_assemble_batch_matches_strided_layout(baseline_cfg, dims):
         dims = dict(dims, d_user=((160.0, 80.0),) * 3, d_direct=((200.0, 100.0),) * 3)
     cfg = baseline_cfg.with_updates(**dims)
     flat = rng(15).standard_normal((5, normals_per_trial(cfg)))
-    for block in (flat, flat[3]):
+    for block in (flat, flat[3:4]):
         got = assemble_batch(cfg, block)
         want = strided_reference(cfg, block)
         for x, y in zip(got, want):

@@ -4,7 +4,8 @@ import pytest
 
 from scbsim import cli
 from scbsim.montecarlo import run_trials
-from scbsim.scenario import load_config, serialize_config
+from scbsim.numerics import ks_critical
+from scbsim.scenario import ConfigError, load_config, serialize_config
 
 BASE = Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
 
@@ -52,7 +53,8 @@ def test_config_errors_exit2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [["--metrics", "bogus"],
-                                 ["--sweep", "tx_power_dbm=nan"]])
+                                 ["--sweep", "tx_power_dbm=nan"],
+                                 ["--sweep", "tx_power_dbm=0:inf:10"]])
 def test_simulate_bad_sweep_request_exit2(small_cfg_file, bad, capsys):
     assert run_cli(["simulate", "--config", small_cfg_file, "--trials", "500", *bad]) == 2
     captured = capsys.readouterr()
@@ -74,6 +76,32 @@ def test_simulate_csv_schema(small_cfg_file, tmp_path, capsys):
     assert len(cells) == 12
     assert cells[0] == "tx_power_dbm" and cells[4] == "OP_user"
     assert cells[8] == "ideal"
+
+
+def test_simulate_rows_follow_sweep_order(small_cfg_file, tmp_path):
+    out = tmp_path / "order.csv"
+    assert run_cli(["simulate", "--config", small_cfg_file, "--out", out, "--trials", 500,
+                    "--sweep", "tx_power_dbm=10,0", "--metrics", "OP_user,SE",
+                    "--threads", 1]) == 0
+    rows = [l.split(",")[1:5] for l in out.read_text().splitlines()[1:]]
+    per_point = [("OP_user", m, k) for m in "01" for k in "01"] + [("SE", m, "") for m in "01"]
+    assert rows == [[v, m, k, metric] for v in ("10.0", "0.0") for metric, m, k in per_point]
+
+
+@pytest.mark.parametrize("bad,reason", [("0", "N must be an integer >= 1, got 0"),
+                                        ("16.5", "N must be an integer, got 16.5")],
+                         ids=["N=0", "N=16.5"])
+def test_simulate_failed_point_is_isolated(small_cfg_file, tmp_path, capsys, bad, reason):
+    """A point that cannot run is reported on stderr; the other points keep their rows."""
+    out = tmp_path / "n.csv"
+    assert run_cli(["simulate", "--config", small_cfg_file, "--out", out, "--trials", 500,
+                    "--sweep", f"N=16,{bad},24", "--metrics", "OP_user",
+                    "--threads", 1]) == 0
+    values = [l.split(",")[1] for l in out.read_text().splitlines()[1:]]
+    assert values == ["16.0"] * 4 + ["24.0"] * 4
+    err = capsys.readouterr().err
+    assert f"[2/3] N={float(bad)!r} (500 trials)" in err
+    assert f"point N={float(bad)!r} failed: ConfigError: {reason}" in err
 
 
 def test_simulate_threads_byte_identical(small_cfg_file, tmp_path):
@@ -139,8 +167,9 @@ def test_sweep_parsing():
     assert var == "tx_power_dbm" and values == (0.0, 10.0, 20.0, 30.0)
     var, values = cli.parse_sweep("N=8,16,40")
     assert values == (8.0, 16.0, 40.0)
-    with pytest.raises(Exception):
-        cli.parse_sweep("N=")
+    for bad in ("N=", "N=1,nan", "N=1,inf", "N=0:inf:10", "N=nan:10:1"):
+        with pytest.raises(ConfigError):
+            cli.parse_sweep(bad)
 
 
 def test_dump_blocks(small_cfg_file, tmp_path):
@@ -173,6 +202,22 @@ def test_validate_subset_quick(small_cfg_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS table2" in out and "PASS special_functions" in out
+
+
+def test_validate_unknown_check_exit2(small_cfg_file, capsys):
+    assert run_cli(["validate", "--config", small_cfg_file, "--checks", "bogus"]) == 2
+    assert "config error: unknown checks ['bogus']" in capsys.readouterr().err
+
+
+def test_validate_trials_override(small_cfg_file, capsys):
+    """--trials replaces the per-point count, at least 2000; --quick divides it by 10."""
+    args = ["validate", "--config", small_cfg_file, "--checks", "channel_statistics"]
+    assert run_cli(args + ["--trials", 500]) == 2
+    assert "at least 2000 trials" in capsys.readouterr().err
+    for extra, draws in ((["--trials", 3000], 3000), (["--quick", "--trials", 30000], 3000),
+                         (["--quick", "--trials", 5000], 2000)):
+        assert run_cli(args + extra) == 0
+        assert f"crit={ks_critical(draws, alpha=0.01):.5f}" in capsys.readouterr().out
 
 
 def test_validate_failing_check_exit6(small_cfg_file, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,17 @@ import pytest
 
 from scbsim.numerics import exponential_integral_ei, lower_incomplete_gamma_regularized
 
-GOLDEN = Path(__file__).resolve().parents[1] / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "golden"
 
 
 def test_table2_command_matches_golden_file():
+    # the subprocess imports scbsim from src/, as conftest.py does for this process
+    pythonpath = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     proc = subprocess.run(
         [sys.executable, "-m", "scbsim.cli", "table2"],
         capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
     )
     assert proc.stdout == (GOLDEN / "table2.csv").read_text()
 

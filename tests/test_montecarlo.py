@@ -8,11 +8,9 @@ from scbsim.beamforming import build_matrix_batch, build_target_batch, solve_pas
 from scbsim.channel import assemble_batch, normals_per_trial
 from scbsim.montecarlo import (
     CHUNK,
-    SweepSpec,
     draw_chunk_normals,
     estimate,
     estimates_from_batch,
-    run_sweep,
     run_trial,
     run_trials,
     splitmix64,
@@ -209,32 +207,6 @@ def test_sweep_config_rejects_non_integral_integers(fast_cfg):
     for var in ("N", "L", "M", "K", "resolution_bits", "trials"):
         with pytest.raises(ValueError, match="integer"):
             sweep_config(fast_cfg, var, 40.7)
-    # recorded as a per-point failure, not silently truncated to N=16
-    spec = SweepSpec(variable="N", values=(16.5, 16.0), metrics=("OP_user",))
-    rows, failures = run_sweep(fast_cfg.with_updates(trials=500), spec, threads=1)
-    assert [v for v, _ in failures] == [16.5]
-    assert {v for v, _ in rows} == {16.0}
-
-
-def test_run_sweep_order_and_failures(fast_cfg):
-    spec = SweepSpec(variable="tx_power_dbm", values=(0.0, 10.0), metrics=("OP_user",))
-    rows, failures = run_sweep(fast_cfg.with_updates(trials=500), spec, threads=1)
-    assert not failures
-    assert [v for v, _ in rows] == [0.0] * 4 + [10.0] * 4
-    # invalid sweep value is recorded, the sweep continues
-    bad = SweepSpec(variable="N", values=(0.0, 16.0), metrics=("OP_user",))
-    rows, failures = run_sweep(fast_cfg.with_updates(trials=500), bad, threads=1)
-    assert len(failures) == 1 and failures[0][0] == 0.0
-    assert {v for v, _ in rows} == {16.0}
-
-
-def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
-        SweepSpec(variable="tx_power_dbm", values=(), metrics=("OP_user",))
-    with pytest.raises(ValueError):
-        SweepSpec(variable="tx_power_dbm", values=(1.0,), metrics=("nope",))
-    with pytest.raises(ValueError):
-        SweepSpec(variable="tx_power_dbm", values=(float("nan"),), metrics=("SE",))
 
 
 def test_quantized_runs_have_residue(fast_cfg):
@@ -269,14 +241,14 @@ def test_per_symbol_mode_end_to_end(baseline_cfg):
 
     # residue identity: exactly the reflected desired-column power
     t = 7
-    w, h, g = assemble_batch(cfg, draw_chunk_normals(cfg, t, 1)[0])
+    w, h, g = assemble_batch(cfg, draw_chunk_normals(cfg, t, 1))
     gains = compute_gains(cfg)
     phi, _, _, _ = solve_passive_batch(
-        build_matrix_batch(h[None], g[None], gains.l_reflect, "per-symbol"),
-        build_target_batch(w[None], gains.l_direct, "per-symbol"))
+        build_matrix_batch(h, g, gains.l_reflect, "per-symbol"),
+        build_target_batch(w, gains.l_direct, "per-symbol"))
     for m in range(2):
         for k in range(2):
-            mixed = g[m, k] @ (phi[0][:, None] * h)
+            mixed = g[0, m, k] @ (phi[0][:, None] * h[0])
             desired_col = gains.l_reflect[m, k] * np.square(
                 np.abs(mixed[:, m])).sum()
             assert batch.residue[t, m, k] == pytest.approx(desired_col, rel=1e-8)

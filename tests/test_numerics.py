@@ -83,8 +83,6 @@ def test_min_norm_rejects_bad_input():
         min_norm_solve_batch(np.eye(3), [1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
         min_norm_solve_batch([[np.nan, 1.0]], [1.0])
-    with pytest.raises(ValueError, match="rank_tol"):
-        min_norm_solve_batch(np.eye(2)[None], np.ones((1, 2)), rank_tol=2.0)
 
 
 def test_min_norm_rank_deficient_truncation():
@@ -106,7 +104,7 @@ def test_min_norm_gram_path_matches_svd(r, c):
     _, _, accepted = numerics._gram_min_norm(a, b)
     assert accepted.all()
     x, resid = min_norm_solve_batch(a, b)
-    x_svd, resid_svd = numerics._svd_min_norm(a, b, 1e-10)
+    x_svd, resid_svd = numerics._svd_min_norm(a, b)
     rel = np.linalg.norm(x - x_svd, axis=-1) / np.linalg.norm(x_svd, axis=-1)
     assert rel.max() <= 1e-12
     assert resid.max() <= 1e-12 * np.linalg.norm(b, axis=-1).min()
@@ -133,31 +131,12 @@ def test_min_norm_gram_fallback_is_per_trial():
     x_alone, resid_alone = min_norm_solve_batch(a[alone], b[alone])
     assert np.array_equal(x[alone], x_alone)
     assert np.array_equal(resid[alone], resid_alone)
-    x_svd, resid_svd = numerics._svd_min_norm(a[[1, 4]], b[[1, 4]], 1e-10)
+    x_svd, resid_svd = numerics._svd_min_norm(a[[1, 4]], b[[1, 4]])
     assert np.array_equal(x[[1, 4]], x_svd)
     assert np.array_equal(resid[[1, 4]], resid_svd)
     assert np.allclose(x[4], [3.0, 0.0, 0.0], atol=1e-14)
     assert np.allclose(x[1], np.linalg.pinv(a[1]) @ b[1], atol=1e-12)
     assert resid[1] <= 1e-12
-
-
-def test_min_norm_large_rank_tol_still_truncates():
-    # singular-value ratios 0.1 (trial 0) and 0.9 (trial 1): both pass the
-    # Gram eigenvalue bound, but rank_tol = 0.5 must truncate trial 0
-    rng = np.random.default_rng(11)
-    u = np.linalg.qr(_complex_normals(rng, (2, 2, 2)))[0]
-    vh = np.linalg.qr(_complex_normals(rng, (2, 5, 2)))[0].conj().swapaxes(-1, -2)
-    s = np.array([[1.0, 0.1], [1.0, 0.9]])
-    a = u @ (s[..., None] * vh)
-    b = _complex_normals(rng, (2, 2))
-    _, _, accepted = numerics._gram_min_norm(a, b, 0.5)
-    assert accepted.tolist() == [False, True]
-    x, resid = min_norm_solve_batch(a, b, rank_tol=0.5)
-    x_svd, resid_svd = numerics._svd_min_norm(a, b, 0.5)
-    assert np.array_equal(x[0], x_svd[0])
-    assert np.array_equal(resid[0], resid_svd[0])
-    assert resid[0] > 0.1 * np.linalg.norm(b[0])   # the small direction was dropped
-    assert np.allclose(x[1], x_svd[1], rtol=0.0, atol=1e-13)
 
 
 def test_min_norm_gram_overflow_falls_back_quietly():
