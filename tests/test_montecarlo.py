@@ -6,6 +6,7 @@ import pytest
 from scbsim.analytics import ClosedFormInputs, op_closed_form
 from scbsim.beamforming import build_matrix_batch, build_target_batch, solve_passive_batch
 from scbsim.channel import assemble_batch, normals_per_trial
+from scbsim.cli import parse_sweep
 from scbsim.montecarlo import (
     CHUNK,
     draw_chunk_normals,
@@ -207,6 +208,17 @@ def test_sweep_config_rejects_non_integral_integers(fast_cfg):
     for var in ("N", "L", "M", "K", "resolution_bits", "trials"):
         with pytest.raises(ValueError, match="integer"):
             sweep_config(fast_cfg, var, 40.7)
+
+
+def test_sweep_spec_validation(fast_cfg):
+    # a sweep is rejected before any work: no values, non-finite values, unknown metrics
+    with pytest.raises(ValueError):
+        parse_sweep("tx_power_dbm=")
+    with pytest.raises(ValueError):
+        parse_sweep("tx_power_dbm=nan")
+    batch = run_trials(fast_cfg, 100, threads=1)
+    with pytest.raises(ValueError):
+        estimates_from_batch(fast_cfg, batch, "nope")
 
 
 def test_quantized_runs_have_residue(fast_cfg):
