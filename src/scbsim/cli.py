@@ -93,7 +93,7 @@ class _OutputError(Exception):
     pass
 
 
-def _load_cfg(args):
+def _load_cfg(args, trials_override=True):
     if not getattr(args, "config", None):
         raise ConfigError("--config PATH is required for this command")
     try:
@@ -104,7 +104,7 @@ def _load_cfg(args):
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
+    if trials_override and getattr(args, "trials", None) is not None:
         updates["trials"] = args.trials
     if getattr(args, "cancellation", None):
         updates["cancellation_mode"] = args.cancellation
@@ -207,10 +207,14 @@ def cmd_simulate(args):
     lines = [CSV_HEADER]
     failures = []
     for i, value in enumerate(values):
-        print(f"[{i + 1}/{len(values)}] {var}={_fmt(value)} "
-              f"({cfg.trials} trials)", file=sys.stderr, flush=True)
+        def progress(trials):
+            print(f"[{i + 1}/{len(values)}] {var}={_fmt(value)} ({trials} trials)",
+                  file=sys.stderr, flush=True)
+
+        point = None
         try:
             point = mc.sweep_config(cfg, var, value)
+            progress(point.trials)
             batch = mc.run_trials(point, point.trials, args.threads)
             if batch.failures:
                 failures.append(
@@ -221,6 +225,8 @@ def cmd_simulate(args):
                                          r.stderr, r.trials, point, r.fingerprint))
             del batch   # free this point's arrays before the next point allocates its own
         except Exception as exc:   # noqa: BLE001 - per-point isolation is the contract
+            if point is None:   # no valid point config: report the base trial count
+                progress(cfg.trials)
             failures.append((value, f"{type(exc).__name__}: {exc}"))
     for value, msg in failures:
         print(f"point {var}={_fmt(value)} failed: {msg}", file=sys.stderr)
@@ -262,7 +268,7 @@ def cmd_analytic(args):
 
 
 def cmd_validate(args):
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args, trials_override=False)   # run_checks applies --trials per check
     names = [c.strip() for c in args.checks.split(",")] if args.checks else None
     print(f"validating config {fingerprint(cfg)} "
           f"({'quick' if args.quick else 'full'} trial counts, "

@@ -59,15 +59,13 @@ def trial_rng(master_seed, trial_index):
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """One Monte Carlo estimate with normal-approximation confidence interval."""
+    """One Monte Carlo estimate and its standard error."""
 
     metric: str
     m: int | None          # cluster index, None for global metrics
     k: int | None          # user index, None for cluster/global metrics
     estimate: float
     stderr: float
-    ci_low: float
-    ci_high: float
     trials: int
     fingerprint: str
 
@@ -165,11 +163,8 @@ def _metrics_from_channels(cfg, gains, w, h, g, phi):
             gmk = eff[:, m, k]
             rmk = residue[:, m, k]
             lb = gains.l_direct[m, k]
-            out_mk, _ = lm.sic_chain(gmk, rmk, lb, p, cfg.power_alloc,
-                                     cfg.target_rate, k, noise, L)
-            sinr_own = lm.sinr_sic(gmk, rmk, lb, p, cfg.power_alloc, k, noise, L)
-            outage[:, m, k] = out_mk
-            rate[:, m, k] = np.log2(1.0 + sinr_own)
+            outage[:, m, k], rate[:, m, k] = lm.sic_chain(
+                gmk, rmk, lb, p, cfg.power_alloc, cfg.target_rate, k, noise, L)
             snr, oout = lm.oma_snr(gmk, lb, p, noise, L, K, cfg.target_rate[k])
             oma_outage[:, m, k] = oout
             oma_rate[:, m, k] = np.log2(1.0 + snr) / K
@@ -237,38 +232,6 @@ def run_trials(cfg, trials=None, threads=None):
         outage=outage, rate=rate, oma_outage=oma_outage, oma_rate=oma_rate,
         residue=residue, eff_gain=eff, feasible=feasible,
         residual_rel=residual_rel, failed=failed, fingerprint=fingerprint(cfg),
-    )
-
-
-def run_trial(cfg, trial_index):
-    """Trial ``trial_index`` of ``run_trials`` as a LinkMetrics record.
-
-    The engine's arrays for a one-trial chunk, so every field shared with
-    TrialBatch equals that trial's row bit for bit; adds the SINR ladder and
-    the per-symbol diagnostic SINR.
-    """
-    gains = compute_gains(cfg)
-    w, h, g = assemble_batch(cfg, draw_chunk_normals(cfg, trial_index, 1))
-    _, _, phi, feasible, residual_rel = _cancel(cfg, gains, w, h, g)
-    outage, rate, oma_outage, oma_rate, residue, eff = (
-        a[0] for a in _metrics_from_channels(cfg, gains, w, h, g, phi))
-
-    M, K = cfg.M, cfg.K
-    sinr = np.full((M, K, K), np.nan)
-    exact = np.empty((M, K))
-    for m in range(M):
-        for k in range(K):
-            for v in range(k + 1):
-                sinr[m, k, v] = lm.sinr_sic(eff[m, k], residue[m, k], gains.l_direct[m, k],
-                                            cfg.tx_power_watt, cfg.power_alloc, v,
-                                            cfg.noise_watt, cfg.L)
-            exact[m, k] = lm.exact_per_symbol_sinr(w[0], h[0], g[0], phi[0], gains, m, k,
-                                                   cfg.tx_power_watt, cfg.power_alloc,
-                                                   cfg.noise_watt)
-    return lm.LinkMetrics(
-        eff_gain=eff, residue=residue, sinr=sinr, rate=rate, outage=outage,
-        oma_rate=oma_rate, oma_outage=oma_outage, feasible=bool(feasible[0]),
-        residual_rel=float(residual_rel[0]), exact_sinr=exact,
     )
 
 
@@ -343,19 +306,9 @@ def estimates_from_batch(cfg, batch, metric, feasible_only=False):
     for m, k, sample in cells:
         est, se = estimator(sample, cfg)
         out.append(EstimatorResult(
-            metric=metric, m=m, k=k, estimate=est, stderr=se,
-            ci_low=est - 1.96 * se, ci_high=est + 1.96 * se, trials=len(sample),
+            metric=metric, m=m, k=k, estimate=est, stderr=se, trials=len(sample),
             fingerprint=batch.fingerprint))
     return out
-
-
-def estimate(cfg, metric, trials=None, threads=None, feasible_only=False):
-    """Monte Carlo estimates of one metric (one result per cluster/user)."""
-    trials = cfg.trials if trials is None else int(trials)
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful estimate")
-    batch = run_trials(cfg, trials, threads)
-    return estimates_from_batch(cfg, batch, metric, feasible_only)
 
 
 _INT_SWEEP_VARS = ("N", "L", "M", "K", "resolution_bits", "trials")

@@ -48,12 +48,6 @@ def dbm_to_watt(x_dbm):
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
-def watt_to_dbm(x_watt):
-    if not x_watt > 0:
-        raise ConfigError(f"watt value must be positive, got {x_watt}")
-    return 10.0 * math.log10(x_watt) + 30.0
-
-
 @dataclass(frozen=True)
 class PowerModel:
     """Static power draw used by the energy-efficiency metric (all watts)."""
@@ -177,10 +171,6 @@ class ScenarioConfig:
     @property
     def tx_power_watt(self):
         return dbm_to_watt(self.tx_power_dbm)
-
-    @property
-    def ideal_ris(self):
-        return self.resolution_bits is None
 
     def with_updates(self, **kwargs):
         """A validated copy with the given fields replaced."""

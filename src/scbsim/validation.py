@@ -122,7 +122,8 @@ def check_op_vs_closed_form(cfg, trials, powers_dbm=(20.0, 25.0, 30.0, 35.0),
     worst_at = ""
     for p_dbm in powers_dbm:
         sub = cfg.with_updates(tx_power_dbm=float(p_dbm), resolution_bits=None)
-        results = mc.estimate(sub, "OP_user", trials=trials, threads=threads)
+        results = mc.estimates_from_batch(sub, mc.run_trials(sub, trials, threads),
+                                          "OP_user")
         for r in results:
             closed = op_closed_form(ClosedFormInputs.from_config(sub, r.m, r.k), r.k)
             pstar = min(max(r.estimate, closed, 1.0 / trials), 1.0 - 1.0 / trials)
@@ -178,7 +179,8 @@ def check_diversity_order(cfg, trials, threads=None):
         sim_curve = []
         for p in (p_lo, p_hi):
             point = sub.with_updates(tx_power_dbm=10.0 * math.log10(p) + 30.0)
-            res = mc.estimate(point, "OP_user", trials=trials, threads=threads)
+            res = mc.estimates_from_batch(point, mc.run_trials(point, trials, threads),
+                                          "OP_user")
             op00 = next(r for r in res if r.m == 0 and r.k == 0)
             sim_curve.append((p, op00.estimate))
         slope_sim = diversity_order(sim_curve)
@@ -216,7 +218,8 @@ def check_er_vs_closed_form(cfg, trials, powers_dbm=(20.0, 30.0, 40.0), threads=
     k_near = cfg.K - 1
     for p_dbm in powers_dbm:
         sub = cfg.with_updates(tx_power_dbm=float(p_dbm), resolution_bits=None)
-        results = mc.estimate(sub, "ER_user", trials=trials, threads=threads)
+        results = mc.estimates_from_batch(sub, mc.run_trials(sub, trials, threads),
+                                          "ER_user")
         for r in results:
             if r.k != k_near:
                 continue
@@ -250,7 +253,8 @@ def check_high_snr_slopes(cfg, trials, threads=None):
     # (b) simulated far-user rate pinned at its ceiling at 50 dBm
     ceiling = er_ceiling_user_k(cfg.power_alloc, 0)
     sub50 = cfg.with_updates(tx_power_dbm=50.0, resolution_bits=None)
-    er50 = mc.estimate(sub50, "ER_user", trials=trials, threads=threads)
+    er50 = mc.estimates_from_batch(sub50, mc.run_trials(sub50, trials, threads),
+                                   "ER_user")
     er_far = next(r for r in er50 if r.m == 0 and r.k == 0).estimate
     ok_b = abs(er_far - ceiling) <= 0.01 * ceiling
     details.append(f"far-user ER {er_far:.4f} vs ceiling {ceiling:.4f} (1%)")

@@ -72,7 +72,7 @@ def test_criterion_06_negative_control(cfg):
     inputs = ClosedFormInputs.from_config(sub, 0, sub.K - 1)
     corrupted_c = sub.L * sub.noise_watt / (sub.tx_power_watt * sub.power_alloc[-1])
     corrupted = er_from_threshold_scale(corrupted_c, sub.L)
-    res = montecarlo.estimate(sub, "ER_user", trials=20000)
+    res = montecarlo.estimates_from_batch(sub, montecarlo.run_trials(sub, 20000), "ER_user")
     r = next(x for x in res if x.m == 0 and x.k == sub.K - 1)
     pulls = abs(r.estimate - corrupted) / max(r.stderr, 1e-12)
     print(f"[acceptance] negative control: corrupted ER off by {pulls:.0f} SE", flush=True)

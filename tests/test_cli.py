@@ -104,6 +104,18 @@ def test_simulate_failed_point_is_isolated(small_cfg_file, tmp_path, capsys, bad
     assert f"point N={float(bad)!r} failed: ConfigError: {reason}" in err
 
 
+def test_simulate_progress_reports_each_points_trials(small_cfg_file, tmp_path, capsys):
+    out = tmp_path / "trials.csv"
+    assert run_cli(["simulate", "--config", small_cfg_file, "--out", out,
+                    "--sweep", "trials=500,700", "--metrics", "OP_user",
+                    "--threads", 1]) == 0
+    err = capsys.readouterr().err
+    assert "[1/2] trials=500.0 (500 trials)" in err
+    assert "[2/2] trials=700.0 (700 trials)" in err
+    trials = [l.split(",")[7] for l in out.read_text().splitlines()[1:]]
+    assert trials == ["500"] * 4 + ["700"] * 4
+
+
 def test_simulate_threads_byte_identical(small_cfg_file, tmp_path):
     outs = []
     for threads in (1, 8):
@@ -218,6 +230,17 @@ def test_validate_trials_override(small_cfg_file, capsys):
                          (["--quick", "--trials", 5000], 2000)):
         assert run_cli(args + extra) == 0
         assert f"crit={ks_critical(draws, alpha=0.01):.5f}" in capsys.readouterr().out
+
+
+def test_validate_trials_leave_config_fingerprint(small_cfg_file, capsys):
+    """--trials sets the checks' per-point counts, not montecarlo.trials."""
+    headers = []
+    for extra in ([], ["--trials", 3000]):
+        assert run_cli(["validate", "--config", small_cfg_file, "--checks", "table2",
+                        *extra]) == 0
+        headers.append(capsys.readouterr().err.split(" (")[0])
+    assert headers[0] == headers[1]
+    assert headers[0].startswith("validating config ")
 
 
 def test_validate_failing_check_exit6(small_cfg_file, capsys):

@@ -7,12 +7,12 @@ from scbsim.analytics import ClosedFormInputs, op_closed_form
 from scbsim.beamforming import build_matrix_batch, build_target_batch, solve_passive_batch
 from scbsim.channel import assemble_batch, normals_per_trial
 from scbsim.cli import parse_sweep
+from scbsim.linkmetrics import sinr_sic
 from scbsim.montecarlo import (
     CHUNK,
+    _simulate_chunk,
     draw_chunk_normals,
-    estimate,
     estimates_from_batch,
-    run_trial,
     run_trials,
     splitmix64,
     sweep_config,
@@ -41,15 +41,6 @@ def test_trial_streams_are_distinct():
     assert len(keys) == 10000
 
 
-def test_run_trial_deterministic(fast_cfg):
-    a = run_trial(fast_cfg, 3)
-    b = run_trial(fast_cfg, 3)
-    assert np.array_equal(a.eff_gain, b.eff_gain)
-    assert np.array_equal(a.sinr, b.sinr, equal_nan=True)
-    c = run_trial(fast_cfg.with_updates(master_seed=1), 3)
-    assert not np.array_equal(a.eff_gain, c.eff_gain)
-
-
 def test_draw_chunk_normals_matches_trial_streams(fast_cfg):
     """Row i of a chunk is bit for bit trial (start + i)'s own Philox stream."""
     start = 5
@@ -59,19 +50,23 @@ def test_draw_chunk_normals_matches_trial_streams(fast_cfg):
     for i in (0, CHUNK - 1, CHUNK):
         want = trial_rng(fast_cfg.master_seed, start + i).standard_normal(n)
         assert flat[i].tobytes() == want.tobytes()
+    # another master seed draws another block for the same trial index
+    other = draw_chunk_normals(fast_cfg.with_updates(master_seed=1), start, 1)
+    assert not np.array_equal(other[0], flat[0])
 
 
-def test_run_trial_matches_batch_row(fast_cfg):
+def test_one_trial_chunk_matches_batch_row(fast_cfg):
+    """A one-trial chunk, as run_trials' per-trial salvage path runs it, is that batch row."""
+    names = ("outage", "rate", "oma_outage", "oma_rate", "residue", "eff_gain",
+             "feasible", "residual_rel")
     for updates in ({}, {"cancellation_mode": "per-symbol"}, {"resolution_bits": 3}):
         cfg = fast_cfg.with_updates(**updates)
+        gains = compute_gains(cfg)
         batch = run_trials(cfg, CHUNK + 1, threads=2)
         for t in (0, CHUNK - 1, CHUNK):
-            single = run_trial(cfg, t)
-            for name in ("outage", "rate", "oma_outage", "oma_rate", "residue", "eff_gain",
-                         "feasible", "residual_rel"):
-                want = getattr(batch, name)[t]
-                got = np.asarray(getattr(single, name), dtype=want.dtype)
-                assert got.shape == want.shape, (updates, t, name)
+            for name, got in zip(names, _simulate_chunk(cfg, gains, t, 1)):
+                want = getattr(batch, name)[t:t + 1]
+                assert got.dtype == want.dtype and got.shape == want.shape, (updates, t, name)
                 assert got.tobytes() == want.tobytes(), (updates, t, name)
 
 
@@ -92,29 +87,32 @@ def test_ideal_solver_residuals_negligible(fast_cfg):
     assert batch.residue.max() < 1e-25
 
 
-def test_run_trial_diagnostics(fast_cfg):
-    m = run_trial(fast_cfg, 0)
-    assert m.exact_sinr.shape == (2, 2)
-    assert np.isfinite(m.exact_sinr).all()
-    assert np.isnan(m.sinr[0, 0, 1])       # above-diagonal stages undefined
-    assert np.isfinite(m.sinr[0, 1, 0])
-    assert m.rate[0, 1] == pytest.approx(math.log2(1 + m.sinr[0, 1, 1]), rel=1e-12)
+def test_batch_rate_is_own_stage_rate(fast_cfg):
+    """batch.rate is the unconditional log2(1 + SINR_kk), also for trials in outage."""
+    batch = run_trials(fast_cfg, 500, threads=1)
+    gains = compute_gains(fast_cfg)
+    for m in range(fast_cfg.M):
+        for k in range(fast_cfg.K):
+            sinr = sinr_sic(batch.eff_gain[:, m, k], batch.residue[:, m, k],
+                            gains.l_direct[m, k], fast_cfg.tx_power_watt,
+                            fast_cfg.power_alloc, k, fast_cfg.noise_watt, fast_cfg.L)
+            assert batch.rate[:, m, k].tobytes() == np.log2(1.0 + sinr).tobytes()
+    assert batch.outage.any() and (batch.rate[batch.outage] > 0).all()
 
 
 def test_estimate_requires_trials(fast_cfg):
     with pytest.raises(ValueError):
-        estimate(fast_cfg, "OP_user", trials=50)
+        run_trials(fast_cfg, 0)
+    batch = run_trials(fast_cfg, 500, threads=1)
     with pytest.raises(ValueError):
-        estimate(fast_cfg, "bogus", trials=500)
+        estimates_from_batch(fast_cfg, batch, "bogus")
 
 
 def test_estimator_result_fields(fast_cfg):
-    res = estimate(fast_cfg, "OP_user", trials=500, threads=1)
+    res = estimates_from_batch(fast_cfg, run_trials(fast_cfg, 500, threads=1), "OP_user")
     assert len(res) == 4
     for r in res:
         assert r.trials == 500
-        assert r.ci_low == pytest.approx(r.estimate - 1.96 * r.stderr)
-        assert r.ci_high == pytest.approx(r.estimate + 1.96 * r.stderr)
         assert r.fingerprint
 
 
@@ -175,14 +173,52 @@ def test_ci_coverage_calibration():
 
 def test_zero_target_rates_give_zero_outage(fast_cfg):
     cfg = fast_cfg.with_updates(target_rate=(0.0, 0.0))
-    res = estimate(cfg, "OP_user", trials=500, threads=1)
+    res = estimates_from_batch(cfg, run_trials(cfg, 500, threads=1), "OP_user")
     assert all(r.estimate == 0.0 and r.stderr == 0.0 for r in res)
 
 
 def test_huge_target_rates_give_certain_outage(fast_cfg):
     cfg = fast_cfg.with_updates(target_rate=(60.0, 60.0), tx_power_dbm=30.0)
-    res = estimate(cfg, "OP_user", trials=500, threads=1)
+    res = estimates_from_batch(cfg, run_trials(cfg, 500, threads=1), "OP_user")
     assert all(r.estimate == 1.0 for r in res)
+
+
+def clean_run(cfg):
+    """3000 trials (a full and a partial chunk) that must finish without a failed trial."""
+    batch = run_trials(cfg, 3000, threads=2)
+    assert batch.failures == 0
+    for name in ("rate", "oma_rate", "residue", "eff_gain", "residual_rel"):
+        assert np.isfinite(getattr(batch, name)).all(), name
+    return batch
+
+
+def test_single_user_clusters(baseline_cfg):
+    """K=1: no superposition, so the NOMA rate is the OMA rate up to the solver residue."""
+    batch = clean_run(baseline_cfg.with_updates(
+        K=1, d_user=((80.0,), (80.0,)), d_direct=((100.0,), (100.0,)),
+        power_alloc=(1.0,), target_rate=(1.0,)))
+    assert batch.residual_rel.max() <= 1e-10
+    assert np.allclose(batch.rate, batch.oma_rate, rtol=1e-9, atol=0.0)
+
+
+def test_one_bit_surface(baseline_cfg):
+    batch = clean_run(baseline_cfg.with_updates(resolution_bits=1))
+    assert batch.residue.min() > 0.0
+    assert 0.0 < batch.outage.mean() < 1.0
+
+
+def test_too_few_elements_leave_inconsistent_systems(baseline_cfg):
+    """N=4 is below the rank bound: cancellation is a least-squares fit, not exact."""
+    batch = clean_run(baseline_cfg.with_updates(N=4))
+    assert 0.5 < batch.residual_rel.max() <= 1.0
+    assert batch.feasible.mean() < 0.05
+    assert batch.residue.min() > 0.0
+
+
+@pytest.mark.parametrize("p_dbm,op", [(100.0, 0.0), (-100.0, 1.0)])
+def test_extreme_powers_pin_outage(baseline_cfg, p_dbm, op):
+    batch = clean_run(baseline_cfg.with_updates(tx_power_dbm=p_dbm))
+    assert (batch.outage.mean(axis=0) == op).all()
 
 
 def test_single_cluster_matches_closed_form(baseline_cfg):

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
 from scbsim.scenario import (
+    CANCELLATION_MODES,
+    RIS_SCENARIOS,
     ConfigError,
     PowerModel,
     ScenarioConfig,
@@ -9,7 +13,6 @@ from scbsim.scenario import (
     load_config,
     noise_power_dbm,
     serialize_config,
-    watt_to_dbm,
 )
 
 
@@ -41,7 +44,6 @@ def test_dbm_watt_conversions():
     assert dbm_to_watt(30.0) == pytest.approx(1.0, rel=1e-14)
     assert dbm_to_watt(0.0) == pytest.approx(1e-3, rel=1e-14)
     assert dbm_to_watt(-94.0) == pytest.approx(3.981071705534969e-13, rel=1e-14)
-    assert watt_to_dbm(dbm_to_watt(17.3)) == pytest.approx(17.3, abs=1e-12)
 
 
 def test_baseline_config_accepted(baseline_cfg):
@@ -50,7 +52,7 @@ def test_baseline_config_accepted(baseline_cfg):
     assert cfg.power_alloc == (0.6, 0.4)
     assert cfg.target_rate == (1.0, 1.5)
     assert cfg.d_user[0] == (160.0, 80.0)
-    assert cfg.ideal_ris
+    assert cfg.resolution_bits is None
     assert cfg.noise_dbm == pytest.approx(-94.0)
     assert cfg.tx_power_watt == pytest.approx(1.0)
 
@@ -95,6 +97,33 @@ def test_load_serialize_roundtrip(baseline_text):
     again = load_config(serialize_config(cfg))
     assert again == cfg
     assert fingerprint(again) == fingerprint(cfg)
+
+
+def shaped(M, K, L, N):
+    """make_cfg keyword arguments for M clusters of K users, with distinct distances."""
+    alloc = tuple(float(v) for v in range(K, 0, -1))
+    return dict(M=M, K=K, L=L, N=N,
+                d_user=tuple(tuple(160.0 - 20.0 * k + m for k in range(K)) for m in range(M)),
+                d_direct=tuple(tuple(200.0 - 25.0 * k + m for k in range(K)) for m in range(M)),
+                power_alloc=tuple(a / sum(alloc) for a in alloc),
+                target_rate=tuple(1.0 + 0.25 * k for k in range(K)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 2, 40), (3, 3, 4, 513)],
+                         ids=lambda s: "M{}K{}L{}N{}".format(*s))
+@pytest.mark.parametrize("scenario", RIS_SCENARIOS)
+@pytest.mark.parametrize("mode", CANCELLATION_MODES)
+def test_load_serialize_roundtrip_grid(shape, scenario, mode):
+    """Every field survives serialize -> load, over resolution, noise and power-model variants."""
+    extras = ({}, {"noise_dbm_override": -101.3},
+              {"power_model": PowerModel(p_bs_watt=6.5, p_user_watt=0.3, p_ris_watt=0.0,
+                                         amp_factor=2.5), "tx_power_dbm": -7.25})
+    for bits, extra in itertools.product((None, 1, 3), extras):
+        cfg = make_cfg(**shaped(*shape), ris_scenario=scenario, cancellation_mode=mode,
+                       resolution_bits=bits, **extra)
+        again = load_config(serialize_config(cfg))
+        assert again == cfg, (bits, extra)
+        assert fingerprint(again) == fingerprint(cfg)
 
 
 def test_load_rejects_unknown_and_duplicate_keys():
