@@ -77,7 +77,8 @@ def build_matrix_batch(h, g, l_reflect, mode):
         if M == 1:
             return np.zeros((T, 0, N), dtype=np.complex128)
         hsum = h.sum(axis=-1)                              # (T, N)
-        rows = root_lr * g * hsum[:, None, None, None, :]
+        rows = root_lr * g                                 # one full-size array, scaled in place
+        rows *= hsum[:, None, None, None, :]
         return rows.reshape(T, M * K * L, N)
     if mode == PER_SYMBOL:
         keep = [[mp for mp in range(M) if mp != m] for m in range(M)]
@@ -103,6 +104,14 @@ def solve_passive_batch(h_tilde, b):
     return phi, resid, feasible, consistent
 
 
+def _level_indices(amplitudes, phases, T):
+    """Nearest amplitude and (circular) phase level indices, as floats; ties go down."""
+    amp_idx = np.clip(np.ceil(np.asarray(amplitudes) * T - 0.5), 0, T - 1)
+    ph = np.mod(np.asarray(phases), TWO_PI)
+    ph_idx = np.mod(np.ceil(ph / (TWO_PI / T) - 0.5), T)
+    return amp_idx, ph_idx
+
+
 def quantize_levels(amplitudes, phases, bits):
     """Nearest discrete levels for amplitudes and (circular) phases.
 
@@ -113,12 +122,22 @@ def quantize_levels(amplitudes, phases, bits):
     if bits < 1:
         raise ValueError("bits must be >= 1")
     T = 2 ** int(bits)
-    step_b = 1.0 / T
-    step_t = TWO_PI / T
-    amp_idx = np.clip(np.ceil(np.asarray(amplitudes) * T - 0.5), 0, T - 1)
-    ph = np.mod(np.asarray(phases), TWO_PI)
-    ph_idx = np.mod(np.ceil(ph / step_t - 0.5), T)
-    return amp_idx * step_b, ph_idx * step_t
+    amp_idx, ph_idx = _level_indices(amplitudes, phases, T)
+    return amp_idx * (1.0 / T), ph_idx * (TWO_PI / T)
+
+
+def quantize_surface(phi, bits):
+    """Coefficients phi on a b-bit surface: amp * exp(1j * phase) at the nearest levels.
+
+    The unit phasors come from a 2^bits-entry table, which holds exactly the
+    values np.exp(1j * phase) gives for the level phases quantize_levels returns.
+    """
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
+    T = 2 ** int(bits)
+    amp_idx, ph_idx = _level_indices(np.abs(phi), np.angle(phi), T)
+    phasors = np.exp(1j * (np.arange(T) * (TWO_PI / T)))
+    return amp_idx * (1.0 / T) * phasors[ph_idx.astype(np.intp)]
 
 
 def residues_batch(w, h, g, gains, phi):

@@ -93,7 +93,7 @@ class _OutputError(Exception):
     pass
 
 
-def _load_cfg(args, trials_override=True):
+def _load_cfg(args):
     if not getattr(args, "config", None):
         raise ConfigError("--config PATH is required for this command")
     try:
@@ -104,8 +104,6 @@ def _load_cfg(args, trials_override=True):
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed
-    if trials_override and getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
     if getattr(args, "cancellation", None):
         updates["cancellation_mode"] = args.cancellation
     if getattr(args, "scenario", None):
@@ -203,9 +201,12 @@ def cmd_feasibility(args):
 
 def cmd_simulate(args):
     cfg = _load_cfg(args)
+    if args.trials is not None:   # the only command that runs montecarlo.trials
+        cfg = cfg.with_updates(trials=args.trials)
     var, values, metrics = _sweep_request(args, cfg, METRICS)
     lines = [CSV_HEADER]
     failures = []
+    surfaces = None
     for i, value in enumerate(values):
         def progress(trials):
             print(f"[{i + 1}/{len(values)}] {var}={_fmt(value)} ({trials} trials)",
@@ -215,7 +216,11 @@ def cmd_simulate(args):
         try:
             point = mc.sweep_config(cfg, var, value)
             progress(point.trials)
-            batch = mc.run_trials(point, point.trials, args.threads)
+            # a link-key sweep reuses the first valid point's surfaces: only
+            # the link stage reads the swept value
+            if surfaces is None or var not in mc.LINK_KEYS:
+                surfaces = mc.surface_stage(point, point.trials, args.threads)
+            batch = mc.link_stage(point, surfaces)
             if batch.failures:
                 failures.append(
                     (value, f"{batch.failures} trials failed numerically (excluded)"))
@@ -268,7 +273,7 @@ def cmd_analytic(args):
 
 
 def cmd_validate(args):
-    cfg = _load_cfg(args, trials_override=False)   # run_checks applies --trials per check
+    cfg = _load_cfg(args)   # run_checks applies --trials per check, not to the config
     names = [c.strip() for c in args.checks.split(",")] if args.checks else None
     print(f"validating config {fingerprint(cfg)} "
           f"({'quick' if args.quick else 'full'} trial counts, "

@@ -8,6 +8,14 @@ of preallocated per-trial arrays and every reduction runs over the assembled
 arrays in trial order (numpy pairwise summation).  Results are therefore
 bit-identical for any worker count.
 
+The engine runs in two stages.  ``surface_stage`` draws, assembles, builds,
+solves, quantizes and takes residues, chunk by chunk on the thread pool, and
+keeps per trial only the effective gains, residues, feasibility, solver
+residual and failure mark.  ``link_stage`` turns those into SIC and OMA
+outcomes for one config.  Only the link stage reads the LINK_KEYS (transmit
+power and noise), so a sweep over one of them builds its surfaces once and
+runs the link stage per point; ``run_trials`` is the two stages in a row.
+
 Key derivation (fixed for cross-language reproduction):
 
     splitmix64(x): x += 0x9E3779B97F4A7C15;
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,9 +42,11 @@ from . import linkmetrics as lm
 from .analytics import energy_efficiency
 from .channel import assemble_batch, normals_per_trial
 from .pathloss import compute_gains
-from .scenario import ConfigError, fingerprint
+from .scenario import ConfigError, ScenarioConfig, fingerprint
 
 CHUNK = 2048          # fixed chunk size; must not depend on the thread count
+# The only config keys the link stage reads and the surface stage does not.
+LINK_KEYS = ("tx_power_dbm", "bandwidth_hz", "noise_dbm_override")
 _MASK64 = (1 << 64) - 1
 
 
@@ -94,6 +104,22 @@ class TrialBatch:
         return int(self.failed.sum())
 
 
+@dataclass(frozen=True)
+class SurfaceBatch:
+    """Per-trial surface-stage outcome arrays (trial axis first) and their config."""
+
+    eff_gain: np.ndarray      # (T, M, K)
+    residue: np.ndarray       # (T, M, K)
+    feasible: np.ndarray      # (T,) bool
+    residual_rel: np.ndarray  # (T,)
+    failed: np.ndarray        # (T,) bool; these trials' arrays are zeroed
+    cfg: ScenarioConfig       # the config the surfaces were built for
+
+    @property
+    def trials(self):
+        return self.failed.shape[0]
+
+
 def draw_chunk_normals(cfg, start, count):
     """Flat standard normals for trials [start, start+count), one row each.
 
@@ -135,25 +161,91 @@ def _cancel(cfg, gains, w, h, g):
     norm_b = np.linalg.norm(b, axis=-1)
     residual_rel = np.where(norm_b > 0, resid / np.where(norm_b > 0, norm_b, 1.0), 0.0)
     if cfg.resolution_bits is not None:
-        amp, ph = bf.quantize_levels(np.abs(phi), np.angle(phi), cfg.resolution_bits)
-        phi = amp * np.exp(1j * ph)
+        phi = bf.quantize_surface(phi, cfg.resolution_bits)
     return h_tilde, b, phi, feasible, residual_rel
 
 
-def _metrics_from_channels(cfg, gains, w, h, g, phi):
-    """Vectorized per-trial residues, SIC and OMA outcomes for surface phi.
+def _surface_chunk(cfg, gains, start, count):
+    """(eff_gain, residue, feasible, residual_rel) of trials [start, start+count)."""
+    w, h, g = assemble_batch(cfg, draw_chunk_normals(cfg, start, count))
+    _, _, phi, feasible, residual_rel = _cancel(cfg, gains, w, h, g)
+    residue = bf.residues_batch(w, h, g, gains, phi)
+    eff = np.square(np.abs(bf.desired_columns(w))).sum(axis=-1)   # (T, M, K)
+    return eff, residue, feasible, residual_rel
 
-    Returns (outage, rate, oma_outage, oma_rate, residue, eff_gain), each
-    (T, M, K).
+
+def surface_stage(cfg, trials=None, threads=None):
+    """Draw, assemble, build, solve, quantize and residue for a batch of trials.
+
+    Nothing here reads a LINK_KEYS value, so one SurfaceBatch serves every
+    config that differs from cfg only in those keys.  Deterministic for any
+    thread count.
     """
+    trials = cfg.trials if trials is None else int(trials)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    threads = threads or min(8, os.cpu_count() or 1)
+    gains = compute_gains(cfg)
+    M, K = cfg.M, cfg.K
+
+    eff = np.empty((trials, M, K))
+    residue = np.empty((trials, M, K))
+    feasible = np.empty(trials, dtype=bool)
+    residual_rel = np.empty(trials)
+    failed = np.zeros(trials, dtype=bool)
+    arrays = (eff, residue, feasible, residual_rel)
+
+    def work(start):
+        count = min(CHUNK, trials - start)
+        try:
+            res = _surface_chunk(cfg, gains, start, count)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            # salvage the chunk trial by trial; zero and mark unrecoverable ones
+            for i in range(start, start + count):
+                try:
+                    res1 = _surface_chunk(cfg, gains, i, 1)
+                except (np.linalg.LinAlgError, FloatingPointError):
+                    failed[i] = True
+                    res1 = (0.0, 0.0, False, 0.0)
+                for full, part in zip(arrays, res1):
+                    full[i:i + 1] = part
+            return
+        for full, part in zip(arrays, res):
+            full[start:start + count] = part
+
+    starts = range(0, trials, CHUNK)
+    if threads <= 1:
+        for s in starts:
+            work(s)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, starts))
+
+    return SurfaceBatch(eff_gain=eff, residue=residue, feasible=feasible,
+                        residual_rel=residual_rel, failed=failed, cfg=cfg)
+
+
+def _surface_keys(cfg):
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)
+            if f.name not in LINK_KEYS + ("trials",)}
+
+
+def link_stage(cfg, surfaces):
+    """SIC and OMA outcomes under cfg's link keys for every trial of a SurfaceBatch.
+
+    Failed trials get zero rates and no outage.  The batch shares the
+    surfaces' arrays.  Raises ValueError when the surfaces were built for a
+    config that differs from cfg outside LINK_KEYS (and the trial count).
+    """
+    if _surface_keys(cfg) != _surface_keys(surfaces.cfg):
+        raise ValueError("surfaces were built for another config (beyond its link keys)")
     M, K, L = cfg.M, cfg.K, cfg.L
     p = cfg.tx_power_watt
     noise = cfg.noise_watt
+    gains = compute_gains(cfg)
+    eff, residue = surfaces.eff_gain, surfaces.residue
 
-    residue = bf.residues_batch(w, h, g, gains, phi)
-    eff = np.square(np.abs(bf.desired_columns(w))).sum(axis=-1)   # (T, M, K)
-
-    T = w.shape[0]
+    T = surfaces.trials
     outage = np.empty((T, M, K), dtype=bool)
     rate = np.empty((T, M, K))
     oma_outage = np.empty((T, M, K), dtype=bool)
@@ -168,71 +260,21 @@ def _metrics_from_channels(cfg, gains, w, h, g, phi):
             snr, oout = lm.oma_snr(gmk, lb, p, noise, L, K, cfg.target_rate[k])
             oma_outage[:, m, k] = oout
             oma_rate[:, m, k] = np.log2(1.0 + snr) / K
-    return outage, rate, oma_outage, oma_rate, residue, eff
+    failed = surfaces.failed
+    if failed.any():
+        outage[failed], rate[failed] = False, 0.0
+        oma_outage[failed], oma_rate[failed] = False, 0.0
 
-
-def _simulate_chunk(cfg, gains, start, count):
-    w, h, g = assemble_batch(cfg, draw_chunk_normals(cfg, start, count))
-    _, _, phi, feasible, residual_rel = _cancel(cfg, gains, w, h, g)
-    return _metrics_from_channels(cfg, gains, w, h, g, phi) + (feasible, residual_rel)
+    return TrialBatch(
+        outage=outage, rate=rate, oma_outage=oma_outage, oma_rate=oma_rate,
+        residue=residue, eff_gain=eff, feasible=surfaces.feasible,
+        residual_rel=surfaces.residual_rel, failed=failed, fingerprint=fingerprint(cfg),
+    )
 
 
 def run_trials(cfg, trials=None, threads=None):
     """Simulate a batch of trials; deterministic for any thread count."""
-    trials = cfg.trials if trials is None else int(trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    threads = threads or min(8, os.cpu_count() or 1)
-    gains = compute_gains(cfg)
-    M, K = cfg.M, cfg.K
-
-    outage = np.empty((trials, M, K), dtype=bool)
-    rate = np.empty((trials, M, K))
-    oma_outage = np.empty((trials, M, K), dtype=bool)
-    oma_rate = np.empty((trials, M, K))
-    residue = np.empty((trials, M, K))
-    eff = np.empty((trials, M, K))
-    feasible = np.empty(trials, dtype=bool)
-    residual_rel = np.empty(trials)
-    failed = np.zeros(trials, dtype=bool)
-
-    def work(start):
-        count = min(CHUNK, trials - start)
-        sl = slice(start, start + count)
-        try:
-            res = _simulate_chunk(cfg, gains, start, count)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            # salvage the chunk trial by trial; mark unrecoverable ones
-            for i in range(start, start + count):
-                one = slice(i, i + 1)
-                try:
-                    res1 = _simulate_chunk(cfg, gains, i, 1)
-                except (np.linalg.LinAlgError, FloatingPointError):
-                    failed[i] = True
-                    outage[one], rate[one] = False, 0.0
-                    oma_outage[one], oma_rate[one] = False, 0.0
-                    residue[one], eff[one] = 0.0, 0.0
-                    feasible[one], residual_rel[one] = False, 0.0
-                    continue
-                (outage[one], rate[one], oma_outage[one], oma_rate[one],
-                 residue[one], eff[one], feasible[one], residual_rel[one]) = res1
-            return
-        (outage[sl], rate[sl], oma_outage[sl], oma_rate[sl],
-         residue[sl], eff[sl], feasible[sl], residual_rel[sl]) = res
-
-    starts = range(0, trials, CHUNK)
-    if threads <= 1:
-        for s in starts:
-            work(s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-
-    return TrialBatch(
-        outage=outage, rate=rate, oma_outage=oma_outage, oma_rate=oma_rate,
-        residue=residue, eff_gain=eff, feasible=feasible,
-        residual_rel=residual_rel, failed=failed, fingerprint=fingerprint(cfg),
-    )
+    return link_stage(cfg, surface_stage(cfg, trials, threads))
 
 
 def _mean(sample, cfg):
@@ -311,7 +353,7 @@ def estimates_from_batch(cfg, batch, metric, feasible_only=False):
     return out
 
 
-_INT_SWEEP_VARS = ("N", "L", "M", "K", "resolution_bits", "trials")
+_INT_SWEEP_VARS = ("N", "L", "M", "K", "resolution_bits", "trials", "master_seed")
 
 
 def sweep_config(cfg, variable, value):

@@ -4,7 +4,9 @@ Each check returns a CheckResult and is consumed both by the ``validate``
 CLI command and by the acceptance test suite.  Tolerances are fixed here.
 Every Monte Carlo check takes its trial counts as arguments: the acceptance
 tests pass the full counts, and ``run_checks`` holds the defaults of the
-``validate`` command and alone shrinks them for ``--quick``.
+``validate`` command and alone shrinks them for ``--quick``.  A check that
+compares several transmit powers on one config builds its trials' surfaces
+once and runs only the link stage per power (``montecarlo.link_stage``).
 """
 
 from __future__ import annotations
@@ -120,10 +122,11 @@ def check_op_vs_closed_form(cfg, trials, powers_dbm=(20.0, 25.0, 30.0, 35.0),
     t0 = time.perf_counter()
     worst = 0.0
     worst_at = ""
+    ideal = cfg.with_updates(resolution_bits=None)
+    surfaces = mc.surface_stage(ideal, trials, threads)   # shared by every power
     for p_dbm in powers_dbm:
-        sub = cfg.with_updates(tx_power_dbm=float(p_dbm), resolution_bits=None)
-        results = mc.estimates_from_batch(sub, mc.run_trials(sub, trials, threads),
-                                          "OP_user")
+        sub = ideal.with_updates(tx_power_dbm=float(p_dbm))
+        results = mc.estimates_from_batch(sub, mc.link_stage(sub, surfaces), "OP_user")
         for r in results:
             closed = op_closed_form(ClosedFormInputs.from_config(sub, r.m, r.k), r.k)
             pstar = min(max(r.estimate, closed, 1.0 / trials), 1.0 - 1.0 / trials)
@@ -177,10 +180,10 @@ def check_diversity_order(cfg, trials, threads=None):
         slope_closed = diversity_order(closed_curve)
 
         sim_curve = []
+        surfaces = mc.surface_stage(sub, trials, threads)   # shared by both powers
         for p in (p_lo, p_hi):
             point = sub.with_updates(tx_power_dbm=10.0 * math.log10(p) + 30.0)
-            res = mc.estimates_from_batch(point, mc.run_trials(point, trials, threads),
-                                          "OP_user")
+            res = mc.estimates_from_batch(point, mc.link_stage(point, surfaces), "OP_user")
             op00 = next(r for r in res if r.m == 0 and r.k == 0)
             sim_curve.append((p, op00.estimate))
         slope_sim = diversity_order(sim_curve)
@@ -216,10 +219,11 @@ def check_er_vs_closed_form(cfg, trials, powers_dbm=(20.0, 30.0, 40.0), threads=
     worst = 0.0
     worst_at = ""
     k_near = cfg.K - 1
+    ideal = cfg.with_updates(resolution_bits=None)
+    surfaces = mc.surface_stage(ideal, trials, threads)   # shared by every power
     for p_dbm in powers_dbm:
-        sub = cfg.with_updates(tx_power_dbm=float(p_dbm), resolution_bits=None)
-        results = mc.estimates_from_batch(sub, mc.run_trials(sub, trials, threads),
-                                          "ER_user")
+        sub = ideal.with_updates(tx_power_dbm=float(p_dbm))
+        results = mc.estimates_from_batch(sub, mc.link_stage(sub, surfaces), "ER_user")
         for r in results:
             if r.k != k_near:
                 continue
@@ -261,9 +265,11 @@ def check_high_snr_slopes(cfg, trials, threads=None):
 
     # (c) 3-bit surface: rate ceiling and outage floor between 40 and 50 dBm
     ni_er, ni_op = {}, {}
+    three_bit = cfg.with_updates(resolution_bits=3)
+    surfaces = mc.surface_stage(three_bit, trials, threads)   # shared by both powers
     for p_dbm in (40.0, 50.0):
-        sub = cfg.with_updates(tx_power_dbm=p_dbm, resolution_bits=3)
-        batch = mc.run_trials(sub, trials, threads)
+        sub = three_bit.with_updates(tx_power_dbm=p_dbm)
+        batch = mc.link_stage(sub, surfaces)
         ni_er[p_dbm] = float(batch.rate[:, 0, k_near].mean())
         ni_op[p_dbm] = {k: float(batch.outage[:, 0, k].mean()) for k in range(cfg.K)}
     slope_ni = (ni_er[50.0] - ni_er[40.0]) / math.log2(10.0)

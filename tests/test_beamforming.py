@@ -5,6 +5,7 @@ from scbsim.beamforming import (
     build_matrix_batch,
     build_target_batch,
     quantize_levels,
+    quantize_surface,
     residues_batch,
     solve_passive_batch,
 )
@@ -218,6 +219,21 @@ def test_quantize_error_bound():
         err = np.abs(a * np.exp(1j * p) - amps * np.exp(1j * phases))
         bound = 0.5 / T + (T - 1) / T * np.pi / T + (T - 1) / T ** 2
         assert err.max() <= bound + 1e-12
+
+
+def test_quantize_surface_is_levels_times_phasor():
+    """The phasor table gives the bytes of amp * exp(1j * phase) at the quantized levels."""
+    rng = np.random.default_rng(13)
+    phi = (rng.random((64, 48)) * 1.2) * np.exp(1j * (rng.random((64, 48)) * 4 * np.pi - 2 * np.pi))
+    phi[0, :4] = (0.0, -1.0, 1j, -1e-300)   # zero, the branch cut, an axis, a signed tiny value
+    for bits in (1, 2, 3, 6):
+        amp, ph = quantize_levels(np.abs(phi), np.angle(phi), bits)
+        want = amp * np.exp(1j * ph)
+        got = quantize_surface(phi, bits)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), bits
+    with pytest.raises(ValueError):
+        quantize_surface(phi, 0)
 
 
 # -- residue ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from scbsim import cli
+from scbsim import montecarlo as mc
 from scbsim.montecarlo import run_trials
 from scbsim.numerics import ks_critical
 from scbsim.scenario import ConfigError, load_config, serialize_config
@@ -116,6 +117,60 @@ def test_simulate_progress_reports_each_points_trials(small_cfg_file, tmp_path, 
     assert trials == ["500"] * 4 + ["700"] * 4
 
 
+@pytest.mark.parametrize("sweep,runs", [("tx_power_dbm=0,10,20", 1), ("bandwidth_hz=1e6,1e8", 1),
+                                        ("noise_dbm_override=-100,-90", 1), ("N=16,24", 2),
+                                        ("trials=500,700", 2), ("master_seed=1,2", 2)])
+def test_simulate_builds_surfaces_once_per_link_sweep(small_cfg_file, tmp_path, monkeypatch,
+                                                      sweep, runs):
+    """A sweep over a link key shares one surface batch; any other sweep builds one per point."""
+    calls = []
+    real = mc.surface_stage
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "surface_stage", counted)
+    out = tmp_path / "count.csv"
+    assert run_cli(["simulate", "--config", small_cfg_file, "--out", out, "--trials", 500,
+                    "--sweep", sweep, "--metrics", "OP_user", "--threads", 1]) == 0
+    assert len(calls) == runs
+    assert len(out.read_text().splitlines()) == 1 + 4 * len(sweep.split(","))
+
+
+def test_simulate_failed_link_point_is_isolated(small_cfg_file, tmp_path, capsys):
+    """A link-key point that cannot run does not stop the points that share its surfaces."""
+    outs = []
+    for sweep in ("bandwidth_hz=0,1e8", "bandwidth_hz=1e8"):
+        out = tmp_path / f"{len(outs)}.csv"
+        assert run_cli(["simulate", "--config", small_cfg_file, "--out", out, "--trials", 500,
+                        "--sweep", sweep, "--metrics", "OP_user,ER_user",
+                        "--threads", 1]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    err = capsys.readouterr().err
+    assert ("point bandwidth_hz=0.0 failed: ConfigError: "
+            "bandwidth_hz must be strictly positive") in err
+
+
+def test_simulate_reports_failed_trial_at_every_point(baseline_cfg, tmp_path, fail_trial,
+                                                      capsys):
+    """A trial the salvage path gives up on is excluded, and reported, at every sweep point."""
+    fail_trial(5000)
+    cfg_path = tmp_path / "fail.cfg"
+    cfg_path.write_text(serialize_config(baseline_cfg.with_updates(trials=6000)))
+    out = tmp_path / "fail.csv"
+    assert run_cli(["simulate", "--config", cfg_path, "--out", out,
+                    "--sweep", "tx_power_dbm=0,20,40", "--metrics", "OP_user,ER_user",
+                    "--threads", 2]) == 0
+    err = capsys.readouterr().err
+    assert err.count("failed: 1 trials failed numerically (excluded)") == 3
+    for value in ("0.0", "20.0", "40.0"):
+        assert f"point tx_power_dbm={value} failed: 1 trials failed" in err
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 8 and {r[7] for r in rows} == {"5999"}
+
+
 def test_simulate_threads_byte_identical(small_cfg_file, tmp_path):
     outs = []
     for threads in (1, 8):
@@ -156,6 +211,16 @@ def test_analytic_curves(tmp_path, capsys):
     # outage decreases along the power sweep
     user00 = [float(r[5]) for r in op_rows if r[2] == "0" and r[3] == "0"]
     assert all(a > b for a, b in zip(user00, user00[1:]))
+
+
+def test_analytic_csv_ignores_trials(tmp_path):
+    """analytic runs no trials, so --trials changes no byte, the fingerprint included."""
+    outs = []
+    for extra in ([], ["--trials", 500]):
+        out = tmp_path / f"an{len(outs)}.csv"
+        assert run_cli(["analytic", "--config", BASE, "--out", out, *extra]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_analytic_infeasible_rates_exit5(tmp_path, baseline_cfg):

@@ -10,16 +10,30 @@ from scbsim.cli import parse_sweep
 from scbsim.linkmetrics import sinr_sic
 from scbsim.montecarlo import (
     CHUNK,
-    _simulate_chunk,
+    METRICS,
+    SurfaceBatch,
+    _surface_chunk,
     draw_chunk_normals,
     estimates_from_batch,
+    link_stage,
     run_trials,
     splitmix64,
+    surface_stage,
     sweep_config,
     trial_key,
     trial_rng,
 )
 from scbsim.pathloss import compute_gains
+
+OUTCOMES = ("outage", "rate", "oma_outage", "oma_rate", "residue", "eff_gain",
+            "feasible", "residual_rel")
+BATCH_FIELDS = OUTCOMES + ("failed",)
+
+
+def rows_of(batch, rows=slice(None), fields=BATCH_FIELDS):
+    """{field: (dtype, shape, bytes)} of a batch's per-trial arrays on the given rows."""
+    return {name: (a.dtype, a.shape, a.tobytes())
+            for name in fields for a in [getattr(batch, name)[rows]]}
 
 
 @pytest.fixture(scope="module")
@@ -56,18 +70,69 @@ def test_draw_chunk_normals_matches_trial_streams(fast_cfg):
 
 
 def test_one_trial_chunk_matches_batch_row(fast_cfg):
-    """A one-trial chunk, as run_trials' per-trial salvage path runs it, is that batch row."""
-    names = ("outage", "rate", "oma_outage", "oma_rate", "residue", "eff_gain",
-             "feasible", "residual_rel")
+    """A one-trial surface chunk, as the salvage path runs it, plus the link stage is that row."""
     for updates in ({}, {"cancellation_mode": "per-symbol"}, {"resolution_bits": 3}):
         cfg = fast_cfg.with_updates(**updates)
         gains = compute_gains(cfg)
         batch = run_trials(cfg, CHUNK + 1, threads=2)
         for t in (0, CHUNK - 1, CHUNK):
-            for name, got in zip(names, _simulate_chunk(cfg, gains, t, 1)):
-                want = getattr(batch, name)[t:t + 1]
-                assert got.dtype == want.dtype and got.shape == want.shape, (updates, t, name)
-                assert got.tobytes() == want.tobytes(), (updates, t, name)
+            one = SurfaceBatch(*_surface_chunk(cfg, gains, t, 1),
+                               failed=np.zeros(1, dtype=bool), cfg=cfg)
+            assert rows_of(link_stage(cfg, one)) == rows_of(batch, slice(t, t + 1))
+
+
+@pytest.mark.parametrize("updates", [{}, {"resolution_bits": 3},
+                                     {"cancellation_mode": "per-symbol"}],
+                         ids=["ideal", "bits=3", "per-symbol"])
+def test_link_stage_over_shared_surfaces_matches_run_trials(baseline_cfg, updates):
+    """One surface batch serves every power: each point equals its own run_trials."""
+    cfg = baseline_cfg.with_updates(**updates)
+    surfaces = surface_stage(cfg, CHUNK + 52, threads=2)
+    for p_dbm in (0.0, 20.0, 40.0):
+        point = sweep_config(cfg, "tx_power_dbm", p_dbm)
+        shared, own = link_stage(point, surfaces), run_trials(point, CHUNK + 52, threads=2)
+        assert rows_of(shared) == rows_of(own)
+        assert shared.fingerprint == own.fingerprint
+        for metric in METRICS:
+            for feasible_only in (False, True):
+                assert (estimates_from_batch(point, shared, metric, feasible_only)
+                        == estimates_from_batch(point, own, metric, feasible_only))
+
+
+def test_link_stage_rejects_surfaces_of_another_config(fast_cfg):
+    surfaces = surface_stage(fast_cfg, 100, threads=1)
+    link_stage(fast_cfg.with_updates(bandwidth_hz=1e6, noise_dbm_override=-90.0,
+                                     trials=7), surfaces)
+    with pytest.raises(ValueError, match="another config"):
+        link_stage(fast_cfg.with_updates(N=24), surfaces)
+
+
+FAILING_TRIAL = 5000   # in the third chunk of 6000 trials
+
+
+def test_salvage_marks_only_the_failing_trial(baseline_cfg, fail_trial):
+    clean = surface_stage(baseline_cfg, 6000, threads=2)
+    fail_trial(FAILING_TRIAL)
+    rest = np.arange(6000) != FAILING_TRIAL
+    want = link_stage(baseline_cfg, clean)
+    for threads in (1, 2):
+        batch = run_trials(baseline_cfg, 6000, threads=threads)
+        assert np.flatnonzero(batch.failed).tolist() == [FAILING_TRIAL]
+        assert rows_of(batch, rest, OUTCOMES) == rows_of(want, rest, OUTCOMES)
+        for name in OUTCOMES:
+            assert not getattr(batch, name)[FAILING_TRIAL].any(), name
+
+    # a power sweep over the shared surfaces: the failed trial stays out at every point
+    surfaces = surface_stage(baseline_cfg, 6000, threads=2)
+    for p_dbm in (0.0, 20.0, 40.0):
+        point = sweep_config(baseline_cfg, "tx_power_dbm", p_dbm)
+        batch = link_stage(point, surfaces)
+        want = link_stage(point, clean)
+        assert rows_of(batch, rest, OUTCOMES) == rows_of(want, rest, OUTCOMES)
+        for name in ("outage", "rate", "oma_outage", "oma_rate"):
+            assert not getattr(batch, name)[FAILING_TRIAL].any(), (p_dbm, name)
+        for metric in METRICS:
+            assert {r.trials for r in estimates_from_batch(point, batch, metric)} == {5999}
 
 
 def test_thread_count_does_not_change_results(fast_cfg):
@@ -238,10 +303,11 @@ def test_sweep_config_casts_integers(fast_cfg):
     assert sweep_config(fast_cfg, "N", 24.0).N == 24
     assert sweep_config(fast_cfg, "resolution_bits", 3.0).resolution_bits == 3
     assert sweep_config(fast_cfg, "tx_power_dbm", 12.0).tx_power_dbm == 12.0
+    assert sweep_config(fast_cfg, "master_seed", 7.0).master_seed == 7
 
 
 def test_sweep_config_rejects_non_integral_integers(fast_cfg):
-    for var in ("N", "L", "M", "K", "resolution_bits", "trials"):
+    for var in ("N", "L", "M", "K", "resolution_bits", "trials", "master_seed"):
         with pytest.raises(ValueError, match="integer"):
             sweep_config(fast_cfg, var, 40.7)
 
