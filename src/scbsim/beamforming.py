@@ -68,27 +68,40 @@ def build_target_batch(w, l_direct, mode):
     raise ValueError(f"unknown cancellation mode {mode!r}")
 
 
-def build_matrix_batch(h, g, l_reflect, mode):
-    """Stacked effective matrices for a batch of trials; shape (T, rows, N)."""
-    T, _, K, L, N = g.shape
-    M = h.shape[-1]
+def system_rows(M, K, L, mode):
+    """Row count of the cancellation system; 0 when M = 1 (nothing to cancel)."""
+    if mode == AGGREGATE:
+        return M * K * L if M > 1 else 0
+    if mode == PER_SYMBOL:
+        return M * K * L * (M - 1)
+    raise ValueError(f"unknown cancellation mode {mode!r}")
+
+
+def build_matrix_batch(h, g, l_reflect, mode, out=None):
+    """Stacked effective matrices for a batch of trials; shape (T, rows, N).
+
+    out, when given, is a C-contiguous complex (T, rows, N) array that is
+    filled and returned in place of a new one.
+    """
+    T, M, K, L, N = g.shape
+    n_rows = system_rows(M, K, L, mode)
+    if out is None:
+        out = np.empty((T, n_rows, N), dtype=np.complex128)
+    if n_rows == 0:
+        return out
     root_lr = np.sqrt(l_reflect)[None, :, :, None, None]   # (1, M, K, 1, 1)
     if mode == AGGREGATE:
-        if M == 1:
-            return np.zeros((T, 0, N), dtype=np.complex128)
         hsum = h.sum(axis=-1)                              # (T, N)
-        rows = root_lr * g                                 # one full-size array, scaled in place
+        rows = np.multiply(root_lr, g, out=out.reshape(g.shape))
         rows *= hsum[:, None, None, None, :]
-        return rows.reshape(T, M * K * L, N)
-    if mode == PER_SYMBOL:
+    else:
         keep = [[mp for mp in range(M) if mp != m] for m in range(M)]
-        rows = np.empty((T, M, K, L, M - 1, N), dtype=np.complex128)
+        rows = out.reshape(T, M, K, L, M - 1, N)
         for m in range(M):
             # row (m, k, l, mp), column n: g[l, n] * h[n, mp]
             rows[:, m] = np.einsum("tkln,tnj->tkljn", g[:, m], h[:, :, keep[m]])
         rows *= root_lr[..., None]
-        return rows.reshape(T, M * K * L * (M - 1), N)
-    raise ValueError(f"unknown cancellation mode {mode!r}")
+    return out
 
 
 def solve_passive_batch(h_tilde, b):

@@ -32,7 +32,15 @@ def normals_per_trial(cfg):
     return 2 * n_complex
 
 
-def assemble_batch(cfg, flat):
+def empty_fading(cfg, trials):
+    """Uninitialized (w, h, g) arrays for ``trials`` trials, as assemble_batch fills them."""
+    M, K, L, N = cfg.M, cfg.K, cfg.L, cfg.N
+    return (np.empty((trials, M, K, L, M), dtype=np.complex128),
+            np.empty((trials, N, M), dtype=np.complex128),
+            np.empty((trials, M, K, L, N), dtype=np.complex128))
+
+
+def assemble_batch(cfg, flat, out=None):
     """Carve a (T, normals_per_trial) standard-normal block into fading arrays.
 
     Layout per trial: the flat vector is interpreted as interleaved
@@ -43,6 +51,9 @@ def assemble_batch(cfg, flat):
     w: (T, M, K, L, M) direct BS-user fading per (cluster, user)
     h: (T, N, M) BS-RIS fading
     g: (T, M, K, L, N) RIS-user fading per (cluster, user)
+
+    out, when given, is a (w, h, g) triple shaped as above (``empty_fading``)
+    that is filled and returned in place of new arrays.
     """
     M, K, L, N = cfg.M, cfg.K, cfg.L, cfg.N
     flat = np.ascontiguousarray(flat, dtype=np.float64)
@@ -52,9 +63,7 @@ def assemble_batch(cfg, flat):
     # each block is scaled straight into its slot and the Rician mix is then
     # applied in place: the same operations in the same order as
     # los + nlos * (z * sqrt(1/2)), so the values are bit-identical
-    h = np.empty((T, N, M), dtype=np.complex128)
-    w = np.empty((T, M, K, L, M), dtype=np.complex128)
-    g = np.empty((T, M, K, L, N), dtype=np.complex128)
+    w, h, g = empty_fading(cfg, T) if out is None else out
     pos = N * M
     np.multiply(z[:, :pos].reshape(T, N, M), _SQRT_HALF, out=h)
     for m in range(M):

@@ -70,10 +70,17 @@ def _fmt(value):
     return str(value)
 
 
+def _fmt_sweep(value):
+    """A sweep value as rows and progress lines print it: as a float, unless
+    it is an integer a float does not hold exactly (a master_seed above 2^53)."""
+    as_float = float(value)
+    return repr(as_float) if as_float == value else str(value)
+
+
 def csv_row(sweep_var, sweep_value, m, k, metric, estimate, stderr, trials,
             cfg, fp):
     mode = "ideal" if cfg.resolution_bits is None else f"{cfg.resolution_bits}-bit"
-    cells = (sweep_var, sweep_value, m, k, metric, estimate, stderr, trials,
+    cells = (sweep_var, _fmt_sweep(sweep_value), m, k, metric, estimate, stderr, trials,
              mode, cfg.cancellation_mode, cfg.ris_scenario, fp)
     return ",".join(_fmt(c) for c in cells)
 
@@ -121,6 +128,17 @@ def _load_cfg(args):
     return cfg.with_updates(**updates) if updates else cfg
 
 
+def _sweep_number(text, integer):
+    """One number of a sweep spec: exact for an integer literal of an integer
+    variable (montecarlo.INT_SWEEP_VARS), a float otherwise."""
+    if integer:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return float(text)
+
+
 def parse_sweep(text):
     """'VAR=a:b:step' or 'VAR=v1,v2,...' -> (variable, tuple of finite values)."""
     if "=" not in text:
@@ -128,23 +146,30 @@ def parse_sweep(text):
     var, _, spec = text.partition("=")
     var = var.strip()
     spec = spec.strip()
+    integer = var in mc.INT_SWEEP_VARS
     try:
         if ":" in spec:
-            parts = [float(p) for p in spec.split(":")]
+            parts = [_sweep_number(p, integer) for p in spec.split(":")]
             if len(parts) != 3:
                 raise ValueError
+            if not all(isinstance(p, int) for p in parts):
+                parts = [float(p) for p in parts]
             start, stop, step = parts
             if step == 0 or (stop - start) * step < 0:
                 raise ValueError
-            n = int(abs(stop - start) / abs(step) + 1e-9) + 1
+            if isinstance(step, int):
+                n = abs(stop - start) // abs(step) + 1
+            else:
+                n = int(abs(stop - start) / abs(step) + 1e-9) + 1
             values = tuple(start + i * step for i in range(n))
         else:
-            values = tuple(float(p) for p in spec.split(",") if p.strip())
+            values = tuple(_sweep_number(p, integer) for p in spec.split(",") if p.strip())
         if not values:
             raise ValueError
+        floats = [float(v) for v in values]   # OverflowError for an integer beyond any float
     except (ValueError, OverflowError):   # int() of a nan or infinite point count
         raise ConfigError(f"cannot parse sweep spec {spec!r}") from None
-    if not all(map(math.isfinite, values)):
+    if not all(map(math.isfinite, floats)):
         raise ConfigError(f"sweep values must be finite, got {spec!r}")
     return var, values
 
@@ -209,7 +234,7 @@ def cmd_simulate(args):
     surfaces = None
     for i, value in enumerate(values):
         def progress(trials):
-            print(f"[{i + 1}/{len(values)}] {var}={_fmt(value)} ({trials} trials)",
+            print(f"[{i + 1}/{len(values)}] {var}={_fmt_sweep(value)} ({trials} trials)",
                   file=sys.stderr, flush=True)
 
         point = None
@@ -234,7 +259,7 @@ def cmd_simulate(args):
                 progress(cfg.trials)
             failures.append((value, f"{type(exc).__name__}: {exc}"))
     for value, msg in failures:
-        print(f"point {var}={_fmt(value)} failed: {msg}", file=sys.stderr)
+        print(f"point {var}={_fmt_sweep(value)} failed: {msg}", file=sys.stderr)
     _write_lines(args.out, lines)
     return EXIT_OK
 

@@ -16,6 +16,16 @@ outcomes for one config.  Only the link stage reads the LINK_KEYS (transmit
 power and noise), so a sweep over one of them builds its surfaces once and
 runs the link stage per point; ``run_trials`` is the two stages in a row.
 
+Work units of the surface stage: a chunk (CHUNK trials) is one thread-pool
+task and the unit the salvage path reruns trial by trial.  Inside a chunk,
+trials run in blocks of ``block_trials(cfg)``, about BLOCK_BYTES of standard
+normals, so that a block's arrays stay in cache from draw to residue.  Each
+chunk allocates one workspace sized for a single block (the normals, the
+fading arrays and the system matrix) and every block reuses it, which keeps
+the allocation, and the page faults, the same from pass to pass.  The block
+size depends on the config only, never on the thread count, and no trial's
+values depend on the block or chunk it is computed in.
+
 Key derivation (fixed for cross-language reproduction):
 
     splitmix64(x): x += 0x9E3779B97F4A7C15;
@@ -23,6 +33,9 @@ Key derivation (fixed for cross-language reproduction):
                    x = (x ^ (x >> 27)) * 0x94D049BB133111EB;
                    return x ^ (x >> 31)         (all mod 2^64)
     trial_key(seed, i) = splitmix64(seed ^ splitmix64(i))
+
+``trial_key`` is the scalar reference; ``trial_keys`` computes the same keys
+for a range of trials on uint64 arrays.
 
 The 64-bit key seeds a Philox4x64 counter-based generator (counter zero),
 from which the trial draws one flat block of standard normals consumed in
@@ -40,11 +53,12 @@ import numpy as np
 from . import beamforming as bf
 from . import linkmetrics as lm
 from .analytics import energy_efficiency
-from .channel import assemble_batch, normals_per_trial
+from .channel import assemble_batch, empty_fading, normals_per_trial
 from .pathloss import compute_gains
 from .scenario import ConfigError, ScenarioConfig, fingerprint
 
 CHUNK = 2048          # fixed chunk size; must not depend on the thread count
+BLOCK_BYTES = 2 << 20  # standard normals per cache block (block_trials), in bytes
 # The only config keys the link stage reads and the surface stage does not.
 LINK_KEYS = ("tx_power_dbm", "bandwidth_hz", "noise_dbm_override")
 _MASK64 = (1 << 64) - 1
@@ -60,6 +74,16 @@ def splitmix64(x):
 def trial_key(master_seed, trial_index):
     """64-bit Philox key of one trial."""
     return splitmix64((master_seed ^ splitmix64(trial_index)) & _MASK64)
+
+
+def trial_keys(master_seed, start, count):
+    """trial_key(master_seed, i) for i in [start, start+count), as a uint64 array.
+
+    splitmix64 on uint64 arrays, whose arithmetic wraps mod 2^64 as the masked
+    Python integers of the scalar reference trial_key do.
+    """
+    index = np.arange(start, start + count, dtype=np.uint64)
+    return splitmix64(np.uint64(master_seed) ^ splitmix64(index))
 
 
 def trial_rng(master_seed, trial_index):
@@ -120,42 +144,49 @@ class SurfaceBatch:
         return self.failed.shape[0]
 
 
-def draw_chunk_normals(cfg, start, count):
+def draw_chunk_normals(cfg, start, count, out=None):
     """Flat standard normals for trials [start, start+count), one row each.
 
     Reuses a single Philox/Generator pair and resets its state to the trial
     key before every row; each row is bit-identical to an independent draw
-    from trial_rng(master_seed, i).
+    from trial_rng(master_seed, i).  out, when given, is a C-contiguous
+    (count, normals_per_trial) float64 array that is filled and returned.
     """
     n = normals_per_trial(cfg)
-    out = np.empty((count, n))
+    if out is None:
+        out = np.empty((count, n))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     key = state["state"]["key"]
     counter = state["state"]["counter"]
-    for i in range(count):
-        k = trial_key(cfg.master_seed, start + i)
-        key[0] = k & _MASK64
+    for i, k in enumerate(trial_keys(cfg.master_seed, start, count).tolist()):
+        key[0] = k
         key[1] = 0
         counter[:] = 0
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         state["uinteger"] = 0
         bitgen.state = state
-        out[i] = gen.standard_normal(n)
+        gen.standard_normal(n, out=out[i])
     return out
 
 
-def _cancel(cfg, gains, w, h, g):
+def block_trials(cfg):
+    """Trials per cache block: about BLOCK_BYTES of standard normals, at most a chunk."""
+    return min(CHUNK, max(1, BLOCK_BYTES // (8 * normals_per_trial(cfg))))
+
+
+def _cancel(cfg, gains, w, h, g, out=None):
     """Build, solve and (on a finite-resolution surface) quantize a (T, ...) stack.
 
     Returns (h_tilde, b, phi, feasible, residual_rel).  phi is what the
     surface applies, quantized when cfg.resolution_bits is set; feasibility
     and the solver residual / ||b|| refer to the continuous solve, because
-    quantized levels are within [0, 1) by construction.
+    quantized levels are within [0, 1) by construction.  out is the
+    build_matrix_batch buffer h_tilde is written to, when given.
     """
-    h_tilde = bf.build_matrix_batch(h, g, gains.l_reflect, cfg.cancellation_mode)
+    h_tilde = bf.build_matrix_batch(h, g, gains.l_reflect, cfg.cancellation_mode, out)
     b = bf.build_target_batch(w, gains.l_direct, cfg.cancellation_mode)
     phi, resid, feasible, _ = bf.solve_passive_batch(h_tilde, b)
     norm_b = np.linalg.norm(b, axis=-1)
@@ -166,11 +197,30 @@ def _cancel(cfg, gains, w, h, g):
 
 
 def _surface_chunk(cfg, gains, start, count):
-    """(eff_gain, residue, feasible, residual_rel) of trials [start, start+count)."""
-    w, h, g = assemble_batch(cfg, draw_chunk_normals(cfg, start, count))
-    _, _, phi, feasible, residual_rel = _cancel(cfg, gains, w, h, g)
-    residue = bf.residues_batch(w, h, g, gains, phi)
-    eff = np.square(np.abs(bf.desired_columns(w))).sum(axis=-1)   # (T, M, K)
+    """(eff_gain, residue, feasible, residual_rel) of trials [start, start+count).
+
+    Runs the chunk block by block (block_trials) through one workspace sized
+    for a single block: the normals, the fading arrays and the system matrix.
+    """
+    M, K = cfg.M, cfg.K
+    block = min(count, block_trials(cfg))
+    normals = np.empty((block, normals_per_trial(cfg)))
+    fading = empty_fading(cfg, block)
+    system = np.empty((block, bf.system_rows(M, K, cfg.L, cfg.cancellation_mode), cfg.N),
+                      dtype=np.complex128)
+
+    eff = np.empty((count, M, K))
+    residue = np.empty((count, M, K))
+    feasible = np.empty(count, dtype=bool)
+    residual_rel = np.empty(count)
+    for s in range(0, count, block):
+        n = min(block, count - s)
+        flat = draw_chunk_normals(cfg, start + s, n, out=normals[:n])
+        w, h, g = assemble_batch(cfg, flat, out=tuple(a[:n] for a in fading))
+        _, _, phi, feasible[s:s + n], residual_rel[s:s + n] = _cancel(
+            cfg, gains, w, h, g, out=system[:n])
+        residue[s:s + n] = bf.residues_batch(w, h, g, gains, phi)
+        eff[s:s + n] = np.square(np.abs(bf.desired_columns(w))).sum(axis=-1)
     return eff, residue, feasible, residual_rel
 
 
@@ -353,17 +403,18 @@ def estimates_from_batch(cfg, batch, metric, feasible_only=False):
     return out
 
 
-_INT_SWEEP_VARS = ("N", "L", "M", "K", "resolution_bits", "trials", "master_seed")
+INT_SWEEP_VARS = ("N", "L", "M", "K", "resolution_bits", "trials", "master_seed")
 
 
 def sweep_config(cfg, variable, value):
     """Config copy with one swept variable replaced (validated).
 
-    Integer variables reject non-integral values instead of truncating them,
-    so the value a CSV row reports is the value that was simulated.
+    Integer variables take an int as it is and reject non-integral floats
+    instead of truncating them, so the value a CSV row reports is the value
+    that was simulated.
     """
-    if variable in _INT_SWEEP_VARS:
-        if not float(value).is_integer():
+    if variable in INT_SWEEP_VARS:
+        if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{variable} must be an integer, got {value!r}")
         value = int(value)
     else:

@@ -249,6 +249,36 @@ def test_sweep_parsing():
             cli.parse_sweep(bad)
 
 
+BIG_SEEDS = [2 ** 53 + 1, 2 ** 64 - 1]   # a float holds neither exactly
+
+
+@pytest.mark.parametrize("seed", BIG_SEEDS)
+def test_sweep_keeps_integer_values_exact(baseline_cfg, seed):
+    var, values = cli.parse_sweep(f"master_seed={seed},7")
+    assert values == (seed, 7) and all(type(v) is int for v in values)
+    assert mc.sweep_config(baseline_cfg, var, values[0]).master_seed == seed
+    # values a float holds keep printing as floats
+    assert cli.csv_row(var, values[1], 0, 0, "OP_user", 0.5, 0.0, 1, baseline_cfg,
+                       "f").split(",")[1] == "7.0"
+
+
+@pytest.mark.parametrize("seed", BIG_SEEDS)
+def test_simulate_sweeps_big_seeds_exactly(small_cfg_file, tmp_path, capsys, seed):
+    """--sweep master_seed=S simulates the rows --seed S does."""
+    rows = {}
+    for name, args in (("sweep", ["--sweep", f"master_seed={seed}"]),
+                       ("seed", ["--seed", seed])):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(["simulate", "--config", small_cfg_file, "--out", out, "--trials", 500,
+                        "--metrics", "OP_user,ER_user", "--threads", 1, *args]) == 0
+        rows[name] = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    assert len(rows["sweep"]) == 8
+    assert [r[:2] for r in rows["sweep"]] == [["master_seed", str(seed)]] * 8
+    assert [r[2:] for r in rows["sweep"]] == [r[2:] for r in rows["seed"]]
+    err = capsys.readouterr().err
+    assert f"[1/1] master_seed={seed} (500 trials)" in err and "failed" not in err
+
+
 def test_dump_blocks(small_cfg_file, tmp_path):
     out = tmp_path / "dump.csv"
     assert run_cli(["dump", "--config", small_cfg_file, "--trial", "2",

@@ -5,14 +5,16 @@ import pytest
 
 from scbsim.analytics import ClosedFormInputs, op_closed_form
 from scbsim.beamforming import build_matrix_batch, build_target_batch, solve_passive_batch
-from scbsim.channel import assemble_batch, normals_per_trial
+from scbsim.channel import assemble_batch, empty_fading, normals_per_trial
 from scbsim.cli import parse_sweep
 from scbsim.linkmetrics import sinr_sic
 from scbsim.montecarlo import (
+    BLOCK_BYTES,
     CHUNK,
     METRICS,
     SurfaceBatch,
     _surface_chunk,
+    block_trials,
     draw_chunk_normals,
     estimates_from_batch,
     link_stage,
@@ -21,6 +23,7 @@ from scbsim.montecarlo import (
     surface_stage,
     sweep_config,
     trial_key,
+    trial_keys,
     trial_rng,
 )
 from scbsim.pathloss import compute_gains
@@ -41,6 +44,14 @@ def fast_cfg(baseline_cfg):
     return baseline_cfg.with_updates(N=16, tx_power_dbm=0.0, trials=4000)
 
 
+@pytest.fixture(scope="module")
+def wide_cfg(baseline_cfg):
+    """N=256: a block is a small fraction of a chunk."""
+    cfg = baseline_cfg.with_updates(N=256, tx_power_dbm=20.0)
+    assert 1 < block_trials(cfg) < CHUNK // 8
+    return cfg
+
+
 def test_trial_key_frozen_values():
     # pinned so the documented cross-language derivation cannot drift
     assert splitmix64(0) == 16294208416658607535
@@ -48,6 +59,13 @@ def test_trial_key_frozen_values():
     assert trial_key(12345, 0) == 8814202233882078983
     assert trial_key(12345, 1) == 1440032734657043752
     assert trial_key(2 ** 64 - 1, 2 ** 32) == 7289086089401116507
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+def test_trial_keys_match_scalar_reference(seed):
+    keys = trial_keys(seed, 0, 4096)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [trial_key(seed, i) for i in range(4096)]
 
 
 def test_trial_streams_are_distinct():
@@ -79,6 +97,58 @@ def test_one_trial_chunk_matches_batch_row(fast_cfg):
             one = SurfaceBatch(*_surface_chunk(cfg, gains, t, 1),
                                failed=np.zeros(1, dtype=bool), cfg=cfg)
             assert rows_of(link_stage(cfg, one)) == rows_of(batch, slice(t, t + 1))
+
+
+@pytest.mark.parametrize("updates", [{}, {"cancellation_mode": "per-symbol"},
+                                     {"resolution_bits": 3}],
+                         ids=["ideal", "per-symbol", "bits=3"])
+def test_block_boundary_rows_match_one_trial_chunks(wide_cfg, updates):
+    """Rows on both sides of every kind of block boundary equal a one-trial chunk."""
+    cfg = wide_cfg.with_updates(**updates)
+    gains = compute_gains(cfg)
+    block = block_trials(cfg)
+    trials = CHUNK + block + 7     # the second chunk ends in a partial block
+    batch = run_trials(cfg, trials, threads=2)
+    for t in (0, block - 1, block, CHUNK - 1, CHUNK, CHUNK + block, trials - 1):
+        one = SurfaceBatch(*_surface_chunk(cfg, gains, t, 1),
+                           failed=np.zeros(1, dtype=bool), cfg=cfg)
+        assert rows_of(link_stage(cfg, one)) == rows_of(batch, slice(t, t + 1)), t
+
+
+def test_block_trials_sized_by_bytes(baseline_cfg, wide_cfg):
+    # criterion 05's L=1 system: a whole chunk fits one block
+    assert block_trials(baseline_cfg.with_updates(L=1, N=8)) == CHUNK
+    block = block_trials(wide_cfg)
+    assert block * 8 * normals_per_trial(wide_cfg) <= BLOCK_BYTES
+    assert (block + 1) * 8 * normals_per_trial(wide_cfg) > BLOCK_BYTES
+    assert block_trials(baseline_cfg.with_updates(N=10 ** 6)) == 1
+
+
+@pytest.mark.parametrize("updates", [{}, {"cancellation_mode": "per-symbol"},
+                                     {"M": 1, "d_user": ((160.0, 80.0),),
+                                      "d_direct": ((200.0, 100.0),)}],
+                         ids=["aggregate", "per-symbol", "M=1"])
+def test_out_buffers_are_filled_and_returned(baseline_cfg, updates):
+    """Each layer's out= fills and returns the given buffers with the bytes it would allocate."""
+    cfg = baseline_cfg.with_updates(**updates)
+    gains = compute_gains(cfg)
+    count = 5
+    flat = draw_chunk_normals(cfg, 3, count)
+    buf = np.full((count + 2, normals_per_trial(cfg)), np.nan)
+    assert draw_chunk_normals(cfg, 3, count, out=buf[:count]).base is buf
+    assert buf[:count].tobytes() == flat.tobytes()
+
+    fading = assemble_batch(cfg, flat)
+    given = empty_fading(cfg, count)
+    got = assemble_batch(cfg, flat, out=given)
+    for a, b, want in zip(got, given, fading):
+        assert a is b and a.tobytes() == want.tobytes()
+
+    w, h, g = fading
+    want = build_matrix_batch(h, g, gains.l_reflect, cfg.cancellation_mode)
+    given = np.full(want.shape, np.nan, dtype=np.complex128)
+    got = build_matrix_batch(h, g, gains.l_reflect, cfg.cancellation_mode, out=given)
+    assert got is given and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("updates", [{}, {"resolution_bits": 3},
@@ -135,13 +205,27 @@ def test_salvage_marks_only_the_failing_trial(baseline_cfg, fail_trial):
             assert {r.trials for r in estimates_from_batch(point, batch, metric)} == {5999}
 
 
-def test_thread_count_does_not_change_results(fast_cfg):
+def test_salvage_in_a_middle_block(wide_cfg, fail_trial):
+    """The salvaged chunk's one-trial reruns equal the blocked run on every other trial."""
+    failing = 2 * block_trials(wide_cfg) + 3   # the third of five blocks
+    trials = 5 * block_trials(wide_cfg)
+    clean = run_trials(wide_cfg, trials, threads=2)
+    fail_trial(failing)
+    rest = np.arange(trials) != failing
+    for threads in (1, 2):
+        batch = run_trials(wide_cfg, trials, threads=threads)
+        assert np.flatnonzero(batch.failed).tolist() == [failing]
+        assert rows_of(batch, rest, OUTCOMES) == rows_of(clean, rest, OUTCOMES)
+
+
+def test_thread_count_does_not_change_results(fast_cfg, wide_cfg):
     trials = CHUNK + 123   # force a partial chunk
-    batches = [run_trials(fast_cfg, trials, threads=t) for t in (1, 2, 8)]
-    for other in batches[1:]:
-        for field in ("outage", "rate", "oma_rate", "residue", "eff_gain",
-                      "feasible", "residual_rel"):
-            assert np.array_equal(getattr(batches[0], field), getattr(other, field))
+    for cfg in (fast_cfg, wide_cfg):
+        batches = [run_trials(cfg, trials, threads=t) for t in (1, 2, 8)]
+        for other in batches[1:]:
+            for field in ("outage", "rate", "oma_rate", "residue", "eff_gain",
+                          "feasible", "residual_rel"):
+                assert np.array_equal(getattr(batches[0], field), getattr(other, field))
 
 
 def test_ideal_solver_residuals_negligible(fast_cfg):
