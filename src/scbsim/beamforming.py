@@ -81,7 +81,8 @@ def build_matrix_batch(h, g, l_reflect, mode, out=None):
     """Stacked effective matrices for a batch of trials; shape (T, rows, N).
 
     out, when given, is a C-contiguous complex (T, rows, N) array that is
-    filled and returned in place of a new one.
+    filled and returned in place of a new one.  In aggregate mode it may be
+    g's own memory: the rows are then g scaled in place, with the same bytes.
     """
     T, M, K, L, N = g.shape
     n_rows = system_rows(M, K, L, mode)
@@ -117,14 +118,6 @@ def solve_passive_batch(h_tilde, b):
     return phi, resid, feasible, consistent
 
 
-def _level_indices(amplitudes, phases, T):
-    """Nearest amplitude and (circular) phase level indices, as floats; ties go down."""
-    amp_idx = np.clip(np.ceil(np.asarray(amplitudes) * T - 0.5), 0, T - 1)
-    ph = np.mod(np.asarray(phases), TWO_PI)
-    ph_idx = np.mod(np.ceil(ph / (TWO_PI / T) - 0.5), T)
-    return amp_idx, ph_idx
-
-
 def quantize_levels(amplitudes, phases, bits):
     """Nearest discrete levels for amplitudes and (circular) phases.
 
@@ -135,33 +128,66 @@ def quantize_levels(amplitudes, phases, bits):
     if bits < 1:
         raise ValueError("bits must be >= 1")
     T = 2 ** int(bits)
-    amp_idx, ph_idx = _level_indices(amplitudes, phases, T)
+    amp_idx = np.clip(np.ceil(np.asarray(amplitudes) * T - 0.5), 0, T - 1)
+    ph = np.mod(np.asarray(phases), TWO_PI)
+    ph_idx = np.mod(np.ceil(ph / (TWO_PI / T) - 0.5), T)
     return amp_idx * (1.0 / T), ph_idx * (TWO_PI / T)
 
 
 def quantize_surface(phi, bits):
     """Coefficients phi on a b-bit surface: amp * exp(1j * phase) at the nearest levels.
 
-    The unit phasors come from a 2^bits-entry table, which holds exactly the
-    values np.exp(1j * phase) gives for the level phases quantize_levels returns.
+    The levels of quantize_levels, computed in place.  np.angle lies in
+    [-pi, pi], so adding 2*pi to the negative phases gives np.mod's values
+    (a -0.0 phase becomes +0.0, the same level), and masking with T - 1
+    wraps level T to 0.  The unit phasors come from a 2^bits-entry table
+    holding exactly the values np.exp(1j * phase) gives for the level phases.
     """
     if bits < 1:
         raise ValueError("bits must be >= 1")
     T = 2 ** int(bits)
-    amp_idx, ph_idx = _level_indices(np.abs(phi), np.angle(phi), T)
+    amp = np.abs(phi)
+    amp *= T
+    amp -= 0.5
+    np.ceil(amp, out=amp)
+    np.clip(amp, 0, T - 1, out=amp)
+    amp *= 1.0 / T
+    ph = np.angle(phi)
+    ph += (ph < 0) * TWO_PI
+    ph /= TWO_PI / T
+    ph -= 0.5
+    np.ceil(ph, out=ph)
+    ph_idx = ph.astype(np.intp)
+    ph_idx &= T - 1
     phasors = np.exp(1j * (np.arange(T) * (TWO_PI / T)))
-    return amp_idx * (1.0 / T) * phasors[ph_idx.astype(np.intp)]
+    out = phasors[ph_idx]
+    return np.multiply(amp, out, out=out)
+
+
+def aggregate_residues(h_tilde, b, phi, M, K):
+    """Residue per user of an aggregate system: (T, M, K) nonnegative.
+
+    Residue of user (m, k) is sum_l |h_tilde phi - b|^2 over its rows
+    (m, k, l), the squared norm of the aggregate mismatch
+    sqrt(Lr) * G diag(phi) H 1_M + sqrt(Lb) * Wbar 1_{M-1}; zero means the
+    reflected path exactly cancels the direct inter-cluster interference.
+    With M = 1 there is no interference and every residue is 0.
+    """
+    T = phi.shape[0]
+    if M == 1:
+        return np.zeros((T, M, K))
+    err = np.matmul(h_tilde, phi[..., None])[..., 0]
+    err -= b
+    return np.square(np.abs(err)).reshape(T, M, K, -1).sum(axis=-1)
 
 
 def residues_batch(w, h, g, gains, phi):
-    """Interference residue per user for a batch: (T, M, K) nonnegative.
+    """Interference residue per user for a batch: (T, M, K), see aggregate_residues.
 
-    Residue of user (m, k) is the squared norm of the aggregate mismatch
-    sqrt(Lr) * G diag(phi) H 1_M + sqrt(Lb) * Wbar 1_{M-1}; zero means the
-    reflected path exactly cancels the direct inter-cluster interference.
+    Builds the aggregate system of (w, h, g) whatever the cancellation mode
+    phi was solved in.
     """
-    hsum = h.sum(axis=-1)                                   # (T, N)
-    refl = np.einsum("tmkln,tn->tmkl", g, phi * hsum)
-    refl *= np.sqrt(gains.l_reflect)[None, :, :, None]
-    direct = np.sqrt(gains.l_direct)[None, :, :, None] * interference_sums(w)
-    return np.square(np.abs(refl + direct)).sum(axis=-1)
+    _, M, K, _, _ = g.shape
+    h_tilde = build_matrix_batch(h, g, gains.l_reflect, AGGREGATE)
+    b = build_target_batch(w, gains.l_direct, AGGREGATE)
+    return aggregate_residues(h_tilde, b, phi, M, K)

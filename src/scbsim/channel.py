@@ -32,12 +32,16 @@ def normals_per_trial(cfg):
     return 2 * n_complex
 
 
-def empty_fading(cfg, trials):
-    """Uninitialized (w, h, g) arrays for ``trials`` trials, as assemble_batch fills them."""
+def empty_fading(cfg, trials, g=None):
+    """Uninitialized (w, h, g) arrays for ``trials`` trials, as assemble_batch fills them.
+
+    g, when given, is a (trials, M, K, L, N) complex buffer used as the g array.
+    """
     M, K, L, N = cfg.M, cfg.K, cfg.L, cfg.N
+    if g is None:
+        g = np.empty((trials, M, K, L, N), dtype=np.complex128)
     return (np.empty((trials, M, K, L, M), dtype=np.complex128),
-            np.empty((trials, N, M), dtype=np.complex128),
-            np.empty((trials, M, K, L, N), dtype=np.complex128))
+            np.empty((trials, N, M), dtype=np.complex128), g)
 
 
 def assemble_batch(cfg, flat, out=None):

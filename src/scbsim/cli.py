@@ -108,6 +108,9 @@ def _load_cfg(args):
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     cfg = load_config(text)
+    if getattr(args, "threads", None) is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1 (leave it out for automatic), "
+                          f"got {args.threads}")
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed
@@ -315,6 +318,8 @@ def cmd_validate(args):
 def cmd_dump(args):
     """Debug dump of one trial: channels, stacked system, solution, residues."""
     cfg = _load_cfg(args)
+    if not 0 <= args.trial < 2 ** 64:
+        raise ConfigError(f"--trial must be in [0, 2^64), got {args.trial}")
     gains = compute_gains(cfg)
     w, h, g = assemble_batch(cfg, mc.draw_chunk_normals(cfg, args.trial, 1))
     h_tilde, b, phi, _, _ = mc._cancel(cfg, gains, w, h, g)
@@ -351,7 +356,8 @@ def _add_common(p, config_required=True):
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--seed", type=int, help="override montecarlo.master_seed")
     p.add_argument("--trials", type=int, help="override montecarlo.trials")
-    p.add_argument("--threads", type=int, help="worker threads (results identical)")
+    p.add_argument("--threads", type=int,
+                   help="worker threads, at least 1 (default: automatic; results identical)")
     p.add_argument("--mode", help="ideal | bits=B (override ris.resolution_bits)")
     p.add_argument("--cancellation", choices=(AGGREGATE, PER_SYMBOL),
                    help="override ris.cancellation_mode")

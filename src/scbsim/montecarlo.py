@@ -21,10 +21,12 @@ task and the unit the salvage path reruns trial by trial.  Inside a chunk,
 trials run in blocks of ``block_trials(cfg)``, about BLOCK_BYTES of standard
 normals, so that a block's arrays stay in cache from draw to residue.  Each
 chunk allocates one workspace sized for a single block (the normals, the
-fading arrays and the system matrix) and every block reuses it, which keeps
-the allocation, and the page faults, the same from pass to pass.  The block
-size depends on the config only, never on the thread count, and no trial's
-values depend on the block or chunk it is computed in.
+fading arrays w, h, g and the system matrix) and every block reuses it, which
+keeps the allocation, and the page faults, the same from pass to pass.  In
+aggregate mode the system matrix is g scaled in place, so g shares the
+system's memory and the residues are taken from the system and target the
+solver used.  The block size depends on the config only, never on the thread
+count, and no trial's values depend on the block or chunk it is computed in.
 
 Key derivation (fixed for cross-language reproduction):
 
@@ -55,7 +57,7 @@ from . import linkmetrics as lm
 from .analytics import energy_efficiency
 from .channel import assemble_batch, empty_fading, normals_per_trial
 from .pathloss import compute_gains
-from .scenario import ConfigError, ScenarioConfig, fingerprint
+from .scenario import AGGREGATE, ConfigError, ScenarioConfig, fingerprint
 
 CHUNK = 2048          # fixed chunk size; must not depend on the thread count
 BLOCK_BYTES = 2 << 20  # standard normals per cache block (block_trials), in bytes
@@ -201,13 +203,18 @@ def _surface_chunk(cfg, gains, start, count):
 
     Runs the chunk block by block (block_trials) through one workspace sized
     for a single block: the normals, the fading arrays and the system matrix.
+    In aggregate mode the system is g scaled in place, row (m, k, l) from
+    g[m, k, l], so g is assembled straight into the system's memory and the
+    residues come from the system the solver used.
     """
-    M, K = cfg.M, cfg.K
+    M, K, L, N = cfg.M, cfg.K, cfg.L, cfg.N
+    aggregate = cfg.cancellation_mode == AGGREGATE
     block = min(count, block_trials(cfg))
     normals = np.empty((block, normals_per_trial(cfg)))
-    fading = empty_fading(cfg, block)
-    system = np.empty((block, bf.system_rows(M, K, cfg.L, cfg.cancellation_mode), cfg.N),
+    system = np.empty((block, bf.system_rows(M, K, L, cfg.cancellation_mode), N),
                       dtype=np.complex128)
+    shared_g = system.reshape(block, M, K, L, N) if aggregate and M > 1 else None
+    fading = empty_fading(cfg, block, shared_g)
 
     eff = np.empty((count, M, K))
     residue = np.empty((count, M, K))
@@ -217,9 +224,10 @@ def _surface_chunk(cfg, gains, start, count):
         n = min(block, count - s)
         flat = draw_chunk_normals(cfg, start + s, n, out=normals[:n])
         w, h, g = assemble_batch(cfg, flat, out=tuple(a[:n] for a in fading))
-        _, _, phi, feasible[s:s + n], residual_rel[s:s + n] = _cancel(
+        h_tilde, b, phi, feasible[s:s + n], residual_rel[s:s + n] = _cancel(
             cfg, gains, w, h, g, out=system[:n])
-        residue[s:s + n] = bf.residues_batch(w, h, g, gains, phi)
+        residue[s:s + n] = (bf.aggregate_residues(h_tilde, b, phi, M, K) if aggregate
+                            else bf.residues_batch(w, h, g, gains, phi))
         eff[s:s + n] = np.square(np.abs(bf.desired_columns(w))).sum(axis=-1)
     return eff, residue, feasible, residual_rel
 

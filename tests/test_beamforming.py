@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scbsim.beamforming import (
+    aggregate_residues,
     build_matrix_batch,
     build_target_batch,
     quantize_levels,
@@ -283,3 +284,45 @@ def test_residues_batch_matches_single(baseline_cfg):
             for k in range(2):
                 assert batch[t, m, k] == pytest.approx(
                     dense_residue(w[t], h[t], g[t], gains, phi[t], m, k), rel=1e-10)
+
+
+def test_aggregate_residues_match_dense(baseline_cfg):
+    """The engine's residues from the solved system, for a solved and a 3-bit phi."""
+    w, h, g = drawn_channel(baseline_cfg, 10, trials=3)
+    gains = compute_gains(baseline_cfg)
+    h_tilde, b = system(w, h, g, gains, AGGREGATE)
+    solved, _, _, _ = solve_passive_batch(h_tilde, b)
+    for phi in (solved, quantize_surface(solved, 3)):
+        got = aggregate_residues(h_tilde, b, phi, 2, 2)
+        assert got.shape == (3, 2, 2)
+        for t in range(3):
+            for m in range(2):
+                for k in range(2):
+                    assert got[t, m, k] == pytest.approx(
+                        dense_residue(w[t], h[t], g[t], gains, phi[t], m, k),
+                        rel=1e-10, abs=1e-30)
+        assert got.tobytes() == residues_batch(w, h, g, gains, phi).tobytes()
+
+
+def test_aggregate_residues_single_cluster_are_zero(baseline_cfg):
+    cfg = baseline_cfg.with_updates(M=1, d_user=baseline_cfg.d_user[:1],
+                                    d_direct=baseline_cfg.d_direct[:1])
+    w, h, g = drawn_channel(cfg, 11, trials=4)
+    gains = compute_gains(cfg)
+    h_tilde, b = system(w, h, g, gains, AGGREGATE)
+    phi, _, _, _ = solve_passive_batch(h_tilde, b)
+    for got in (aggregate_residues(h_tilde, b, phi, 1, cfg.K),
+                residues_batch(w, h, g, gains, phi)):
+        assert got.shape == (4, 1, cfg.K)
+        assert got.tobytes() == np.zeros((4, 1, cfg.K)).tobytes()
+
+
+def test_aggregate_build_in_place_of_g(baseline_cfg):
+    """Writing the aggregate rows over g gives the bytes of a separate buffer."""
+    w, h, g = drawn_channel(baseline_cfg, 12, trials=5)
+    gains = compute_gains(baseline_cfg)
+    want = build_matrix_batch(h, g, gains.l_reflect, AGGREGATE)
+    T, M, K, L, N = g.shape
+    got = build_matrix_batch(h, g, gains.l_reflect, AGGREGATE, out=g.reshape(T, M * K * L, N))
+    assert np.shares_memory(got, g)
+    assert got.tobytes() == want.tobytes()

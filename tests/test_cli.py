@@ -288,6 +288,34 @@ def test_dump_blocks(small_cfg_file, tmp_path):
     assert {"H", "W[0][0]", "G[1][1]", "H_tilde", "B", "phi", "residue"} <= blocks
 
 
+@pytest.mark.parametrize("trial", [-1, 2 ** 64])
+def test_dump_trial_out_of_range_exit2(small_cfg_file, capsys, trial):
+    assert run_cli(["dump", "--config", small_cfg_file, "--trial", trial]) == 2
+    assert "--trial must be in [0, 2^64)" in capsys.readouterr().err
+
+
+def test_dump_last_trial_index(small_cfg_file, tmp_path):
+    out = tmp_path / "last.csv"
+    assert run_cli(["dump", "--config", small_cfg_file, "--trial", 2 ** 64 - 1,
+                    "--out", out]) == 0
+    assert any(l.startswith("residue,") for l in out.read_text().splitlines())
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_threads_below_one_exit2(small_cfg_file, tmp_path, monkeypatch, capsys,
+                                 command, threads):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran trials")
+
+    monkeypatch.setattr(mc, "surface_stage", no_run)
+    out = tmp_path / "never.csv"
+    assert run_cli([command, "--config", small_cfg_file, "--out", out,
+                    "--threads", threads]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode,bits", [("ideal", None), ("bits=3", 3)])
 def test_dump_residues_are_the_engine_residues(small_cfg_file, tmp_path, mode, bits):
     cfg = load_config(small_cfg_file.read_text()).with_updates(resolution_bits=bits)

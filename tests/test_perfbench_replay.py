@@ -27,7 +27,8 @@ def replay(monkeypatch):
 
 
 @pytest.mark.parametrize("updates", [{}, {"resolution_bits": 3},
-                                     {"cancellation_mode": "per-symbol"}])
+                                     {"cancellation_mode": "per-symbol"},
+                                     {"N": 256, "resolution_bits": 3}])   # mc_wide_3bit
 def test_replay_point_matches_run_trials(baseline_cfg, replay, updates):
     cfg = baseline_cfg.with_updates(trials=2100, **updates)   # one full and one partial chunk
     replayed = replay.replay_point(replay.Tracer(), cfg)
