@@ -104,6 +104,18 @@ def er_user_K(inputs):
     return er_from_threshold_scale(inputs.rate_threshold_scale, inputs.L)
 
 
+def closed_form(cfg, metric, m, k):
+    """OP_user or OP_oma of user (m, k), ER_user of the nearest user (k = K-1) or
+    OP_pair of cluster m (k None, the product of its users' OP) for a config.
+    Raises InfeasibleRatesError when the allocation cannot sustain the rates."""
+    if metric == "OP_pair":
+        return math.prod(closed_form(cfg, "OP_user", m, j) for j in range(cfg.K))
+    inputs = ClosedFormInputs.from_config(cfg, m, k)
+    if metric == "ER_user":
+        return er_user_K(inputs)
+    return (op_closed_form if metric == "OP_user" else op_oma)(inputs, k)
+
+
 def er_from_threshold_scale(c, L):
     """Closed-form ergodic rate given C and the antenna count (see module doc)."""
     if not c > 0:

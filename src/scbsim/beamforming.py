@@ -112,7 +112,7 @@ def solve_passive_batch(h_tilde, b):
     """
     phi, resid = min_norm_solve_batch(h_tilde, b)
     amp = np.abs(phi)
-    feasible = amp.max(axis=-1) <= 1.0 + FEASIBLE_TOL if phi.shape[-1] else np.ones(phi.shape[:-1], bool)
+    feasible = amp.max(axis=-1) <= 1.0 + FEASIBLE_TOL
     norm_b = np.linalg.norm(b, axis=-1)
     consistent = resid <= CONSISTENT_TOL * norm_b + 1e-300
     return phi, resid, feasible, consistent

@@ -20,13 +20,7 @@ import numpy as np
 from . import beamforming as bf
 from . import montecarlo as mc
 from . import validation
-from .analytics import (
-    ClosedFormInputs,
-    InfeasibleRatesError,
-    er_user_K,
-    op_closed_form,
-    op_oma,
-)
+from .analytics import InfeasibleRatesError, closed_form
 from .channel import assemble_batch
 from .montecarlo import METRICS
 from .pathloss import (
@@ -267,16 +261,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _closed_form(point, metric, m, k):
-    """Closed-form value of one analytic row; k is None for OP_pair."""
-    if metric == "OP_pair":
-        return math.prod(_closed_form(point, "OP_user", m, j) for j in range(point.K))
-    inputs = ClosedFormInputs.from_config(point, m, k)
-    if metric == "ER_user":
-        return er_user_K(inputs)
-    return (op_closed_form if metric == "OP_user" else op_oma)(inputs, k)
-
-
 def cmd_analytic(args):
     cfg = _load_cfg(args)
     var, values, metrics = _sweep_request(args, cfg, ANALYTIC_METRICS)
@@ -291,7 +275,7 @@ def cmd_analytic(args):
             for m in range(point.M):
                 for k in users:
                     try:
-                        name, estimate = metric, _closed_form(point, metric, m, k)
+                        name, estimate = metric, closed_form(point, metric, m, k)
                     except InfeasibleRatesError:
                         assumption_violated = True
                         name, estimate = metric + "_infeasible", 1.0

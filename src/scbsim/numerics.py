@@ -26,7 +26,6 @@ _ITMAX = 20000
 CONSISTENT_TOL = 1e-8       # residual/||b|| threshold for an exact (consistent) solve
 RANK_TOL = 1e-10            # the SVD truncates singular values below RANK_TOL * s_max
 GRAM_MIN_EIG_RATIO = 1e-4   # smallest lambda_min/lambda_max of a a^H the Gram path accepts
-_GRAM_BLOCK = 256           # systems conjugated at a time: the temporary copy stays cache-sized
 
 
 class NumericsError(ArithmeticError):
@@ -86,7 +85,7 @@ def _gram_min_norm(a, b):
     warning here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = _gram(a)
+        gram = np.matmul(a, a.conj().swapaxes(-1, -2))
         ok = np.isfinite(gram).all(axis=(-2, -1))
         # LAPACK leaves non-finite input unspecified: keep it out of eigvalsh
         gram[~ok] = np.eye(a.shape[-2])
@@ -113,15 +112,6 @@ def _gram_solve(a, b, gram):
     resid = np.linalg.norm(ax, axis=-1)
     ok = np.isfinite(x).all(axis=-1) & (resid <= CONSISTENT_TOL * np.linalg.norm(b, axis=-1))
     return x, resid, ok
-
-
-def _gram(a):
-    """a a^H for a (T, r, c) stack, conjugating _GRAM_BLOCK systems at a time."""
-    out = np.empty(a.shape[:-1] + a.shape[-2:-1], dtype=np.complex128)
-    for s in range(0, a.shape[0], _GRAM_BLOCK):
-        blk = a[s:s + _GRAM_BLOCK]
-        np.matmul(blk, blk.conj().swapaxes(-1, -2), out=out[s:s + _GRAM_BLOCK])
-    return out
 
 
 def _svd_min_norm(a, b):

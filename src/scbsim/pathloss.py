@@ -72,31 +72,18 @@ def compute_gains(cfg):
     return LargeScaleGains(l_direct=l_direct, l_reflect=l_reflect)
 
 
-def _amplitude_bound(M, reflected, d_b, alpha3):
-    """Elements needed so reflected power covers (M-1) interfering beams."""
-    ratio = largescale_direct(d_b, alpha3) / reflected
+def min_ris_power(scenario, M, d1, d2, d_b, alpha1, alpha2, alpha3):
+    """Minimal element count for the reflected power to cover (M-1) interfering beams."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    ratio = largescale_direct(d_b, alpha3) / reflected_gain(scenario, d1, d2, alpha1, alpha2)
     return max(1, math.ceil((M - 1) * math.sqrt(ratio)))
-
-
-def min_ris_diffuse(M, d1, d2, d_b, alpha1, alpha2, alpha3):
-    """Minimal element count under the product-distance law (power condition)."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    return _amplitude_bound(M, largescale_diffuse(d1, d2, alpha1, alpha2), d_b, alpha3)
-
-
-def min_ris_anomalous(M, d1, d2, d_b, alpha1, alpha2, alpha3):
-    """Minimal element count under the sum-distance law (power condition)."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    return _amplitude_bound(M, largescale_anomalous(d1, d2, alpha1, alpha2), d_b, alpha3)
 
 
 def min_ris_power_bound(cfg, m, k):
     """Per-user amplitude feasibility bound for the configured scenario."""
-    fn = min_ris_diffuse if cfg.ris_scenario == DIFFUSE else min_ris_anomalous
-    return fn(cfg.M, cfg.d1, cfg.d_user[m][k], cfg.d_direct[m][k],
-              cfg.alpha1, cfg.alpha2, cfg.alpha3)
+    return min_ris_power(cfg.ris_scenario, cfg.M, cfg.d1, cfg.d_user[m][k], cfg.d_direct[m][k],
+                         cfg.alpha1, cfg.alpha2, cfg.alpha3)
 
 
 def solvability_bound(cfg):
@@ -148,14 +135,9 @@ def table2():
     in both scenarios.
     """
     g = TABLE2_GEOMETRY
-    rows = []
-    for a1, a2, a3 in TABLE2_TRIPLES:
-        rows.append((DIFFUSE, a1, a2, a3,
-                     min_ris_diffuse(g["M"], g["d1"], g["d2"], g["d_b"], a1, a2, a3)))
-    for a1, a2, a3 in TABLE2_TRIPLES:
-        rows.append((ANOMALOUS, a1, a2, a3,
-                     min_ris_anomalous(g["M"], g["d1"], g["d2"], g["d_b"], a1, a2, a3)))
-    return rows
+    return [(scenario, a1, a2, a3,
+             min_ris_power(scenario, g["M"], g["d1"], g["d2"], g["d_b"], a1, a2, a3))
+            for scenario in (DIFFUSE, ANOMALOUS) for a1, a2, a3 in TABLE2_TRIPLES]
 
 
 # Golden values for the reference table; cmd_table2 trips on any regression.

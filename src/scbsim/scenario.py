@@ -59,10 +59,10 @@ class PowerModel:
 
     def validate(self):
         for name in ("p_bs_watt", "p_user_watt", "p_ris_watt"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"power_model.{name} must be >= 0")
-        if self.amp_factor < 1.0:
-            raise ConfigError("power_model.amp_factor must be >= 1")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"power_model.{name} must be finite and >= 0")
+        if not 1.0 <= self.amp_factor < math.inf:
+            raise ConfigError("power_model.amp_factor must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,16 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         for name in ("d1", "alpha1", "alpha2", "alpha3", "rician_k1", "rician_k2"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ConfigError(f"{name} must be strictly positive, got {v!r}")
+            if not 0 < v < math.inf:
+                raise ConfigError(f"{name} must be strictly positive and finite, got {v!r}")
         for label, mat in (("d_user", self.d_user), ("d_direct", self.d_direct)):
             if len(mat) != self.M or any(len(row) != self.K for row in mat):
                 raise ConfigError(
                     f"geometry.{label} must be an M x K ({self.M} x {self.K}) matrix; "
                     "every per-user distance must be given explicitly"
                 )
-            if any(not d > 0 for row in mat for d in row):
-                raise ConfigError(f"geometry.{label} entries must be strictly positive")
+            if any(not 0 < d < math.inf for row in mat for d in row):
+                raise ConfigError(f"geometry.{label} entries must be strictly positive and finite")
         if len(self.power_alloc) != self.K:
             raise ConfigError(f"noma.power_alloc must have K={self.K} entries")
         if len(self.target_rate) != self.K:
@@ -135,8 +135,8 @@ class ScenarioConfig:
             raise ConfigError(
                 "noma.power_alloc must be non-increasing (user 0 is the farthest user)"
             )
-        if any(r < 0 for r in self.target_rate):
-            raise ConfigError("noma.target_rate entries must be >= 0")
+        if any(not 0 <= r < math.inf for r in self.target_rate):
+            raise ConfigError("noma.target_rate entries must be finite and >= 0")
         if self.ris_scenario not in RIS_SCENARIOS:
             raise ConfigError(f"ris.ris_scenario must be one of {RIS_SCENARIOS}")
         if self.cancellation_mode not in CANCELLATION_MODES:
@@ -146,8 +146,8 @@ class ScenarioConfig:
                 raise ConfigError("ris.resolution_bits must be an integer >= 1 when present")
         if not math.isfinite(self.tx_power_dbm):
             raise ConfigError("tx_power_dbm must be finite")
-        if not self.bandwidth_hz > 0:
-            raise ConfigError("bandwidth_hz must be strictly positive")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ConfigError("bandwidth_hz must be strictly positive and finite")
         if self.noise_dbm_override is not None and not math.isfinite(self.noise_dbm_override):
             raise ConfigError("noise_dbm_override must be finite")
         self.power_model.validate()
@@ -235,16 +235,24 @@ _REQUIRED = (
 _POWER_MODEL_FIELDS = ("p_bs_watt", "p_user_watt", "p_ris_watt", "amp_factor")
 
 
+def _parse_int(text):
+    """An integer literal exactly; a float literal (40.0, 1e3) only when it is integral."""
+    try:
+        return int(text)
+    except ValueError:
+        f = float(text)
+        if not f.is_integer():   # also nan and inf
+            raise ValueError(text) from None
+        return int(f)
+
+
 def _parse_scalar(text, kind, key):
     text = text.strip()
     if kind in ("optfloat", "optint") and text.lower() in ("none", ""):
         return None
     try:
         if kind in ("int", "optint"):
-            f = float(text)
-            if f != int(f):
-                raise ValueError
-            return int(f)
+            return _parse_int(text)
         if kind in ("float", "optfloat"):
             return float(text)
     except ValueError:

@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import montecarlo as mc
 from .analytics import (
     ClosedFormInputs,
+    closed_form,
     diversity_order,
     er_ceiling_user_k,
     er_from_threshold_scale,
-    er_user_K,
     high_snr_slope,
     op_closed_form,
-    op_oma,
 )
 from .channel import assemble_batch
 from .numerics import (
@@ -128,7 +127,7 @@ def check_op_vs_closed_form(cfg, trials, powers_dbm=(20.0, 25.0, 30.0, 35.0),
         sub = ideal.with_updates(tx_power_dbm=float(p_dbm))
         results = mc.estimates_from_batch(sub, mc.link_stage(sub, surfaces), "OP_user")
         for r in results:
-            closed = op_closed_form(ClosedFormInputs.from_config(sub, r.m, r.k), r.k)
+            closed = closed_form(sub, "OP_user", r.m, r.k)
             pstar = min(max(r.estimate, closed, 1.0 / trials), 1.0 - 1.0 / trials)
             se = max(r.stderr, math.sqrt(pstar * (1.0 - pstar) / trials))
             pulls = abs(r.estimate - closed) / se
@@ -142,12 +141,12 @@ def check_op_vs_closed_form(cfg, trials, powers_dbm=(20.0, 25.0, 30.0, 35.0),
     )
 
 
-def _invert_closed_op(inputs_factory, k, target):
-    """Transmit power (watts) at which the closed-form OP hits target."""
+def _invert_closed_op(inputs, k, target):
+    """Transmit power (watts) at which the closed-form OP of user k hits target."""
     lo, hi = 1e-9, 1e9
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if op_closed_form(inputs_factory(mid), k) > target:
+        if op_closed_form(replace(inputs, p_watt=mid), k) > target:
             lo = mid
         else:
             hi = mid
@@ -165,18 +164,10 @@ def check_diversity_order(cfg, trials, threads=None):
         rows = cfg.M * cfg.K * L
         sub = cfg.with_updates(L=L, N=2 * rows, resolution_bits=None,
                                master_seed=cfg.master_seed + 100 + L)
-
-        def inputs_at(p_watt, sub=sub):
-            base = ClosedFormInputs.from_config(sub, 0, 0)
-            return ClosedFormInputs(
-                L=base.L, K=base.K, power_alloc=base.power_alloc,
-                target_rate=base.target_rate, p_watt=p_watt,
-                noise_watt=base.noise_watt, l_direct=base.l_direct,
-            )
-
-        p_lo = _invert_closed_op(inputs_at, 0, 8e-3)
-        p_hi = _invert_closed_op(inputs_at, 0, 2.5e-4)
-        closed_curve = [(p, op_closed_form(inputs_at(p), 0)) for p in (p_lo, p_hi)]
+        base = ClosedFormInputs.from_config(sub, 0, 0)
+        p_lo = _invert_closed_op(base, 0, 8e-3)
+        p_hi = _invert_closed_op(base, 0, 2.5e-4)
+        closed_curve = [(p, op_closed_form(replace(base, p_watt=p), 0)) for p in (p_lo, p_hi)]
         slope_closed = diversity_order(closed_curve)
 
         sim_curve = []
@@ -227,7 +218,7 @@ def check_er_vs_closed_form(cfg, trials, powers_dbm=(20.0, 30.0, 40.0), threads=
         for r in results:
             if r.k != k_near:
                 continue
-            closed = er_user_K(ClosedFormInputs.from_config(sub, r.m, r.k))
+            closed = closed_form(sub, "ER_user", r.m, r.k)
             pulls = abs(r.estimate - closed) / max(r.stderr, 1e-12)
             if pulls > worst:
                 worst, worst_at = pulls, f"p={p_dbm} dBm cluster {r.m}"
@@ -248,8 +239,7 @@ def check_high_snr_slopes(cfg, trials, threads=None):
     curve = []
     for p_dbm in (40.0, 50.0):
         sub = cfg.with_updates(tx_power_dbm=p_dbm)
-        curve.append((sub.tx_power_watt,
-                      er_user_K(ClosedFormInputs.from_config(sub, 0, k_near))))
+        curve.append((sub.tx_power_watt, closed_form(sub, "ER_user", 0, k_near)))
     slope_ideal = high_snr_slope(curve)
     ok_a = 0.95 <= slope_ideal <= 1.0
     details.append(f"closed ER slope {slope_ideal:.4f} in [0.95, 1]")
@@ -270,8 +260,10 @@ def check_high_snr_slopes(cfg, trials, threads=None):
     for p_dbm in (40.0, 50.0):
         sub = three_bit.with_updates(tx_power_dbm=p_dbm)
         batch = mc.link_stage(sub, surfaces)
-        ni_er[p_dbm] = float(batch.rate[:, 0, k_near].mean())
-        ni_op[p_dbm] = {k: float(batch.outage[:, 0, k].mean()) for k in range(cfg.K)}
+        ni_er[p_dbm] = next(r.estimate for r in mc.estimates_from_batch(sub, batch, "ER_user")
+                            if r.m == 0 and r.k == k_near)
+        ni_op[p_dbm] = {r.k: r.estimate for r in mc.estimates_from_batch(sub, batch, "OP_user")
+                        if r.m == 0}
     slope_ni = (ni_er[50.0] - ni_er[40.0]) / math.log2(10.0)
     ok_c = abs(slope_ni) < 0.1
     details.append(f"3-bit ER slope {slope_ni:.4f} (<0.1)")
@@ -314,7 +306,7 @@ def check_residue(cfg, trials_exact, trials_bits, threads=None):
     for bits in (3, 4, 5, 6):
         sub = cfg.with_updates(resolution_bits=bits)
         batch = mc.run_trials(sub, trials_bits, threads)
-        means.append(float(batch.residue.mean()))
+        means.append(float(batch.residue[~batch.failed].mean()))
     ok_b = all(means[i + 1] <= means[i] for i in range(len(means) - 1))
     details.append("mean residue by bits " +
                    " -> ".join(f"{v:.3e}" for v in means))
@@ -329,12 +321,8 @@ def check_noma_vs_oma(cfg, p_dbm=30.0):
     """Closed-form pair outage comparison at one power point."""
     t0 = time.perf_counter()
     sub = cfg.with_updates(tx_power_dbm=float(p_dbm))
-    noma = 1.0
-    oma = 1.0
-    for k in range(sub.K):
-        inputs = ClosedFormInputs.from_config(sub, 0, k)
-        noma *= op_closed_form(inputs, k)
-        oma *= op_oma(inputs, k)
+    noma = closed_form(sub, "OP_pair", 0, None)
+    oma = math.prod(closed_form(sub, "OP_oma", 0, k) for k in range(sub.K))
     ok = noma < oma
     return _finish(
         "noma_vs_oma", t0, ok,

@@ -6,6 +6,7 @@ import pytest
 from scbsim.analytics import (
     ClosedFormInputs,
     InfeasibleRatesError,
+    closed_form,
     diversity_order,
     energy_efficiency,
     er_ceiling_user_k,
@@ -110,6 +111,33 @@ def test_noma_pair_ordering_flips_at_high_power():
     noma = op_closed_form(far, 0) * op_closed_form(near, 1)
     oma = op_oma(far, 0) * op_oma(near, 1)
     assert noma == pytest.approx((25.0 / 21.0) ** 2 * oma, rel=5e-3)
+
+
+# -- the closed-form dispatcher --------------------------------------------------
+
+@pytest.mark.parametrize("p_dbm", [0.0, 30.0])
+def test_closed_form_dispatches_each_metric(baseline_cfg, p_dbm):
+    cfg = baseline_cfg.with_updates(tx_power_dbm=p_dbm,
+                                    d_direct=((200.0, 100.0), (150.0, 90.0)))
+    for m in range(cfg.M):
+        for k in range(cfg.K):
+            inp = ClosedFormInputs.from_config(cfg, m, k)
+            assert closed_form(cfg, "OP_user", m, k) == op_closed_form(inp, k)
+            assert closed_form(cfg, "OP_oma", m, k) == op_oma(inp, k)
+        near = ClosedFormInputs.from_config(cfg, m, cfg.K - 1)
+        assert closed_form(cfg, "ER_user", m, cfg.K - 1) == er_user_K(near)
+        users = [closed_form(cfg, "OP_user", m, k) for k in range(cfg.K)]
+        assert closed_form(cfg, "OP_pair", m, None) == users[0] * users[1]
+    assert closed_form(cfg, "OP_user", 0, 0) != closed_form(cfg, "OP_user", 1, 0)
+
+
+def test_closed_form_infeasible_rates_raise(baseline_cfg):
+    """analytic's exit-5 path needs the error to reach it."""
+    cfg = baseline_cfg.with_updates(target_rate=(1.4, 1.5))
+    for metric, k in (("OP_user", 0), ("OP_user", 1), ("OP_pair", None)):
+        with pytest.raises(InfeasibleRatesError):
+            closed_form(cfg, metric, 0, k)
+    assert 0.0 < closed_form(cfg, "OP_oma", 0, 0) < 1.0
 
 
 # -- ergodic rate -------------------------------------------------------------------

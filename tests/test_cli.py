@@ -239,6 +239,22 @@ def test_analytic_rejects_unsupported_metric(tmp_path):
     assert run_cli(["analytic", "--config", BASE, "--metrics", "residue_mean"]) == 2
 
 
+@pytest.mark.parametrize("line,bad", [
+    ("ris.N = 40", "ris.N = inf"),
+    ("montecarlo.trials = 100000", "montecarlo.trials = inf"),
+    ("rician_k2 = 3", "rician_k2 = inf"),
+], ids=["N", "trials", "rician_k2"])
+def test_simulate_non_finite_config_exit2(tmp_path, capsys, line, bad):
+    """A non-finite config value is a config error before any work, not a traceback
+    or a header-only CSV."""
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(BASE.read_text().replace(line, bad))
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--config", cfg_path, "--trials", 100, "--out", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"config error: {bad.split()[0]}")
+
+
 def test_sweep_parsing():
     var, values = cli.parse_sweep("tx_power_dbm=0:30:10")
     assert var == "tx_power_dbm" and values == (0.0, 10.0, 20.0, 30.0)

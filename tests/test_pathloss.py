@@ -7,9 +7,8 @@ from scbsim.pathloss import (
     largescale_anomalous,
     largescale_diffuse,
     largescale_direct,
-    min_ris_anomalous,
-    min_ris_diffuse,
     min_ris_overall,
+    min_ris_power,
     solvability_bound,
     table2,
 )
@@ -48,7 +47,7 @@ def test_anomalous_law_values():
 ])
 def test_min_ris_diffuse_reference_rows(alphas, expected):
     a1, a2, a3 = alphas
-    assert min_ris_diffuse(2, 80.0, 80.0, 100.0, a1, a2, a3) == expected
+    assert min_ris_power(DIFFUSE, 2, 80.0, 80.0, 100.0, a1, a2, a3) == expected
 
 
 @pytest.mark.parametrize("alphas,expected", [
@@ -58,7 +57,7 @@ def test_min_ris_diffuse_reference_rows(alphas, expected):
 ])
 def test_min_ris_anomalous_reference_rows(alphas, expected):
     a1, a2, a3 = alphas
-    assert min_ris_anomalous(2, 80.0, 80.0, 100.0, a1, a2, a3) == expected
+    assert min_ris_power(ANOMALOUS, 2, 80.0, 80.0, 100.0, a1, a2, a3) == expected
 
 
 def test_table2_matches_golden():
@@ -75,8 +74,8 @@ def test_table2_monotone_in_exponents():
 
 def test_anomalous_needs_two_elements_when_far(baseline_cfg):
     # equal exponents with d1 + d2 > d_b forces at least two elements for M >= 2
-    assert min_ris_anomalous(2, 80.0, 80.0, 100.0, 3.5, 3.5, 3.5) >= 2
-    assert min_ris_anomalous(3, 60.0, 50.0, 100.0, 2.8, 2.8, 2.8) >= 2
+    assert min_ris_power(ANOMALOUS, 2, 80.0, 80.0, 100.0, 3.5, 3.5, 3.5) >= 2
+    assert min_ris_power(ANOMALOUS, 3, 60.0, 50.0, 100.0, 2.8, 2.8, 2.8) >= 2
 
 
 def test_min_ris_overall_baseline(baseline_cfg):

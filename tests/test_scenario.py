@@ -160,3 +160,54 @@ def test_noise_override(baseline_cfg):
     cfg = baseline_cfg.with_updates(noise_dbm_override=-100.0)
     assert cfg.noise_dbm == -100.0
     assert cfg.noise_watt == pytest.approx(dbm_to_watt(-100.0))
+
+
+def with_key(text, key, value):
+    """A config document with one key's line replaced."""
+    lines = [l for l in text.splitlines() if l.split("=", 1)[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("seed", [2 ** 53 + 1, 2 ** 64 - 1], ids=["2^53+1", "2^64-1"])
+def test_roundtrip_keeps_big_seeds_exact(baseline_cfg, seed):
+    cfg = baseline_cfg.with_updates(master_seed=seed)
+    again = load_config(serialize_config(cfg))
+    assert again.master_seed == seed and again == cfg
+
+
+@pytest.mark.parametrize("key,text,value", [
+    ("ris.N", "40.0", 40), ("montecarlo.trials", "1e3", 1000), ("M", "2", 2),
+    ("ris.resolution_bits", "3.0", 3),
+])
+def test_integer_keys_take_integral_floats(baseline_text, key, text, value):
+    cfg = load_config(with_key(baseline_text, key, text))
+    field = {"ris.N": "N", "montecarlo.trials": "trials", "M": "M",
+             "ris.resolution_bits": "resolution_bits"}[key]
+    assert getattr(cfg, field) == value and type(getattr(cfg, field)) is int
+
+
+@pytest.mark.parametrize("key", ["ris.N", "montecarlo.trials", "montecarlo.master_seed"])
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "40.5", "1e400", "forty"])
+def test_integer_keys_reject_non_integers(baseline_text, key, text):
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(with_key(baseline_text, key, text))
+
+
+@pytest.mark.parametrize("key", [
+    "rician_k1", "rician_k2", "tx_power_dbm", "bandwidth_hz", "geometry.d1",
+    "geometry.alpha1", "geometry.alpha2", "geometry.alpha3",
+    "power_model.p_bs_watt", "power_model.amp_factor",
+])
+@pytest.mark.parametrize("text", ["inf", "nan"])
+def test_non_finite_numbers_rejected(baseline_text, key, text):
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(with_key(baseline_text, key, text))
+
+
+@pytest.mark.parametrize("key,text", [
+    ("geometry.d_user", "160, inf; 160, 80"), ("geometry.d_direct", "200, 100; inf, 100"),
+    ("noma.target_rate", "1.0, inf"), ("noma.target_rate", "nan, 1.5"),
+])
+def test_non_finite_entries_rejected(baseline_text, key, text):
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(with_key(baseline_text, key, text))

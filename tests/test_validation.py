@@ -1,0 +1,32 @@
+from scbsim import montecarlo as mc
+from scbsim import validation
+
+TRIALS = mc.CHUNK + 52
+FAILING_TRIAL = mc.CHUNK + 40   # in the short second chunk, so the salvage reruns 52 trials
+
+
+def test_failed_trial_moves_no_validation_number(baseline_cfg, fail_trial, monkeypatch):
+    """A salvaged trial's placeholder outcomes enter no number of checks 07 and 08:
+    the details stay the same when those placeholders are replaced by wild values."""
+    def details():
+        return [validation.check_high_snr_slopes(baseline_cfg, TRIALS, threads=1).detail,
+                validation.check_residue(baseline_cfg, TRIALS, TRIALS, threads=1).detail]
+
+    fail_trial(FAILING_TRIAL)
+    zeroed = details()
+
+    real = mc.link_stage
+    failures = []
+
+    def poisoned(cfg, surfaces):
+        batch = real(cfg, surfaces)
+        bad = batch.failed
+        failures.append(int(bad.sum()))
+        batch.rate[bad] = 1e3 + cfg.tx_power_dbm   # a different value at every power
+        batch.outage[bad] = True
+        batch.residue[bad] = 1e3
+        return batch
+
+    monkeypatch.setattr(mc, "link_stage", poisoned)
+    assert details() == zeroed
+    assert set(failures) == {1}
