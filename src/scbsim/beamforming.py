@@ -69,7 +69,7 @@ def build_target_batch(w, l_direct, mode):
 
 
 def system_rows(M, K, L, mode):
-    """Row count of the cancellation system; 0 when M = 1 (nothing to cancel)."""
+    """Row count of the cancellation system (the rank bound on N); 0 when M = 1."""
     if mode == AGGREGATE:
         return M * K * L if M > 1 else 0
     if mode == PER_SYMBOL:

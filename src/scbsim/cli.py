@@ -29,13 +29,14 @@ from .pathloss import (
     diffuse_applicability_warning,
     min_ris_power_bound,
     min_ris_overall,
-    solvability_bound,
     table2,
 )
 from .scenario import (
     AGGREGATE,
     ANOMALOUS,
     DIFFUSE,
+    INT_FIELDS,
+    NUMERIC_FIELDS,
     PER_SYMBOL,
     ConfigError,
     fingerprint,
@@ -95,8 +96,6 @@ class _OutputError(Exception):
 
 
 def _load_cfg(args):
-    if not getattr(args, "config", None):
-        raise ConfigError("--config PATH is required for this command")
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
@@ -127,7 +126,7 @@ def _load_cfg(args):
 
 def _sweep_number(text, integer):
     """One number of a sweep spec: exact for an integer literal of an integer
-    variable (montecarlo.INT_SWEEP_VARS), a float otherwise."""
+    variable (scenario.INT_FIELDS), a float otherwise."""
     if integer:
         try:
             return int(text)
@@ -137,13 +136,18 @@ def _sweep_number(text, integer):
 
 
 def parse_sweep(text):
-    """'VAR=a:b:step' or 'VAR=v1,v2,...' -> (variable, tuple of finite values)."""
+    """'VAR=a:b:step' or 'VAR=v1,v2,...' -> (variable, tuple of finite values).
+
+    VAR must be a numeric ScenarioConfig field (scenario.NUMERIC_FIELDS).
+    """
     if "=" not in text:
         raise ConfigError("--sweep expects VAR=START:STOP:STEP or VAR=v1,v2,...")
     var, _, spec = text.partition("=")
     var = var.strip()
     spec = spec.strip()
-    integer = var in mc.INT_SWEEP_VARS
+    if var not in NUMERIC_FIELDS:
+        raise ConfigError(f"cannot sweep {var!r}; choose from {', '.join(NUMERIC_FIELDS)}")
+    integer = var in INT_FIELDS
     try:
         if ":" in spec:
             parts = [_sweep_number(p, integer) for p in spec.split(":")]
@@ -207,7 +211,7 @@ def cmd_feasibility(args):
         for k in range(cfg.K):
             power_bounds[(m, k)] = min_ris_power_bound(cfg, m, k)
             lines.append(f"cluster {m} user {k}: amplitude bound N >= {power_bounds[(m, k)]}")
-    rank = solvability_bound(cfg)
+    rank = bf.system_rows(cfg.M, cfg.K, cfg.L, cfg.cancellation_mode)
     overall = min_ris_overall(cfg)
     binding = "rank" if rank >= max(power_bounds.values()) else "amplitude"
     lines.append(f"rank bound ({cfg.cancellation_mode}): N >= {rank}")
@@ -334,19 +338,22 @@ def cmd_dump(args):
 
 # -- argument parsing ----------------------------------------------------------
 
-def _add_common(p, config_required=True):
-    p.add_argument("--config", help="path to a scenario config file",
-                   required=config_required)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, help="override montecarlo.master_seed")
-    p.add_argument("--trials", type=int, help="override montecarlo.trials")
-    p.add_argument("--threads", type=int,
-                   help="worker threads, at least 1 (default: automatic; results identical)")
-    p.add_argument("--mode", help="ideal | bits=B (override ris.resolution_bits)")
-    p.add_argument("--cancellation", choices=(AGGREGATE, PER_SYMBOL),
-                   help="override ris.cancellation_mode")
-    p.add_argument("--scenario", choices=(DIFFUSE, ANOMALOUS),
-                   help="override ris.ris_scenario")
+_FLAGS = {
+    "--config": dict(required=True, help="path to a scenario config file"),
+    "--out": dict(help="output path (default: stdout)"),
+    "--seed": dict(type=int, help="override montecarlo.master_seed"),
+    "--trials": dict(type=int, help="override montecarlo.trials"),
+    "--threads": dict(type=int,
+                      help="worker threads, at least 1 (default: automatic; results identical)"),
+    "--mode": dict(help="ideal | bits=B (override ris.resolution_bits)"),
+    "--cancellation": dict(choices=(AGGREGATE, PER_SYMBOL), help="override ris.cancellation_mode"),
+    "--scenario": dict(choices=(DIFFUSE, ANOMALOUS), help="override ris.ris_scenario"),
+}
+
+
+def _add_common(p, *flags):
+    for flag in ("--config", "--out", *flags, "--cancellation", "--scenario"):
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser():
@@ -368,7 +375,7 @@ def build_parser():
     p.set_defaults(fn=cmd_feasibility)
 
     p = sub.add_parser("simulate", help="Monte Carlo sweep to CSV")
-    _add_common(p)
+    _add_common(p, "--seed", "--mode", "--trials", "--threads")
     p.add_argument("--sweep", help="VAR=START:STOP:STEP or VAR=v1,v2,...")
     p.add_argument("--metrics", help=f"comma list from {METRICS}")
     p.add_argument("--feasible-only", action="store_true",
@@ -376,13 +383,13 @@ def build_parser():
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("analytic", help="closed-form sweep to CSV")
-    _add_common(p)
+    _add_common(p, "--seed", "--mode")
     p.add_argument("--sweep", help="VAR=START:STOP:STEP or VAR=v1,v2,...")
     p.add_argument("--metrics", help=f"comma list from {ANALYTIC_METRICS}")
     p.set_defaults(fn=cmd_analytic)
 
     p = sub.add_parser("validate", help="simulation-vs-closed-form check suite")
-    _add_common(p)
+    _add_common(p, "--seed", "--mode", "--trials", "--threads")
     p.add_argument("--checks", help="comma list of check names (default: all)")
     p.add_argument("--quick", action="store_true",
                    help="divide trial counts by 10, to no fewer than "
@@ -390,7 +397,7 @@ def build_parser():
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("dump", help="debug dump of one trial as CSV")
-    _add_common(p)
+    _add_common(p, "--seed", "--mode")
     p.add_argument("--trial", type=int, default=0, help="trial index to dump")
     p.set_defaults(fn=cmd_dump)
 

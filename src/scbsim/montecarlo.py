@@ -57,7 +57,7 @@ from . import linkmetrics as lm
 from .analytics import energy_efficiency
 from .channel import assemble_batch, empty_fading, normals_per_trial
 from .pathloss import compute_gains
-from .scenario import AGGREGATE, ConfigError, ScenarioConfig, fingerprint
+from .scenario import AGGREGATE, INT_FIELDS, ConfigError, ScenarioConfig, fingerprint
 
 CHUNK = 2048          # fixed chunk size; must not depend on the thread count
 BLOCK_BYTES = 2 << 20  # standard normals per cache block (block_trials), in bytes
@@ -257,12 +257,12 @@ def surface_stage(cfg, trials=None, threads=None):
         count = min(CHUNK, trials - start)
         try:
             res = _surface_chunk(cfg, gains, start, count)
-        except (np.linalg.LinAlgError, FloatingPointError):
+        except np.linalg.LinAlgError:
             # salvage the chunk trial by trial; zero and mark unrecoverable ones
             for i in range(start, start + count):
                 try:
                     res1 = _surface_chunk(cfg, gains, i, 1)
-                except (np.linalg.LinAlgError, FloatingPointError):
+                except np.linalg.LinAlgError:
                     failed[i] = True
                     res1 = (0.0, 0.0, False, 0.0)
                 for full, part in zip(arrays, res1):
@@ -411,9 +411,6 @@ def estimates_from_batch(cfg, batch, metric, feasible_only=False):
     return out
 
 
-INT_SWEEP_VARS = ("N", "L", "M", "K", "resolution_bits", "trials", "master_seed")
-
-
 def sweep_config(cfg, variable, value):
     """Config copy with one swept variable replaced (validated).
 
@@ -421,7 +418,7 @@ def sweep_config(cfg, variable, value):
     instead of truncating them, so the value a CSV row reports is the value
     that was simulated.
     """
-    if variable in INT_SWEEP_VARS:
+    if variable in INT_FIELDS:
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{variable} must be an integer, got {value!r}")
         value = int(value)

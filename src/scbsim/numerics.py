@@ -140,7 +140,9 @@ def _gamma_series(s, x):
     raise NumericsError("incomplete gamma series did not converge")
 
 
-def _gamma_cf(s, x):
+def _upper_gamma_cf(s, x):
+    """h with Gamma(s, x) = e^-x x^s h, by modified Lentz (fast for x >= s + 1);
+    s = 1 - n gives h = e^x E_n(x), so s = 0 gives e^x E1(x)."""
     b = x + 1.0 - s
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -158,7 +160,7 @@ def _gamma_cf(s, x):
         delt = d * c
         h *= delt
         if abs(delt - 1.0) < 1e-16:
-            return math.exp(-x + s * math.log(x) - math.lgamma(s)) * h
+            return h
     raise NumericsError("incomplete gamma continued fraction did not converge")
 
 
@@ -174,7 +176,7 @@ def lower_incomplete_gamma_regularized(s, x):
         return 1.0
     if x < s + 1.0:
         return _gamma_series(s, x)
-    return 1.0 - _gamma_cf(s, x)
+    return 1.0 - math.exp(-x + s * math.log(x) - math.lgamma(s)) * _upper_gamma_cf(s, x)
 
 
 def gamma_cdf(x, shape):
@@ -205,21 +207,7 @@ def exp_scaled_e1(x):
             if abs(contrib) < abs(total) * 1e-16:
                 return math.exp(x) * total
         raise NumericsError("E1 series did not converge")
-    # continued fraction, already in exp-scaled form
-    b = x + 1.0
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ITMAX):
-        a = -i * i
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delt = c * d
-        h *= delt
-        if abs(delt - 1.0) < 1e-16:
-            return h
-    raise NumericsError("E1 continued fraction did not converge")
+    return _upper_gamma_cf(0.0, x)   # E1(x) = Gamma(0, x)
 
 
 def exponential_integral_ei(x):

@@ -11,12 +11,14 @@ admit a solution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import AGGREGATE, ANOMALOUS, DIFFUSE
+from .beamforming import system_rows
+from .scenario import ANOMALOUS, DIFFUSE, ConfigError
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,22 @@ class LargeScaleGains:
     l_reflect: np.ndarray  # (M, K), by exactly one scenario law
 
 
+def _finite_gain(law):
+    """A large-scale law whose gain, overflowing (0.5^-1100) or underflowing
+    (1e10^-40) a float, is a config error unless finite and positive."""
+    @functools.wraps(law)
+    def checked(*args):
+        try:
+            gain = law(*args)
+        except OverflowError:
+            gain = math.inf
+        if not 0.0 < gain < math.inf:
+            raise ConfigError(f"{law.__name__}{args} = {gain} is not a finite positive gain")
+        return gain
+    return checked
+
+
+@_finite_gain
 def largescale_direct(d, alpha3):
     """Direct-path gain d^-alpha3."""
     if not d > 0:
@@ -34,6 +52,7 @@ def largescale_direct(d, alpha3):
     return d ** -alpha3
 
 
+@_finite_gain
 def largescale_diffuse(d1, d2, alpha1, alpha2):
     """Product-distance law d1^-a1 * d2^-a2 (diffuse scattering)."""
     if not (d1 > 0 and d2 > 0):
@@ -41,6 +60,7 @@ def largescale_diffuse(d1, d2, alpha1, alpha2):
     return d1 ** -alpha1 * d2 ** -alpha2
 
 
+@_finite_gain
 def largescale_anomalous(d1, d2, alpha1, alpha2):
     """Sum-distance law (d1 + d2^(a2/a1))^-a1 (anomalous reflector).
 
@@ -86,25 +106,17 @@ def min_ris_power_bound(cfg, m, k):
                          cfg.alpha1, cfg.alpha2, cfg.alpha3)
 
 
-def solvability_bound(cfg):
-    """Row count of the cancellation system (rank condition on N)."""
-    rows = cfg.M * cfg.K * cfg.L
-    if cfg.cancellation_mode == AGGREGATE:
-        return rows
-    return rows * (cfg.M - 1)
-
-
 def min_ris_overall(cfg):
     """Overall minimal N: worst-user power bound joined with the rank bound.
 
-    The rank bound is M*K*L in aggregate mode and M*K*L*(M-1) in per-symbol
-    mode.  Always >= 1.
+    The rank bound is the row count of the engine's cancellation system
+    (beamforming.system_rows), 0 at M = 1.  Always >= 1.
     """
     power = max(
         min_ris_power_bound(cfg, m, k)
         for m in range(cfg.M) for k in range(cfg.K)
     )
-    return max(1, power, solvability_bound(cfg))
+    return max(1, power, system_rows(cfg.M, cfg.K, cfg.L, cfg.cancellation_mode))
 
 
 def diffuse_applicability_warning(cfg):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 DIFFUSE = "diffuse"
 ANOMALOUS = "anomalous"
@@ -43,9 +43,14 @@ def noise_power_dbm(bandwidth_hz):
 
 
 def dbm_to_watt(x_dbm):
-    if not math.isfinite(x_dbm):
-        raise ConfigError(f"dBm value must be finite, got {x_dbm}")
-    return 10.0 ** ((x_dbm - 30.0) / 10.0)
+    """Watts of a dBm power; a config error unless finite and positive (4000 dBm overflows)."""
+    try:
+        watt = 10.0 ** ((x_dbm - 30.0) / 10.0)
+    except OverflowError:
+        watt = math.inf
+    if not 0.0 < watt < math.inf:
+        raise ConfigError(f"{x_dbm} dBm is {watt} W; it must be finite and positive")
+    return watt
 
 
 @dataclass(frozen=True)
@@ -225,14 +230,16 @@ _SECTION_KEYS = {
     "power_model.amp_factor": ("amp_factor", "float"),
 }
 
-_REQUIRED = (
-    "M", "K", "L", "ris.N",
-    "geometry.d1", "geometry.d_user", "geometry.d_direct",
-    "geometry.alpha1", "geometry.alpha2", "geometry.alpha3",
-    "rician_k1", "rician_k2", "noma.power_alloc", "noma.target_rate",
-)
-
 _POWER_MODEL_FIELDS = ("p_bs_watt", "p_user_watt", "p_ris_watt", "amp_factor")
+
+_KEY_OF = {name: key for key, (name, _) in _SECTION_KEYS.items()}
+# The keys of the ScenarioConfig fields without a default, in declaration order.
+_REQUIRED = tuple(_KEY_OF[f.name] for f in fields(ScenarioConfig)
+                  if f.default is MISSING and f.default_factory is MISSING)
+INT_FIELDS = tuple(name for name, kind in _SECTION_KEYS.values() if kind in ("int", "optint"))
+NUMERIC_FIELDS = tuple(name for name, kind in _SECTION_KEYS.values()
+                       if kind in ("int", "optint", "float", "optfloat")
+                       and name not in _POWER_MODEL_FIELDS)
 
 
 def _parse_int(text):

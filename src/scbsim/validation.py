@@ -27,6 +27,7 @@ from .analytics import (
     high_snr_slope,
     op_closed_form,
 )
+from .beamforming import system_rows
 from .channel import assemble_batch
 from .numerics import (
     adaptive_quadrature,
@@ -161,7 +162,7 @@ def check_diversity_order(cfg, trials, threads=None):
     details = []
     ok = True
     for L in (1, 2, 3):
-        rows = cfg.M * cfg.K * L
+        rows = max(1, system_rows(cfg.M, cfg.K, L, cfg.cancellation_mode))
         sub = cfg.with_updates(L=L, N=2 * rows, resolution_bits=None,
                                master_seed=cfg.master_seed + 100 + L)
         base = ClosedFormInputs.from_config(sub, 0, 0)
@@ -290,10 +291,12 @@ def check_residue(cfg, trials_exact, trials_bits, threads=None):
 
     # (a) exact cancellation whenever N covers the rank bound
     worst_rel = 0.0
+    rows, rows_l3 = (max(1, system_rows(cfg.M, cfg.K, L, cfg.cancellation_mode))
+                     for L in (cfg.L, 3))
     variants = [
-        cfg.with_updates(N=cfg.M * cfg.K * cfg.L, resolution_bits=None),
+        cfg.with_updates(N=rows, resolution_bits=None),
         cfg.with_updates(resolution_bits=None),
-        cfg.with_updates(L=3, N=4 * cfg.M * cfg.K * 3, resolution_bits=None),
+        cfg.with_updates(L=3, N=4 * rows_l3, resolution_bits=None),
     ]
     for sub in variants:
         batch = mc.run_trials(sub, trials_exact, threads)

@@ -44,6 +44,63 @@ def test_feasibility_report(capsys):
     assert "satisfies the bound" in out
 
 
+def test_feasibility_applies_overrides(capsys):
+    assert run_cli(["feasibility", "--config", BASE, "--cancellation", "per-symbol",
+                    "--scenario", "anomalous"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "scenario: anomalous, cancellation: per-symbol")
+
+
+def test_feasibility_single_cluster(tmp_path, baseline_cfg, capsys):
+    """At M = 1 the engine's system is empty: the rank bound is 0 and N = 1 suffices."""
+    cfg_path = tmp_path / "m1.cfg"
+    cfg_path.write_text(serialize_config(baseline_cfg.with_updates(
+        M=1, d_user=((160.0, 80.0),), d_direct=((200.0, 100.0),))))
+    assert run_cli(["feasibility", "--config", cfg_path]) == 0
+    out = capsys.readouterr().out
+    assert "rank bound (aggregate): N >= 0\n" in out
+    assert "overall minimal N: 1 (binding constraint: amplitude)" in out
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("feasibility", "--seed"), ("feasibility", "--trials"), ("feasibility", "--threads"),
+    ("feasibility", "--mode"), ("analytic", "--trials"), ("analytic", "--threads"),
+    ("dump", "--trials"), ("dump", "--threads"),
+])
+def test_flags_a_command_does_not_read_exit2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--config", BASE, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("updates,command,reason", [
+    ({"tx_power_dbm": 4000.0}, "analytic", "4000.0 dBm is inf W"),
+    ({"d1": 0.5, "alpha1": 1100.0}, "feasibility", "largescale_diffuse(0.5, 160.0, 1100.0"),
+    ({"d_direct": ((1e10, 100.0), (200.0, 100.0)), "alpha3": 40.0}, "analytic",
+     "largescale_direct(10000000000.0, 40.0) = 0.0"),
+], ids=["tx_power_dbm", "d1_alpha1", "d_direct_alpha3"])
+def test_overflowing_config_exit2(tmp_path, baseline_cfg, capsys, updates, command, reason):
+    """Finite config values whose power or gain a float cannot hold are a config error."""
+    cfg_path = tmp_path / "over.cfg"
+    cfg_path.write_text(serialize_config(baseline_cfg.with_updates(**updates)))
+    assert run_cli([command, "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {reason}")
+
+
+def test_simulate_sweep_of_failing_points_exits_0(small_cfg_file, tmp_path, capsys):
+    """A point whose transmit power overflows fails alone; a sweep whose every point
+    failed still exits 0, with a header-only CSV."""
+    out = tmp_path / "over.csv"
+    assert run_cli(["simulate", "--config", small_cfg_file, "--out", out, "--trials", 500,
+                    "--sweep", "tx_power_dbm=4000,5000", "--metrics", "OP_user",
+                    "--threads", 1]) == 0
+    assert out.read_text() == cli.CSV_HEADER + "\n"
+    err = capsys.readouterr().err
+    assert "point tx_power_dbm=4000.0 failed: ConfigError: 4000.0 dBm" in err
+    assert "point tx_power_dbm=5000.0 failed: ConfigError: 5000.0 dBm" in err
+
+
 def test_config_errors_exit2(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert run_cli(["feasibility", "--config", missing]) == 2
@@ -213,16 +270,6 @@ def test_analytic_curves(tmp_path, capsys):
     assert all(a > b for a, b in zip(user00, user00[1:]))
 
 
-def test_analytic_csv_ignores_trials(tmp_path):
-    """analytic runs no trials, so --trials changes no byte, the fingerprint included."""
-    outs = []
-    for extra in ([], ["--trials", 500]):
-        out = tmp_path / f"an{len(outs)}.csv"
-        assert run_cli(["analytic", "--config", BASE, "--out", out, *extra]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_analytic_infeasible_rates_exit5(tmp_path, baseline_cfg):
     cfg_path = tmp_path / "inf.cfg"
     cfg_path.write_text(serialize_config(
@@ -260,9 +307,33 @@ def test_sweep_parsing():
     assert var == "tx_power_dbm" and values == (0.0, 10.0, 20.0, 30.0)
     var, values = cli.parse_sweep("N=8,16,40")
     assert values == (8.0, 16.0, 40.0)
+    var, values = cli.parse_sweep("N=16:40:8")   # an integer range stays integer
+    assert values == (16, 24, 32, 40) and all(type(v) is int for v in values)
+    # and counts its points exactly: a float quotient rounds 2.99...9 up and passes the stop
+    step = (2 ** 64 - 1) // 3
+    var, values = cli.parse_sweep(f"master_seed=0:{2 ** 64 - 2}:{step}")
+    assert values == (0, step, 2 * step)
     for bad in ("N=", "N=1,nan", "N=1,inf", "N=0:inf:10", "N=nan:10:1"):
         with pytest.raises(ConfigError):
             cli.parse_sweep(bad)
+
+
+@pytest.mark.parametrize("sweep", ["foo=1,2", "ris_scenario=1", "p_bs_watt=1,2", "d_user=1"])
+@pytest.mark.parametrize("command", ["simulate", "analytic"])
+def test_sweep_of_non_numeric_field_exit2(small_cfg_file, tmp_path, monkeypatch, capsys,
+                                          command, sweep):
+    """Only a numeric ScenarioConfig field can be swept; any other name is a config
+    error before any work, for every sweep command."""
+    def no_point(*args, **kwargs):
+        raise AssertionError("ran a sweep point")
+
+    monkeypatch.setattr(mc, "sweep_config", no_point)
+    out = tmp_path / "never.csv"
+    assert run_cli([command, "--config", small_cfg_file, "--out", out,
+                    "--sweep", sweep]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot sweep {sweep.split('=')[0]!r}; choose from M, K, L,")
 
 
 BIG_SEEDS = [2 ** 53 + 1, 2 ** 64 - 1]   # a float holds neither exactly

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -44,6 +45,13 @@ def test_dbm_watt_conversions():
     assert dbm_to_watt(30.0) == pytest.approx(1.0, rel=1e-14)
     assert dbm_to_watt(0.0) == pytest.approx(1e-3, rel=1e-14)
     assert dbm_to_watt(-94.0) == pytest.approx(3.981071705534969e-13, rel=1e-14)
+
+
+@pytest.mark.parametrize("x_dbm", [4000.0, -4000.0, math.inf, math.nan])
+def test_dbm_to_watt_rejects_powers_beyond_floats(x_dbm):
+    """A finite dBm value whose watts overflow, or underflow to 0, is a config error."""
+    with pytest.raises(ConfigError, match="finite and positive"):
+        dbm_to_watt(x_dbm)
 
 
 def test_baseline_config_accepted(baseline_cfg):
@@ -138,6 +146,13 @@ def test_load_reports_missing_keys(baseline_text):
     doc = "\n".join(l for l in baseline_text.splitlines() if "d_direct" not in l)
     with pytest.raises(ConfigError, match="missing required"):
         load_config(doc)
+    # every field without a default is required, listed by its key in field order
+    with pytest.raises(ConfigError) as exc:
+        load_config("")
+    assert str(exc.value) == (
+        "missing required keys: M, K, L, ris.N, geometry.d1, geometry.d_user, "
+        "geometry.d_direct, geometry.alpha1, geometry.alpha2, geometry.alpha3, "
+        "rician_k1, rician_k2, noma.power_alloc, noma.target_rate")
 
 
 def test_load_parses_power_model(baseline_text):

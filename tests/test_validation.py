@@ -5,6 +5,17 @@ TRIALS = mc.CHUNK + 52
 FAILING_TRIAL = mc.CHUNK + 40   # in the short second chunk, so the salvage reruns 52 trials
 
 
+def test_residue_check_covers_the_per_symbol_rank_bound(baseline_cfg):
+    """Check 08 sizes its exact-cancellation variants by the engine's rank bound, which is
+    M*K*L*(M-1) rows in per-symbol mode: at M = 3 that is twice the aggregate count."""
+    cfg = baseline_cfg.with_updates(M=3, d_user=((160.0, 80.0),) * 3,
+                                    d_direct=((200.0, 100.0),) * 3,
+                                    cancellation_mode="per-symbol")
+    detail = validation.check_residue(cfg, 200, 200, threads=1).detail
+    worst = float(detail.split("max ideal residual = ")[1].split()[0])
+    assert worst <= 1e-10, detail
+
+
 def test_failed_trial_moves_no_validation_number(baseline_cfg, fail_trial, monkeypatch):
     """A salvaged trial's placeholder outcomes enter no number of checks 07 and 08:
     the details stay the same when those placeholders are replaced by wild values."""
