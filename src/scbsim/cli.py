@@ -20,7 +20,7 @@ import numpy as np
 from . import beamforming as bf
 from . import montecarlo as mc
 from . import validation
-from .analytics import InfeasibleRatesError, closed_form
+from .analytics import InfeasibleRatesError, closed_form, cluster_inputs
 from .channel import assemble_batch
 from .montecarlo import METRICS
 from .pathloss import (
@@ -72,12 +72,23 @@ def _fmt_sweep(value):
     return repr(as_float) if as_float == value else str(value)
 
 
+def point_rows(sweep_var, sweep_value, cfg, fp):
+    """The CSV row formatter of one sweep point: row(m, k, metric, estimate, stderr,
+    trials) -> line.  The point-constant cells (sweep variable and value, mode,
+    cancellation, scenario, fingerprint) are formatted once, here."""
+    mode = "ideal" if cfg.resolution_bits is None else f"{cfg.resolution_bits}-bit"
+    head = f"{_fmt(sweep_var)},{_fmt_sweep(sweep_value)},"
+    tail = "," + ",".join(map(_fmt, (mode, cfg.cancellation_mode, cfg.ris_scenario, fp)))
+
+    def row(m, k, metric, estimate, stderr, trials):
+        return head + ",".join(map(_fmt, (m, k, metric, estimate, stderr, trials))) + tail
+
+    return row
+
+
 def csv_row(sweep_var, sweep_value, m, k, metric, estimate, stderr, trials,
             cfg, fp):
-    mode = "ideal" if cfg.resolution_bits is None else f"{cfg.resolution_bits}-bit"
-    cells = (sweep_var, _fmt_sweep(sweep_value), m, k, metric, estimate, stderr, trials,
-             mode, cfg.cancellation_mode, cfg.ris_scenario, fp)
-    return ",".join(_fmt(c) for c in cells)
+    return point_rows(sweep_var, sweep_value, cfg, fp)(m, k, metric, estimate, stderr, trials)
 
 
 def _write_lines(path, lines):
@@ -250,10 +261,10 @@ def cmd_simulate(args):
             if batch.failures:
                 failures.append(
                     (value, f"{batch.failures} trials failed numerically (excluded)"))
+            row = point_rows(var, value, point, batch.fingerprint)
             for metric in metrics:
                 for r in mc.estimates_from_batch(point, batch, metric, args.feasible_only):
-                    lines.append(csv_row(var, value, r.m, r.k, r.metric, r.estimate,
-                                         r.stderr, r.trials, point, r.fingerprint))
+                    lines.append(row(r.m, r.k, r.metric, r.estimate, r.stderr, r.trials))
             del batch   # free this point's arrays before the next point allocates its own
         except Exception as exc:   # noqa: BLE001 - per-point isolation is the contract
             if point is None:   # no valid point config: report the base trial count
@@ -272,18 +283,19 @@ def cmd_analytic(args):
     assumption_violated = False
     for value in values:
         point = mc.sweep_config(cfg, var, value)
-        fp = fingerprint(point)
+        row = point_rows(var, value, point, fingerprint(point))
+        clusters = [cluster_inputs(point, m) for m in range(point.M)]
         for metric in metrics:
             # ER_user has a closed form for the nearest user only, OP_pair one per cluster
             users = {"ER_user": (point.K - 1,), "OP_pair": (None,)}.get(metric, range(point.K))
-            for m in range(point.M):
+            for m, cluster in enumerate(clusters):
                 for k in users:
                     try:
-                        name, estimate = metric, closed_form(point, metric, m, k)
+                        name, estimate = metric, closed_form(cluster, metric, k)
                     except InfeasibleRatesError:
                         assumption_violated = True
                         name, estimate = metric + "_infeasible", 1.0
-                    lines.append(csv_row(var, value, m, k, name, estimate, 0.0, 0, point, fp))
+                    lines.append(row(m, k, name, estimate, 0.0, 0))
     _write_lines(args.out, lines)
     return EXIT_ASSUMPTION if assumption_violated else EXIT_OK
 
@@ -296,10 +308,9 @@ def cmd_validate(args):
           f"threads={args.threads or 'auto'})", file=sys.stderr)
     results = validation.run_checks(cfg, names=names, quick=args.quick,
                                     threads=args.threads, trials=args.trials)
-    failed = False
-    for r in results:
-        print(f"{r.status} {r.name} ({r.seconds:.1f}s): {r.detail}")
-        failed |= r.status == validation.FAIL
+    _write_lines(args.out, [f"{r.status} {r.name} ({r.seconds:.1f}s): {r.detail}"
+                            for r in results])
+    failed = any(r.status == validation.FAIL for r in results)
     return EXIT_VALIDATION if failed else EXIT_OK
 
 

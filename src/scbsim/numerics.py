@@ -8,7 +8,9 @@ its Gram matrix is ill-conditioned (eigenvalue ratio at most
 GRAM_MIN_EIG_RATIO), its solution is non-finite or its residual exceeds
 CONSISTENT_TOL * ||b||.  Stacks with rows > columns (least squares) always
 use the SVD.  The regularized lower incomplete gamma function and the
-exponential integral feed the closed-form outage and rate expressions.  An
+exponential integral feed the closed-form outage and rate expressions;
+``gamma_cdf`` evaluates the scalar P(s, x) once per element, on Python floats,
+so its arrays match the scalar function bit for bit.  An
 adaptive Gauss-Kronrod quadrature provides the independent oracle used by
 the test suite and the validate command; it never sits on the hot path.
 """
@@ -135,7 +137,7 @@ def _gamma_series(s, x):
         ap += 1.0
         delt *= x / ap
         total += delt
-        if abs(delt) < abs(total) * 1e-16:
+        if delt < total * 1e-16:   # both positive for x > 0
             return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
     raise NumericsError("incomplete gamma series did not converge")
 
@@ -168,7 +170,7 @@ def lower_incomplete_gamma_regularized(s, x):
     """P(s, x) = gamma(s, x) / Gamma(s), series for x < s+1 else continued fraction."""
     if not s > 0:
         raise ValueError(f"shape must be positive, got {s}")
-    if x < 0:
+    if not x >= 0:   # NaN too: the continued fraction would never converge on it
         raise ValueError(f"argument must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
@@ -180,10 +182,17 @@ def lower_incomplete_gamma_regularized(s, x):
 
 
 def gamma_cdf(x, shape):
-    """CDF of a Gamma(shape, 1) variate; accepts arrays."""
+    """CDF of a Gamma(shape, 1) variate; accepts arrays.
+
+    Element by element, the result is bit for bit
+    lower_incomplete_gamma_regularized(shape, max(v, 0.0)) on the element as a
+    Python float, with one call of the module-level function per element, looked
+    up at call time.  A NaN element raises ValueError.
+    """
     xs = np.asarray(x, dtype=float)
+    # Python floats: numpy float64 scalars make the scalar loops several times slower
     out = np.array([lower_incomplete_gamma_regularized(shape, max(v, 0.0))
-                    for v in np.ravel(xs)])
+                    for v in np.ravel(xs).tolist()])
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 

@@ -7,6 +7,7 @@ from scbsim.analytics import (
     ClosedFormInputs,
     InfeasibleRatesError,
     closed_form,
+    cluster_inputs,
     diversity_order,
     energy_efficiency,
     er_ceiling_user_k,
@@ -119,25 +120,25 @@ def test_noma_pair_ordering_flips_at_high_power():
 def test_closed_form_dispatches_each_metric(baseline_cfg, p_dbm):
     cfg = baseline_cfg.with_updates(tx_power_dbm=p_dbm,
                                     d_direct=((200.0, 100.0), (150.0, 90.0)))
-    for m in range(cfg.M):
-        for k in range(cfg.K):
-            inp = ClosedFormInputs.from_config(cfg, m, k)
-            assert closed_form(cfg, "OP_user", m, k) == op_closed_form(inp, k)
-            assert closed_form(cfg, "OP_oma", m, k) == op_oma(inp, k)
-        near = ClosedFormInputs.from_config(cfg, m, cfg.K - 1)
-        assert closed_form(cfg, "ER_user", m, cfg.K - 1) == er_user_K(near)
-        users = [closed_form(cfg, "OP_user", m, k) for k in range(cfg.K)]
-        assert closed_form(cfg, "OP_pair", m, None) == users[0] * users[1]
-    assert closed_form(cfg, "OP_user", 0, 0) != closed_form(cfg, "OP_user", 1, 0)
+    clusters = [cluster_inputs(cfg, m) for m in range(cfg.M)]
+    for m, cluster in enumerate(clusters):
+        assert cluster == tuple(ClosedFormInputs.from_config(cfg, m, k) for k in range(cfg.K))
+        for k, inp in enumerate(cluster):
+            assert closed_form(cluster, "OP_user", k) == op_closed_form(inp, k)
+            assert closed_form(cluster, "OP_oma", k) == op_oma(inp, k)
+        assert closed_form(cluster, "ER_user", cfg.K - 1) == er_user_K(cluster[-1])
+        users = [closed_form(cluster, "OP_user", k) for k in range(cfg.K)]
+        assert closed_form(cluster, "OP_pair", None) == users[0] * users[1]
+    assert closed_form(clusters[0], "OP_user", 0) != closed_form(clusters[1], "OP_user", 0)
 
 
 def test_closed_form_infeasible_rates_raise(baseline_cfg):
     """analytic's exit-5 path needs the error to reach it."""
-    cfg = baseline_cfg.with_updates(target_rate=(1.4, 1.5))
+    cluster = cluster_inputs(baseline_cfg.with_updates(target_rate=(1.4, 1.5)), 0)
     for metric, k in (("OP_user", 0), ("OP_user", 1), ("OP_pair", None)):
         with pytest.raises(InfeasibleRatesError):
-            closed_form(cfg, metric, 0, k)
-    assert 0.0 < closed_form(cfg, "OP_oma", 0, 0) < 1.0
+            closed_form(cluster, metric, k)
+    assert 0.0 < closed_form(cluster, "OP_oma", 0) < 1.0
 
 
 # -- ergodic rate -------------------------------------------------------------------

@@ -2,11 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from scbsim import cli
+from scbsim import analytics, cli
 from scbsim import montecarlo as mc
+from scbsim.analytics import InfeasibleRatesError, closed_form, cluster_inputs
 from scbsim.montecarlo import run_trials
 from scbsim.numerics import ks_critical
-from scbsim.scenario import ConfigError, load_config, serialize_config
+from scbsim.scenario import ConfigError, fingerprint, load_config, serialize_config
 
 BASE = Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
 
@@ -132,8 +133,9 @@ def test_simulate_csv_schema(small_cfg_file, tmp_path, capsys):
     assert len(lines) == 1 + 2 * 7
     cells = lines[1].split(",")
     assert len(cells) == 12
-    assert cells[0] == "tx_power_dbm" and cells[4] == "OP_user"
-    assert cells[8] == "ideal"
+    assert cells[:5] == ["tx_power_dbm", "0.0", "0", "0", "OP_user"]
+    point = mc.sweep_config(load_config(small_cfg_file.read_text()), "tx_power_dbm", 0.0)
+    assert cells[8:] == ["ideal", "aggregate", "diffuse", fingerprint(point)]
 
 
 def test_simulate_rows_follow_sweep_order(small_cfg_file, tmp_path):
@@ -282,6 +284,66 @@ def test_analytic_infeasible_rates_exit5(tmp_path, baseline_cfg):
     assert flagged and all(l.split(",")[5] == "1.0" for l in flagged)
 
 
+def reference_analytic(cfg, var, values, metrics):
+    """(CSV text, any infeasible row) of analytic, rebuilt row by row: each row's
+    cluster inputs built afresh, its value from closed_form, its line from csv_row."""
+    lines, violated = [cli.CSV_HEADER], False
+    for value in values:
+        point = mc.sweep_config(cfg, var, value)
+        fp = fingerprint(point)
+        for metric in metrics:
+            users = {"ER_user": (point.K - 1,), "OP_pair": (None,)}.get(metric, range(point.K))
+            for m in range(point.M):
+                for k in users:
+                    try:
+                        name, estimate = metric, closed_form(cluster_inputs(point, m), metric, k)
+                    except InfeasibleRatesError:
+                        violated, name, estimate = True, metric + "_infeasible", 1.0
+                    lines.append(cli.csv_row(var, value, m, k, name, estimate, 0.0, 0, point, fp))
+    return "\n".join(lines) + "\n", violated
+
+
+@pytest.mark.parametrize("target_rate", [(1.0, 1.5), (1.4, 1.5)], ids=["baseline", "infeasible"])
+def test_analytic_bytes_and_calls_match_per_row_reference(tmp_path, baseline_cfg, monkeypatch,
+                                                          target_rate):
+    """analytic writes the bytes and exit code of a csv_row + closed_form per-row
+    reference, with one regularized-gamma call per OP_user/OP_oma row and per OP_pair
+    factor and one E1 call per ER_user row (the benchmark's count gate)."""
+    cfg = baseline_cfg.with_updates(target_rate=target_rate)
+    cfg_path = tmp_path / "an.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    out = tmp_path / "an.csv"
+    sweep, metrics = "tx_power_dbm=-10:50:5", ("OP_user", "OP_pair", "OP_oma", "ER_user")
+    calls = {"gamma": 0, "e1": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(analytics, "lower_incomplete_gamma_regularized",
+                        counting("gamma", analytics.lower_incomplete_gamma_regularized))
+    monkeypatch.setattr(analytics, "exp_scaled_e1", counting("e1", analytics.exp_scaled_e1))
+    code = run_cli(["analytic", "--config", cfg_path, "--out", out, "--sweep", sweep,
+                    "--metrics", ",".join(metrics)])
+    counted = dict(calls)
+    var, values = cli.parse_sweep(sweep)
+    expected, violated = reference_analytic(cfg, var, values, metrics)
+    assert out.read_bytes() == expected.encode()
+    assert code == (5 if violated else 0)
+    rows = [line.split(",") for line in expected.splitlines()[1:]]
+    pair_rows = [r for r in rows if r[4].startswith("OP_pair")]
+    assert len(pair_rows) == len(values) * cfg.M and all(r[3] == "" for r in pair_rows)
+    if target_rate == (1.0, 1.5):
+        assert not violated
+        assert counted == {"gamma": len(values) * 3 * cfg.M * cfg.K, "e1": len(values) * cfg.M}
+    else:
+        assert violated and code == 5
+        names = {r[4] for r in rows}
+        assert names == {"OP_user_infeasible", "OP_pair_infeasible", "OP_oma", "ER_user"}
+
+
 def test_analytic_rejects_unsupported_metric(tmp_path):
     assert run_cli(["analytic", "--config", BASE, "--metrics", "residue_mean"]) == 2
 
@@ -424,6 +486,16 @@ def test_validate_subset_quick(small_cfg_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS table2" in out and "PASS special_functions" in out
+
+
+def test_validate_writes_report_to_out(small_cfg_file, tmp_path, capsys):
+    """--out receives the report lines, and stdout stays empty."""
+    out = tmp_path / "report.txt"
+    assert run_cli(["validate", "--config", small_cfg_file, "--checks", "special_functions",
+                    "--out", out]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("PASS special_functions (")
+    assert capsys.readouterr().out == ""
 
 
 def test_validate_unknown_check_exit2(small_cfg_file, capsys):

@@ -210,6 +210,19 @@ def test_gamma_domain_errors():
         lower_incomplete_gamma_regularized(0.0, 1.0)
     with pytest.raises(ValueError):
         lower_incomplete_gamma_regularized(2.0, -0.1)
+    with pytest.raises(ValueError):
+        lower_incomplete_gamma_regularized(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        exp_scaled_e1(math.nan)
+
+
+def test_gamma_nan_argument_raises_at_once():
+    """A NaN argument is a domain error, not 20000 continued-fraction steps and a
+    convergence failure."""
+    with pytest.raises(ValueError, match="argument must be >= 0"):
+        lower_incomplete_gamma_regularized(2, math.nan)
+    with pytest.raises(ValueError, match="argument must be >= 0"):
+        gamma_cdf([1.0, math.nan], 2)
 
 
 def test_gamma_cdf_helper_vectorizes():
@@ -218,6 +231,43 @@ def test_gamma_cdf_helper_vectorizes():
     assert out.shape == (3,)
     assert out[0] == 0.0
     assert gamma_cdf(1.0, 2) == pytest.approx(out[1])
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(5).gamma(2.0, 1.0, (40, 3)),   # both branches, 2-D
+    [0.0, -0.0, -1.5, 1e-300, 2.5, 3.0, 700.0, math.inf],   # a list, negatives clipped
+    np.float64(2.75),                                     # 0-d
+    np.array(-0.0),
+])
+@pytest.mark.parametrize("shape", [1, 2, 4])
+def test_gamma_cdf_is_the_scalar_per_element(x, shape):
+    """gamma_cdf(x) equals the scalar P(shape, max(v, 0)) element by element, bit for bit."""
+    xs = np.asarray(x, dtype=float)
+    out = gamma_cdf(x, shape)
+    expected = [lower_incomplete_gamma_regularized(shape, max(float(v), 0.0))
+                for v in xs.ravel()]
+    if xs.ndim == 0:
+        assert type(out) is float and out == expected[0]
+    else:
+        assert out.shape == xs.shape and out.dtype == np.float64
+        assert out.ravel().tobytes() == np.array(expected).tobytes()
+
+
+def test_gamma_cdf_calls_the_scalar_once_per_element(monkeypatch):
+    """One call of the module-level scalar per element, looked up when gamma_cdf runs:
+    the benchmark counts calls by patching that name."""
+    calls = []
+    real = numerics.lower_incomplete_gamma_regularized
+
+    def counted(s, x):
+        calls.append((s, x))
+        return real(s, x)
+
+    monkeypatch.setattr(numerics, "lower_incomplete_gamma_regularized", counted)
+    xs = np.linspace(-1.0, 9.0, 37).reshape(37, 1)
+    gamma_cdf(xs, 3)
+    assert len(calls) == xs.size
+    assert all(type(x) is float and s == 3 for s, x in calls)
 
 
 # -- exponential integral --------------------------------------------------------

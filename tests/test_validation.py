@@ -41,3 +41,12 @@ def test_failed_trial_moves_no_validation_number(baseline_cfg, fail_trial, monke
     monkeypatch.setattr(mc, "link_stage", poisoned)
     assert details() == zeroed
     assert set(failures) == {1}
+
+
+def test_diversity_check_fails_when_the_simulated_fit_is_impossible(baseline_cfg):
+    """Too few trials for two simulated outage values below the fit cap: the check
+    FAILs and names the L value, instead of raising out of validate."""
+    result = validation.check_diversity_order(baseline_cfg, 256, 1)
+    assert result.status == validation.FAIL
+    assert result.detail.startswith("L=1: closed 0.999, simulated fit failed (need at least "
+                                    "two points with outage below 0.01); L=2: ")
