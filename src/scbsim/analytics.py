@@ -5,19 +5,14 @@ distributed (shape = receive antennas, unit scale), which the channel module
 reproduces and the test suite checks against quadrature and Monte Carlo
 oracles.
 
-The ergodic-rate closed form evaluates
-    (1/ln 2) * sum_{i=0}^{L-1} (C^i / i!) * J_i(C),
-    J_i(C) = integral_0^inf x^i e^{-Cx} / (1+x) dx,
-through the forward recursion J_i = (i-1)!/C^i - J_{i-1} seeded by
-J_0 = e^C E1(C).  Expanding the recursion gives the equivalent alternating
-form J_i = (-1)^(i+1) [e^C Ei(-C) + sum_{a=1}^i (-1)^(a-1) (a-1)! C^(-a)];
-the sign pattern and the negative powers of C were fixed against the
-quadrature oracle (see tests) before freezing the expression.  The
-recursion is accurate only for small C: for C >> 1 each step subtracts two
-nearly equal numbers, and the error grows with C and L (against 50-digit
-mpmath: 8.5e-5 relative at L = 6, C = 1e3, and the wrong sign at L = 8,
-C = 1e3).  The quadrature oracle covers L <= 4 and C <= 10, where the error
-stays near 1e-7 or below.
+The ergodic rate of the nearest user is
+    ER = (1/ln 2) * sum_{n=1}^{L} e^C E_n(C),
+the integral of P(L, Cx)'s survival function over 1/(1+x): with
+J_i(C) = integral_0^inf x^i e^{-Cx} / (1+x) dx = i! e^C E_{i+1}(C) / C^i,
+the terms (C^i / i!) J_i(C) are e^C E_{i+1}(C).  Every term is positive,
+so nothing cancels at any C; the n = 1 term comes from exp_scaled_e1 and
+the others from exp_scaled_en.  The quadrature oracle (tests and validate)
+checks the sum.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import exp_scaled_e1, lower_incomplete_gamma_regularized
+from .numerics import exp_scaled_e1, exp_scaled_en, lower_incomplete_gamma_regularized
 from .pathloss import largescale_direct
 
 LN2 = math.log(2.0)
@@ -130,13 +125,10 @@ def er_from_threshold_scale(c, L):
     """Closed-form ergodic rate given C and the antenna count (see module doc)."""
     if not c > 0:
         raise ValueError(f"threshold scale must be positive, got {c}")
-    j = exp_scaled_e1(c)            # J_0 = e^C E1(C) = -e^C Ei(-C)
-    total = j
-    coeff = 1.0
-    for i in range(1, L):
-        j = math.factorial(i - 1) / c ** i - j
-        coeff *= c / i
-        total += coeff * j
+    term = total = exp_scaled_e1(c)
+    for n in range(2, L + 1):
+        term = exp_scaled_en(n, c, term)
+        total += term
     return total / LN2
 
 

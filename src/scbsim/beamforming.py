@@ -51,6 +51,20 @@ def interference_sums(w):
     return w.sum(axis=-1) - desired_columns(w)
 
 
+def sum_last_axis(a):
+    """a.sum(axis=-1) as sequential np.add over the last axis.
+
+    On a short last axis (the M columns of h) numpy's reduction costs ~30x
+    more.  Bit for bit equal to a.sum(axis=-1) up to length 3, signed zeros
+    included; numpy sums longer axes pairwise, so from length 4 the last bit
+    may differ.
+    """
+    out = a[..., 0] + 0.0   # numpy's sum starts from +0, which turns -0.0 into +0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
 def build_target_batch(w, l_direct, mode):
     """Interference targets for a batch of trials; shape (T, rows)."""
     T, M, K, L, _ = w.shape
@@ -92,7 +106,7 @@ def build_matrix_batch(h, g, l_reflect, mode, out=None):
         return out
     root_lr = np.sqrt(l_reflect)[None, :, :, None, None]   # (1, M, K, 1, 1)
     if mode == AGGREGATE:
-        hsum = h.sum(axis=-1)                              # (T, N)
+        hsum = sum_last_axis(h)                            # (T, N)
         rows = np.multiply(root_lr, g, out=out.reshape(g.shape))
         rows *= hsum[:, None, None, None, :]
     else:

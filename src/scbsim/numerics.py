@@ -8,22 +8,33 @@ its Gram matrix is ill-conditioned (eigenvalue ratio at most
 GRAM_MIN_EIG_RATIO), its solution is non-finite or its residual exceeds
 CONSISTENT_TOL * ||b||.  Stacks with rows > columns (least squares) always
 use the SVD.  The regularized lower incomplete gamma function and the
-exponential integral feed the closed-form outage and rate expressions;
-``gamma_cdf`` evaluates the scalar P(s, x) once per element, on Python floats,
-so its arrays match the scalar function bit for bit.  An
-adaptive Gauss-Kronrod quadrature provides the independent oracle used by
-the test suite and the validate command; it never sits on the hot path.
+exponential integrals feed the closed-form outage and rate expressions.
+P(s, x) is -expm1(-x) at s = 1.  Otherwise, in its lower tail (x < s/2),
+it sums the power series, whose terms are all positive, so it keeps its
+relative accuracy however small P is.  Above that, an integer shape (every
+closed form has one) gives 1 - Q with Q = e^-x sum_{i<s} x^i/i! wherever
+Q <= 0.9: there P >= 0.1, so the subtraction loses at most one digit.  The
+rest goes to the series below x = s + 1 and to the continued fraction above
+it: non-integer shapes, Q > 0.9, and x past 708, where e^-x would leave the
+normal range.  e^x E_n(x) is an upward recurrence from the E1 series up to
+x = 1 and the same continued fraction above it.
+``gamma_cdf`` evaluates the scalar P(s, x) once per element, on Python
+floats, so its arrays match the scalar function bit for bit.  An adaptive
+Gauss-Kronrod quadrature provides the independent oracle used by the test
+suite and the validate command; it never sits on the hot path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
 _FPMIN = float(np.finfo(float).tiny) / _EPS
 _ITMAX = 20000
+_EXP_ARG_MAX = 708.0   # e^-x is a normal float and e^x finite up to here
 
 CONSISTENT_TOL = 1e-8       # residual/||b|| threshold for an exact (consistent) solve
 RANK_TOL = 1e-10            # the SVD truncates singular values below RANK_TOL * s_max
@@ -161,21 +172,53 @@ def _upper_gamma_cf(s, x):
         d = 1.0 / d
         delt = d * c
         h *= delt
-        if abs(delt - 1.0) < 1e-16:
+        # a bound below _EPS would demand delt == 1.0, which rounding can miss
+        # forever (x past ~1e16)
+        if abs(delt - 1.0) <= _EPS:
             return h
     raise NumericsError("incomplete gamma continued fraction did not converge")
 
 
 def lower_incomplete_gamma_regularized(s, x):
-    """P(s, x) = gamma(s, x) / Gamma(s), series for x < s+1 else continued fraction."""
-    if not s > 0:
-        raise ValueError(f"shape must be positive, got {s}")
+    """P(s, x) = gamma(s, x) / Gamma(s), the CDF of a Gamma(s, 1) variate at x.
+
+    Branches, in the order they are tried:
+
+    - s = 1: P = 1 - e^-x, computed as -expm1(-x), exact to rounding at
+      every x.
+    - x < s/2: the power series (_gamma_series).  Every term is positive, so
+      it keeps its relative accuracy however small P is; this cheap test
+      comes before the sum below, so the deep lower tail pays nothing for it.
+    - integer s and x <= _EXP_ARG_MAX: P = 1 - Q with
+      Q = e^-x sum_{i<s} x^i / i!, taken wherever Q <= 0.9.  The sum has
+      only positive terms, and with P >= 0.1 the subtraction loses at most
+      one decimal digit.  Up to _EXP_ARG_MAX, e^-x stays a normal float and
+      the sum (at most e^x) stays finite.  A larger Q falls through.
+    - x < s + 1 (non-integer s, or Q > 0.9): the power series.
+    - otherwise: the modified-Lentz continued fraction for Gamma(s, x),
+      which converges fast there; for integer s it is reached only past
+      _EXP_ARG_MAX.
+    """
+    if not 0 < s < math.inf:   # NaN too
+        raise ValueError(f"shape must be positive and finite, got {s}")
     if not x >= 0:   # NaN too: the continued fraction would never converge on it
         raise ValueError(f"argument must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
     if math.isinf(x):
         return 1.0
+    if s == 1:
+        return -math.expm1(-x)
+    if x < 0.5 * s:
+        return _gamma_series(s, x)
+    if x <= _EXP_ARG_MAX and s == int(s):
+        term = total = 1.0
+        for i in range(1, int(s)):
+            term *= x / i
+            total += term
+        q = math.exp(-x) * total
+        if q <= 0.9:
+            return 1.0 - q
     if x < s + 1.0:
         return _gamma_series(s, x)
     return 1.0 - math.exp(-x + s * math.log(x) - math.lgamma(s)) * _upper_gamma_cf(s, x)
@@ -201,22 +244,57 @@ def gamma_cdf(x, shape):
 _EULER_GAMMA = 0.5772156649015328606
 
 
+def _exp_scaled_e1_series(x):
+    """exp(x) * E1(x) for 0 < x <= 1, from the power series of E1."""
+    total = -_EULER_GAMMA - math.log(x)
+    term = 1.0
+    minus_x = -x
+    for k in range(1, _ITMAX):
+        term *= minus_x / k
+        contrib = -term / k
+        total += contrib
+        if abs(contrib) < total * 1e-16:   # total nears E1(x) > 0 before this can hold
+            return math.exp(x) * total
+    raise NumericsError("E1 series did not converge")
+
+
 def exp_scaled_e1(x):
-    """exp(x) * E1(x) for x > 0; stable for arbitrarily large x."""
+    """exp(x) * E1(x) for x > 0; stable for arbitrarily large x, 0 at x = inf."""
     if not x > 0:
         raise ValueError(f"argument must be positive, got {x}")
     if x <= 1.0:
-        # power series for E1, then scale
-        total = -_EULER_GAMMA - math.log(x)
-        term = 1.0
-        for k in range(1, _ITMAX):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < abs(total) * 1e-16:
-                return math.exp(x) * total
-        raise NumericsError("E1 series did not converge")
+        return _exp_scaled_e1_series(x)
+    if math.isinf(x):
+        return 0.0   # the limit of e^x E1(x) ~ 1/x
     return _upper_gamma_cf(0.0, x)   # E1(x) = Gamma(0, x)
+
+
+def exp_scaled_en(n, x, prev=None):
+    """exp(x) * E_n(x) for integer n >= 1 and x > 0, 0 at x = inf.
+
+    For x <= 1, the upward recurrence e^x E_{i+1}(x) = (1 - x e^x E_i(x)) / i,
+    started from prev = e^x E_{n-1}(x) when the caller has it (n >= 2), else
+    from the E1 series.  With e^x E_i(x) < 1/(x + i - 1), each step scales
+    the relative error by x e^x E_i / (1 - x e^x E_i): at most 1.5 at i = 1
+    and below 1/(i - 1) after, so nothing grows.  For x > 1 (prev unused),
+    the continued fraction of Gamma(1 - n, x) = x^(1-n) E_n(x).
+    """
+    n = operator.index(n)   # TypeError unless n is an integer
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if not x > 0:
+        raise ValueError(f"argument must be positive, got {x}")
+    if x <= 1.0:
+        if prev is None or n == 1:
+            prev, first = _exp_scaled_e1_series(x), 1
+        else:
+            first = n - 1
+        for i in range(first, n):
+            prev = (1.0 - x * prev) / i
+        return prev
+    if math.isinf(x):
+        return 0.0   # the limit of e^x E_n(x) ~ 1/x
+    return _upper_gamma_cf(1.0 - n, x)
 
 
 def exponential_integral_ei(x):

@@ -168,6 +168,31 @@ def test_er_asymptotics():
         er_from_threshold_scale(0.0, 2)
 
 
+@pytest.mark.parametrize("L", range(1, 9))
+def test_er_vs_mpmath(L):
+    """The closed form to 1e-12 relative of 50-digit mpmath's (1/ln 2) sum_n e^C E_n(C)
+    from C = 1e-6 to 1e6; the J_i recursion it replaced had the wrong sign at
+    L = 8, C = 1e3."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for c in np.geomspace(1e-6, 1e6, 49).tolist():
+        ref = sum(mpmath.exp(c) * mpmath.expint(n, c) for n in range(1, L + 1)) / mpmath.log(2)
+        assert float(abs(er_from_threshold_scale(c, L) - ref) / ref) <= 1e-12, (L, c)
+
+
+@pytest.mark.parametrize("L,c", [(8, 1e3), (6, 1e4), (4, 1e5), (3, 1e-4)])
+def test_er_sum_is_the_rate_integral(L, c):
+    """The E_n sum is the rate integral (1/ln 2) int_0^inf Q(L, Cx) / (1 + x) dx,
+    evaluated by mpmath, where the quadrature oracle of the checks does not reach."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    knots = sorted({0, 1, 1 / c, 10 * L / c, 100 * L / c, mpmath.inf})
+    integral = mpmath.quad(
+        lambda x: mpmath.gammainc(L, c * x, mpmath.inf, regularized=True) / (1 + x), knots)
+    ref = integral / mpmath.log(2)
+    assert float(abs(er_from_threshold_scale(c, L) - ref) / ref) <= 1e-12
+
+
 def test_er_user_K_uses_geometry(baseline_cfg):
     inp = ClosedFormInputs.from_config(baseline_cfg, 0, 1)
     c = 2 * NOISE / (1.0 * 1e-7 * 0.4)

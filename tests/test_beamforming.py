@@ -9,6 +9,7 @@ from scbsim.beamforming import (
     quantize_surface,
     residues_batch,
     solve_passive_batch,
+    sum_last_axis,
 )
 from scbsim.channel import assemble_batch, normals_per_trial
 from scbsim.pathloss import LargeScaleGains, compute_gains
@@ -111,6 +112,17 @@ def test_matrix_single_row_expansion():
     h_tilde = build_matrix_batch(h, g, gains.l_reflect, AGGREGATE)
     expected = 0.2 * (1.5 - 0.5j) * (h[0, 0, 0] + h[0, 0, 1])
     assert h_tilde[0, 0, 0] == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_sum_last_axis_is_numpy_sum_bit_for_bit(M):
+    """The sequential adds build_matrix_batch uses for h's M columns give the bytes
+    of h.sum(axis=-1), signed zeros included."""
+    rng = np.random.default_rng(40 + M)
+    h = rng.standard_normal((50, 256, M)) + 1j * rng.standard_normal((50, 256, M))
+    h[0, :3] = -0.0
+    h[1, 0].real = -0.0
+    assert sum_last_axis(h).tobytes() == h.sum(axis=-1).tobytes()
 
 
 def test_matrix_all_ones_channels():

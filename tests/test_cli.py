@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,29 @@ def test_analytic_curves(tmp_path, capsys):
     # outage decreases along the power sweep
     user00 = [float(r[5]) for r in op_rows if r[2] == "0" and r[3] == "0"]
     assert all(a > b for a, b in zip(user00, user00[1:]))
+
+
+def test_analytic_er_at_eight_antennas_rises_with_power(tmp_path, baseline_cfg):
+    """L = 8 (N = 40 still covers the rank bound): C grows tenfold per 10 dB less
+    power, and ER_user stays positive, rises with power and stays below Jensen's
+    bound log2(1 + L^2 / C).  The former J_i recursion wrote 18007.3 at -50 dBm."""
+    cfg = baseline_cfg.with_updates(L=8)
+    cfg_path = tmp_path / "l8.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    out = tmp_path / "an.csv"
+    assert run_cli(["analytic", "--config", cfg_path, "--out", out,
+                    "--sweep", "tx_power_dbm=-50:-20:2.5", "--metrics", "ER_user"]) == 0
+    rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
+    for m in range(cfg.M):
+        curve = [(float(r[1]), float(r[5])) for r in rows if r[2] == str(m)]
+        assert len(curve) == 13
+        rates = [v for _, v in curve]
+        assert all(v > 0.0 for v in rates)
+        assert all(a < b for a, b in zip(rates, rates[1:]))
+        for p_dbm, v in curve:
+            c = cluster_inputs(cfg.with_updates(tx_power_dbm=p_dbm), m)[-1].rate_threshold_scale
+            assert v < math.log2(1.0 + cfg.L ** 2 / c)
+    assert rates[0] < 2e-3
 
 
 def test_analytic_infeasible_rates_exit5(tmp_path, baseline_cfg):

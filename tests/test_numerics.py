@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from scbsim.numerics import (
     NumericsError,
     adaptive_quadrature,
     exp_scaled_e1,
+    exp_scaled_en,
     exponential_integral_ei,
     gamma_cdf,
     ks_critical,
@@ -214,6 +216,73 @@ def test_gamma_domain_errors():
         lower_incomplete_gamma_regularized(math.nan, 1.0)
     with pytest.raises(ValueError):
         exp_scaled_e1(math.nan)
+    # an infinite shape is a domain error, not 20000 series steps
+    with pytest.raises(ValueError, match="finite"):
+        lower_incomplete_gamma_regularized(math.inf, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        gamma_cdf([1.0], math.inf)
+
+
+def _generic_gamma(s, x):
+    """P(s, x) from the series below s + 1 and the continued fraction above alone:
+    the routing before the integer-shape branches, as the accuracy floor."""
+    if x < s + 1.0:
+        return numerics._gamma_series(s, x)
+    return 1.0 - math.exp(-x + s * math.log(x) - math.lgamma(s)) * numerics._upper_gamma_cf(s, x)
+
+
+def _gamma_oracle_points(s, mpmath):
+    """x from 1e-300 to 1e3, with each branch switch and its float neighbours:
+    x = s/2, Q = 0.9 (P = 0.1), x = s + 1 and x = 708."""
+    x_q = float(mpmath.findroot(
+        lambda t: mpmath.gammainc(s, 0, t, regularized=True) - 0.1, (1e-3, s + 1.0),
+        solver="illinois"))
+    switches = [0.5 * s, x_q, s + 1.0, 707.9, 708.0, 709.0]
+    near = [v for x in switches for v in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    grid = np.concatenate([np.geomspace(1e-300, 1e3, 61), np.geomspace(1e-2, 1e3, 81)])
+    return sorted(set(near + grid.tolist()))
+
+
+@pytest.mark.parametrize("s", [*range(1, 9), 16, 64])
+def test_gamma_integer_shape_vs_mpmath(s):
+    """The integer-shape branches (s = 1, and 1 - Q where Q <= 0.9) are within 1e-14
+    relative of 50-digit mpmath, and no point is less accurate than the generic
+    series/continued-fraction pair, up to that same 1e-14.  At s = 16 and 64,
+    1 - Q taken where Q > 0.9 would lose several digits near x = s/2."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    checked = 0
+    for x in _gamma_oracle_points(s, mpmath):
+        ref = mpmath.gammainc(s, 0, x, regularized=True)
+        if ref < sys.float_info.min:   # subnormal results carry no relative accuracy
+            continue
+        got = lower_incomplete_gamma_regularized(s, x)
+        err = float(abs(got - ref) / ref)
+        err_generic = float(abs(_generic_gamma(s, x) - ref) / ref)
+        assert err <= max(err_generic, 1e-14), (s, x, err, err_generic)
+        if s == 1 or (0.5 * s <= x <= 708.0 and ref >= 0.1):
+            assert err <= 1e-14, (s, x, err)
+            checked += 1
+    assert checked >= 20
+
+
+def test_gamma_integer_shape_past_708_takes_the_generic_branches():
+    """Past x = 708, where e^-x leaves the normal range, an integer shape falls back
+    to the series or the continued fraction, bit for bit."""
+    for s in (700, 710, 720):
+        for x in np.linspace(708.01, 712.0, 9).tolist():
+            assert lower_incomplete_gamma_regularized(s, x) == _generic_gamma(s, x), (s, x)
+
+
+def test_gamma_large_shape_stays_finite():
+    """No overflow, NaN or warning at s = 64 up to x = 1e300, and P is a CDF there."""
+    xs = sorted(set(np.geomspace(1e-300, 1e300, 601).tolist() + [32.0, 64.0, 65.0, 708.0, 709.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [lower_incomplete_gamma_regularized(64, x) for x in xs]
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    assert values[0] == 0.0 and values[-1] == 1.0
 
 
 def test_gamma_nan_argument_raises_at_once():
@@ -286,6 +355,7 @@ def test_ei_vs_quadrature_oracle():
 
 def test_ei_decays_to_zero():
     assert abs(exponential_integral_ei(-50.0)) < 1e-23
+    assert exponential_integral_ei(-math.inf) == 0.0
     assert exponential_integral_ei(-1e-8) < 0  # large negative, still finite
     assert math.isfinite(exponential_integral_ei(-1e-8))
 
@@ -301,6 +371,51 @@ def test_exp_scaled_e1_no_overflow():
     v = exp_scaled_e1(1000.0)
     assert 0 < v < 1e-3  # ~ 1/x for large x
     assert v == pytest.approx(1.0 / 1000.0, rel=0.01)
+    # past x ~ 1e16 the continued fraction ends on its first factors
+    for x in (1e16, 1e18, 3.162563844937293e28, 1e300):
+        assert exp_scaled_e1(x) == pytest.approx(1.0 / x, rel=1e-15)
+        assert exp_scaled_en(3, x) == pytest.approx(1.0 / x, rel=1e-15)
+    # the limit e^x E_n(x) ~ 1/x, at once rather than 20000 continued-fraction steps
+    assert exp_scaled_e1(math.inf) == 0.0
+    assert all(exp_scaled_en(n, math.inf) == 0.0 for n in (1, 2, 5))
+
+
+def test_exp_scaled_en_domain_errors():
+    for n, x in ((0, 1.0), (-3, 1.0), (2, 0.0), (2, -1.0), (2, math.nan)):
+        with pytest.raises(ValueError):
+            exp_scaled_en(n, x)
+    for n in (1.5, 2.0, math.inf, math.nan):
+        with pytest.raises(TypeError):
+            exp_scaled_en(n, 1.0)
+    assert exp_scaled_en(np.int64(3), 0.5) == exp_scaled_en(3, 0.5)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exp_scaled_en_vs_mpmath(n):
+    """e^x E_n(x) to 1e-12 relative of 50-digit mpmath from 1e-6 to 1e6, with and
+    without the order below passed in, on both sides of the x = 1 switch."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    xs = np.geomspace(1e-6, 1e6, 97).tolist() + [1.0, math.nextafter(1.0, 2.0)]
+    for x in xs:
+        ref = mpmath.exp(x) * mpmath.expint(n, x)
+        prev = float(mpmath.exp(x) * mpmath.expint(n - 1, x)) if n > 1 else None
+        for got in (exp_scaled_en(n, x), exp_scaled_en(n, x, prev)):
+            assert float(abs(got - ref) / ref) <= 1e-12, (n, x, got)
+
+
+def test_exp_scaled_en_does_not_call_exp_scaled_e1(monkeypatch):
+    """The benchmark counts exp_scaled_e1 calls by patching the name in numerics
+    and analytics: exp_scaled_en must reach neither."""
+    from scbsim import analytics
+
+    def forbidden(x):
+        raise AssertionError("exp_scaled_e1 called")
+
+    expected = {(n, x): exp_scaled_en(n, x) for n in (1, 2, 4) for x in (0.2, 5.0)}
+    monkeypatch.setattr(numerics, "exp_scaled_e1", forbidden)
+    monkeypatch.setattr(analytics, "exp_scaled_e1", forbidden)
+    assert {(n, x): exp_scaled_en(n, x) for n, x in expected} == expected
 
 
 # -- quadrature --------------------------------------------------------------------
