@@ -105,8 +105,12 @@ def er_user_K(inputs):
 
 
 def cluster_inputs(cfg, m):
-    """The ClosedFormInputs of cluster m's users, user 0 farthest, as closed_form takes them."""
-    return tuple(ClosedFormInputs.from_config(cfg, m, k) for k in range(cfg.K))
+    """The ClosedFormInputs of cluster m's users, user 0 farthest, as closed_form
+    takes them (ClosedFormInputs.from_config of each, the powers converted once)."""
+    p_watt, noise_watt = cfg.tx_power_watt, cfg.noise_watt
+    return tuple(ClosedFormInputs(cfg.L, cfg.K, cfg.power_alloc, cfg.target_rate, p_watt,
+                                  noise_watt, largescale_direct(d, cfg.alpha3))
+                 for d in cfg.d_direct[m])
 
 
 def closed_form(cluster, metric, k):

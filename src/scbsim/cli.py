@@ -41,6 +41,7 @@ from .scenario import (
     ConfigError,
     fingerprint,
     load_config,
+    sweep_fingerprint,
 )
 
 CSV_HEADER = ("sweep_var,sweep_value,cluster,user,metric,estimate,stderr,"
@@ -75,13 +76,16 @@ def _fmt_sweep(value):
 def point_rows(sweep_var, sweep_value, cfg, fp):
     """The CSV row formatter of one sweep point: row(m, k, metric, estimate, stderr,
     trials) -> line.  The point-constant cells (sweep variable and value, mode,
-    cancellation, scenario, fingerprint) are formatted once, here."""
+    cancellation, scenario, fingerprint) are formatted once, here.  Each row is
+    one f-string with _fmt's cells: m and k are ints or None (an empty cell),
+    estimate and stderr floats (repr), trials an int."""
     mode = "ideal" if cfg.resolution_bits is None else f"{cfg.resolution_bits}-bit"
     head = f"{_fmt(sweep_var)},{_fmt_sweep(sweep_value)},"
     tail = "," + ",".join(map(_fmt, (mode, cfg.cancellation_mode, cfg.ris_scenario, fp)))
 
     def row(m, k, metric, estimate, stderr, trials):
-        return head + ",".join(map(_fmt, (m, k, metric, estimate, stderr, trials))) + tail
+        return (f"{head}{'' if m is None else m},{'' if k is None else k},{metric},"
+                f"{estimate!r},{stderr!r},{trials}{tail}")
 
     return row
 
@@ -279,15 +283,18 @@ def cmd_simulate(args):
 def cmd_analytic(args):
     cfg = _load_cfg(args)
     var, values, metrics = _sweep_request(args, cfg, ANALYTIC_METRICS)
+    # every valid point has cfg's M and K (the distance matrices fix them); ER_user
+    # has a closed form for the nearest user only, OP_pair one per cluster
+    plan = [(metric, {"ER_user": (cfg.K - 1,), "OP_pair": (None,)}.get(metric, range(cfg.K)))
+            for metric in metrics]
+    fp = sweep_fingerprint(cfg, var)
     lines = [CSV_HEADER]
     assumption_violated = False
     for value in values:
         point = mc.sweep_config(cfg, var, value)
-        row = point_rows(var, value, point, fingerprint(point))
+        row = point_rows(var, value, point, fp(point))
         clusters = [cluster_inputs(point, m) for m in range(point.M)]
-        for metric in metrics:
-            # ER_user has a closed form for the nearest user only, OP_pair one per cluster
-            users = {"ER_user": (point.K - 1,), "OP_pair": (None,)}.get(metric, range(point.K))
+        for metric, users in plan:
             for m, cluster in enumerate(clusters):
                 for k in users:
                     try:

@@ -16,8 +16,11 @@ closed form has one) gives 1 - Q with Q = e^-x sum_{i<s} x^i/i! wherever
 Q <= 0.9: there P >= 0.1, so the subtraction loses at most one digit.  The
 rest goes to the series below x = s + 1 and to the continued fraction above
 it: non-integer shapes, Q > 0.9, and x past 708, where e^-x would leave the
-normal range.  e^x E_n(x) is an upward recurrence from the E1 series up to
-x = 1 and the same continued fraction above it.
+normal range.  From s = 1e3 on, the series and the fraction take their
+prefactor x^s e^-x / Gamma(s) from Stirling's series, and the series may take
+a number of steps that grows with sqrt(s).  e^x E_n(x) is an upward
+recurrence from the E1 series up to x = 1 and the same continued fraction
+above it.
 ``gamma_cdf`` evaluates the scalar P(s, x) once per element, on Python
 floats, so its arrays match the scalar function bit for bit.  An adaptive
 Gauss-Kronrod quadrature provides the independent oracle used by the test
@@ -34,6 +37,8 @@ import numpy as np
 _EPS = float(np.finfo(float).eps)
 _FPMIN = float(np.finfo(float).tiny) / _EPS
 _ITMAX = 20000
+_LARGE_SHAPE = 1e3     # P(s, x) takes _gamma_large_shape from here on
+_SERIES_ITMAX = 10 ** 7   # its series' step cap: 8.6 sqrt(s) steps reach it at s ~ 1e12
 _EXP_ARG_MAX = 708.0   # e^-x is a normal float and e^x finite up to here
 
 CONSISTENT_TOL = 1e-8       # residual/||b|| threshold for an exact (consistent) solve
@@ -140,16 +145,18 @@ def _svd_min_norm(a, b):
 
 # -- regularized lower incomplete gamma ------------------------------------
 
-def _gamma_series(s, x):
+def _gamma_series(s, x, steps=_ITMAX, log_prefactor=None):
     ap = s
     delt = 1.0 / s
     total = delt
-    for _ in range(_ITMAX):
+    for _ in range(steps):
         ap += 1.0
         delt *= x / ap
         total += delt
         if delt < total * 1e-16:   # both positive for x > 0
-            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
+            if log_prefactor is None:
+                log_prefactor = -x + s * math.log(x) - math.lgamma(s)
+            return total * math.exp(log_prefactor)
     raise NumericsError("incomplete gamma series did not converge")
 
 
@@ -179,11 +186,36 @@ def _upper_gamma_cf(s, x):
     raise NumericsError("incomplete gamma continued fraction did not converge")
 
 
+def _gamma_large_shape(s, x):
+    """P(s, x) for s >= _LARGE_SHAPE.
+
+    There the prefactor x^s e^-x / Gamma(s) of the series and the fraction,
+    as e^(-x + s log x - lgamma(s)), keeps its terms' rounding, near s log(x)
+    ulp (4e-7 relative in P at s = 1e9).  Stirling's lgamma(s) = (s - 1/2) log s
+    - s + log(2 pi)/2 + mu(s) leaves an error near s |d| ulp, d = (x - s)/s,
+    and mu(s) = 1/(12 s) - 1/(360 s^3) is exact to rounding there.  Near x = s
+    the series takes about 8.6 sqrt(s) steps.
+    """
+    if not 0.0 < x < math.inf:   # the domain error, 0 or 1, whatever the shape
+        return lower_incomplete_gamma_regularized(1.0, x)
+    d = (x - s) / s
+    if d == -1.0:   # x/s below the rounding unit: P < (e x/s)^s underflows
+        return 0.0
+    mu = (1.0 - 1.0 / (30.0 * s * s)) / (12.0 * s)
+    log_prefactor = s * (math.log1p(d) - d) + 0.5 * math.log(s / (2.0 * math.pi)) - mu
+    if x < s + 1.0:
+        steps = min(_ITMAX + int(10.0 * math.sqrt(s)), _SERIES_ITMAX)
+        return _gamma_series(s, x, steps, log_prefactor)
+    return 1.0 - math.exp(log_prefactor) * _upper_gamma_cf(s, x)
+
+
 def lower_incomplete_gamma_regularized(s, x):
     """P(s, x) = gamma(s, x) / Gamma(s), the CDF of a Gamma(s, 1) variate at x.
 
     Branches, in the order they are tried:
 
+    - s >= _LARGE_SHAPE: _gamma_large_shape, the series below x = s + 1 and
+      the continued fraction above, with Stirling's prefactor.
     - s = 1: P = 1 - e^-x, computed as -expm1(-x), exact to rounding at
       every x.
     - x < s/2: the power series (_gamma_series).  Every term is positive, so
@@ -199,8 +231,10 @@ def lower_incomplete_gamma_regularized(s, x):
       which converges fast there; for integer s it is reached only past
       _EXP_ARG_MAX.
     """
-    if not 0 < s < math.inf:   # NaN too
-        raise ValueError(f"shape must be positive and finite, got {s}")
+    if not 0 < s < _LARGE_SHAPE:   # NaN and infinity too
+        if not 0 < s < math.inf:
+            raise ValueError(f"shape must be positive and finite, got {s}")
+        return _gamma_large_shape(s, x)
     if not x >= 0:   # NaN too: the continued fraction would never converge on it
         raise ValueError(f"argument must be >= 0, got {x}")
     if x == 0.0:

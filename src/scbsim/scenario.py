@@ -304,28 +304,46 @@ def load_config(text):
     return ScenarioConfig(**values)
 
 
+def _config_line(key, kind, value):
+    """One line of the canonical config document: ``key = value``."""
+    if kind == "matrix":
+        text = "; ".join(", ".join(repr(v) for v in row) for row in value)
+    elif kind == "list":
+        text = ", ".join(repr(v) for v in value)
+    elif value is None:
+        text = "none"
+    else:
+        text = repr(value) if isinstance(value, float) else str(value)
+    return f"{key} = {text}\n"
+
+
 def serialize_config(cfg):
     """Canonical config document; load_config(serialize_config(cfg)) == cfg."""
-    pm = cfg.power_model
-    lines = []
-    for key, (field_name, kind) in _SECTION_KEYS.items():
-        if field_name in _POWER_MODEL_FIELDS:
-            value = getattr(pm, field_name)
-        else:
-            value = getattr(cfg, field_name)
-        if kind == "matrix":
-            text = "; ".join(", ".join(repr(v) for v in row) for row in value)
-        elif kind == "list":
-            text = ", ".join(repr(v) for v in value)
-        elif value is None:
-            text = "none"
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return "".join(_config_line(key, kind, getattr(
+        cfg.power_model if name in _POWER_MODEL_FIELDS else cfg, name))
+        for key, (name, kind) in _SECTION_KEYS.items())
 
 
 def fingerprint(cfg):
     """Short stable hash of the full configuration (master seed included)."""
     digest = hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
     return digest[:12]
+
+
+def sweep_fingerprint(cfg, variable):
+    """fingerprint(point) for configs that differ from cfg in the numeric field
+    `variable` alone: cfg's other lines are serialized and hashed once, and each
+    call formats only the swept line."""
+    key = _KEY_OF[variable]
+    kind = _SECTION_KEYS[key][1]
+    lines = serialize_config(cfg).splitlines(keepends=True)   # one line per key
+    i = list(_SECTION_KEYS).index(key)
+    head = hashlib.sha256("".join(lines[:i]).encode("utf-8"))
+    tail = "".join(lines[i + 1:]).encode("utf-8")
+
+    def point_fingerprint(point):
+        digest = head.copy()
+        digest.update(_config_line(key, kind, getattr(point, variable)).encode("utf-8") + tail)
+        return digest.hexdigest()[:12]
+
+    return point_fingerprint

@@ -372,6 +372,53 @@ def test_analytic_rejects_unsupported_metric(tmp_path):
     assert run_cli(["analytic", "--config", BASE, "--metrics", "residue_mean"]) == 2
 
 
+@pytest.mark.parametrize("sweep", ["N=16,24", "master_seed=1,9007199254740993"])
+def test_analytic_integer_sweeps_match_per_row_reference(tmp_path, baseline_cfg, sweep):
+    """Integer sweeps, a seed beyond what a float holds among them, keep the bytes of
+    the per-row reference: each point's fingerprint is fingerprint(point)."""
+    out = tmp_path / "an.csv"
+    assert run_cli(["analytic", "--config", BASE, "--out", out, "--sweep", sweep,
+                    "--metrics", ",".join(cli.ANALYTIC_METRICS)]) == 0
+    var, values = cli.parse_sweep(sweep)
+    expected, violated = reference_analytic(baseline_cfg, var, values, cli.ANALYTIC_METRICS)
+    assert not violated and out.read_bytes() == expected.encode()
+
+
+def test_analytic_stops_at_an_invalid_sweep_point(tmp_path, capsys):
+    """A point the config rejects ends analytic with a config error and no output file."""
+    out = tmp_path / "bad.csv"
+    assert run_cli(["analytic", "--config", BASE, "--out", out,
+                    "--sweep", "bandwidth_hz=1e8,0"]) == 2
+    assert ("config error: bandwidth_hz must be strictly positive and finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_csv_rows_leave_cluster_and_user_cells_empty(baseline_cfg):
+    row = cli.point_rows("tx_power_dbm", 30, baseline_cfg, "0123456789ab")
+    assert row(None, None, "feasibility_rate", 0.5, 0.125, 7) == (
+        "tx_power_dbm,30.0,,,feasibility_rate,0.5,0.125,7,ideal,aggregate,diffuse,0123456789ab")
+    assert row(1, None, "SE", 2.0, 0.0, 7) == (
+        "tx_power_dbm,30.0,1,,SE,2.0,0.0,7,ideal,aggregate,diffuse,0123456789ab")
+    assert row(0, 1, "OP_user", 1e-300, 0.0, 0) == (
+        "tx_power_dbm,30.0,0,1,OP_user,1e-300,0.0,0,ideal,aggregate,diffuse,0123456789ab")
+
+
+def test_simulate_and_analytic_write_empty_cluster_and_user_cells(small_cfg_file, tmp_path):
+    """Global and cluster rows of simulate and the OP_pair rows of analytic, as written."""
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--config", small_cfg_file, "--out", out, "--threads", 1,
+                    "--metrics", "SE,EE,feasibility_rate"]) == 0
+    assert [line.split(",")[:5] for line in out.read_text().splitlines()[1:]] == [
+        ["tx_power_dbm", "0.0", "0", "", "SE"], ["tx_power_dbm", "0.0", "1", "", "SE"],
+        ["tx_power_dbm", "0.0", "0", "", "EE"], ["tx_power_dbm", "0.0", "1", "", "EE"],
+        ["tx_power_dbm", "0.0", "", "", "feasibility_rate"]]
+    assert run_cli(["analytic", "--config", small_cfg_file, "--out", out,
+                    "--metrics", "OP_pair"]) == 0
+    assert [line.split(",")[:5] for line in out.read_text().splitlines()[1:]] == [
+        ["tx_power_dbm", "0.0", "0", "", "OP_pair"], ["tx_power_dbm", "0.0", "1", "", "OP_pair"]]
+
+
 @pytest.mark.parametrize("line,bad", [
     ("ris.N = 40", "ris.N = inf"),
     ("montecarlo.trials = 100000", "montecarlo.trials = inf"),

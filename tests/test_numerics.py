@@ -275,14 +275,54 @@ def test_gamma_integer_shape_past_708_takes_the_generic_branches():
 
 
 def test_gamma_large_shape_stays_finite():
-    """No overflow, NaN or warning at s = 64 up to x = 1e300, and P is a CDF there."""
-    xs = sorted(set(np.geomspace(1e-300, 1e300, 601).tolist() + [32.0, 64.0, 65.0, 708.0, 709.0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values = [lower_incomplete_gamma_regularized(64, x) for x in xs]
-    assert all(0.0 <= v <= 1.0 for v in values)
-    assert all(a <= b for a, b in zip(values, values[1:]))
-    assert values[0] == 0.0 and values[-1] == 1.0
+    """No overflow, NaN or warning at s = 64, 1000.5 and 1e6 from x = 1e-300 up to
+    1e300, and P is a CDF there."""
+    for s in (64, 1e3 + 0.5, 1e6):
+        xs = sorted(set(np.geomspace(1e-300, 1e300, 601).tolist()
+                        + [32.0, 64.0, 65.0, 708.0, 709.0, 0.5 * s, s, s + 1.0, s * 1e-16]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [lower_incomplete_gamma_regularized(s, x) for x in xs]
+        assert all(0.0 <= v <= 1.0 for v in values), s
+        assert all(a <= b for a, b in zip(values, values[1:])), s
+        assert values[0] == 0.0 and values[-1] == 1.0, s
+
+
+@pytest.mark.parametrize("s", [1e7, 1e7 + 0.5, 1e8])
+def test_gamma_huge_shape_near_the_median_vs_scipy(s):
+    """Near x = s the series needs about 8.6 sqrt(s) terms, past a fixed 20000-step
+    cap from s = 5.4e6 on; the cap grows with sqrt(s).  Within 1e-11 relative of
+    scipy (its Temme expansion is exact to rounding there), the rounding of about
+    10 sqrt(s) series terms."""
+    special = pytest.importorskip("scipy.special")
+    for x in (s - math.sqrt(s), s, s + math.sqrt(s)):
+        ref = float(special.gammainc(s, x))
+        assert lower_incomplete_gamma_regularized(s, x) == pytest.approx(ref, rel=1e-11, abs=0)
+
+
+def _mpmath_gamma_series(s, x, mpmath):
+    """P(s, x) from its power series in mpmath's working precision."""
+    s, x = mpmath.mpf(s), mpmath.mpf(x)
+    term = total = 1 / s
+    n = 0
+    while term > total * mpmath.mpf(10) ** -35:
+        n += 1
+        term *= x / (s + n)
+        total += term
+    return total * mpmath.exp(-x + s * mpmath.log(x) - mpmath.loggamma(s))
+
+
+@pytest.mark.parametrize("s", [1e3, 2.5e4 + 0.5, 1e5])
+def test_gamma_large_shape_prefactor_vs_mpmath(s):
+    """From s = 1e3 the prefactor x^s e^-x / Gamma(s) comes from Stirling's series:
+    written as e^(-x + s log x - lgamma(s)), it carries the rounding of terms near
+    s log x (4e-10 relative at s = 1e5), which the lower tail shows."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for x in (s - 5 * math.sqrt(s), s - math.sqrt(s), s + 0.5):
+        ref = _mpmath_gamma_series(s, x, mpmath)
+        got = lower_incomplete_gamma_regularized(s, x)
+        assert float(abs(got - ref) / ref) <= 1e-12, (s, x)
 
 
 def test_gamma_nan_argument_raises_at_once():

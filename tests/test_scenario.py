@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from scbsim.montecarlo import sweep_config
 from scbsim.scenario import (
     CANCELLATION_MODES,
+    NUMERIC_FIELDS,
     RIS_SCENARIOS,
     ConfigError,
     PowerModel,
@@ -14,6 +16,7 @@ from scbsim.scenario import (
     load_config,
     noise_power_dbm,
     serialize_config,
+    sweep_fingerprint,
 )
 
 
@@ -226,3 +229,32 @@ def test_non_finite_numbers_rejected(baseline_text, key, text):
 def test_non_finite_entries_rejected(baseline_text, key, text):
     with pytest.raises(ConfigError, match="finite"):
         load_config(with_key(baseline_text, key, text))
+
+
+# One valid point per sweepable field of the baseline.  M and K take their
+# base values: the distance matrices and the allocation fix them.
+SWEEP_POINTS = {
+    "M": 2, "K": 2, "L": 4, "rician_k1": 5.5, "rician_k2": 0.25, "tx_power_dbm": -7.5,
+    "bandwidth_hz": 2e7,
+    "noise_dbm_override": -90.0,    # base None, point a float
+    "d1": 120.0, "alpha1": 2.5, "alpha2": 2.7, "alpha3": 3.0,
+    "N": 64,                        # an integer field
+    "resolution_bits": 3,           # base None, point an int
+    "trials": 500,
+    "master_seed": 2 ** 53 + 1,     # beyond what a float holds
+}
+
+
+def test_sweep_points_cover_every_numeric_field():
+    assert sorted(SWEEP_POINTS) == sorted(NUMERIC_FIELDS)
+
+
+@pytest.mark.parametrize("var", sorted(SWEEP_POINTS))
+def test_sweep_fingerprint_is_fingerprint(baseline_cfg, var):
+    """The sweep helper hashes the bytes fingerprint hashes, for every sweepable kind."""
+    fp = sweep_fingerprint(baseline_cfg, var)
+    point = sweep_config(baseline_cfg, var, SWEEP_POINTS[var])
+    assert fp(point) == fingerprint(point)
+    assert fp(baseline_cfg) == fingerprint(baseline_cfg)
+    if getattr(point, var) != getattr(baseline_cfg, var):
+        assert fp(point) != fp(baseline_cfg)
