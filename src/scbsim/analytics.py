@@ -46,15 +46,8 @@ class ClosedFormInputs:
 
     @classmethod
     def from_config(cls, cfg, m, k):
-        return cls(
-            L=cfg.L,
-            K=cfg.K,
-            power_alloc=cfg.power_alloc,
-            target_rate=cfg.target_rate,
-            p_watt=cfg.tx_power_watt,
-            noise_watt=cfg.noise_watt,
-            l_direct=largescale_direct(cfg.d_direct[m][k], cfg.alpha3),
-        )
+        """The inputs of user k in cluster m (see cluster_inputs)."""
+        return cluster_inputs(cfg, m)[k]
 
     @property
     def rate_threshold_scale(self):
@@ -106,7 +99,7 @@ def er_user_K(inputs):
 
 def cluster_inputs(cfg, m):
     """The ClosedFormInputs of cluster m's users, user 0 farthest, as closed_form
-    takes them (ClosedFormInputs.from_config of each, the powers converted once)."""
+    takes them (the powers converted once per cluster)."""
     p_watt, noise_watt = cfg.tx_power_watt, cfg.noise_watt
     return tuple(ClosedFormInputs(cfg.L, cfg.K, cfg.power_alloc, cfg.target_rate, p_watt,
                                   noise_watt, largescale_direct(d, cfg.alpha3))

@@ -46,6 +46,11 @@ def desired_columns(w):
     return out
 
 
+def effective_gains(w):
+    """Effective gains sum_l |w[..., m, k, l, m]|^2, Gamma(L, 1); shape (..., M, K)."""
+    return np.square(np.abs(desired_columns(w))).sum(axis=-1)
+
+
 def interference_sums(w):
     """Row sums of W with the desired column removed: (..., M, K, L)."""
     return w.sum(axis=-1) - desired_columns(w)

@@ -328,8 +328,7 @@ def cmd_dump(args):
         raise ConfigError(f"--trial must be in [0, 2^64), got {args.trial}")
     gains = compute_gains(cfg)
     w, h, g = assemble_batch(cfg, mc.draw_chunk_normals(cfg, args.trial, 1))
-    h_tilde, b, phi, _, _ = mc._cancel(cfg, gains, w, h, g)
-    residue = bf.residues_batch(w, h, g, gains, phi)
+    h_tilde, b, phi, _, _, residue = mc._cancel(cfg, gains, w, h, g)
     lines = ["block,row,col,re,im"]
 
     def emit_matrix(name, mat):

@@ -2,8 +2,11 @@
 
 User indexing is 0-based: user 0 is the farthest user in a cluster and the
 first one decoded by everyone's successive cancellation chain.  The gain and
-residue arguments are arrays over a batch of trials, so the Monte Carlo
-engine evaluates one (cluster, user) pair for a whole chunk at once.
+residue arguments are arrays over a batch of trials, and ``l_direct`` (like
+``oma_snr``'s ``target_rate``) is a scalar or an array that broadcasts
+against them.  The Monte Carlo engine passes the SIC chain one user position
+of every cluster at once, (T, M) gains and residues with the clusters' (M,)
+direct-link gains, and ``oma_snr`` the whole (T, M, K) batch.
 """
 
 from __future__ import annotations

@@ -180,13 +180,15 @@ def block_trials(cfg):
 
 
 def _cancel(cfg, gains, w, h, g, out=None):
-    """Build, solve and (on a finite-resolution surface) quantize a (T, ...) stack.
+    """Build, solve, (on a finite-resolution surface) quantize and take residues.
 
-    Returns (h_tilde, b, phi, feasible, residual_rel).  phi is what the
-    surface applies, quantized when cfg.resolution_bits is set; feasibility
-    and the solver residual / ||b|| refer to the continuous solve, because
-    quantized levels are within [0, 1) by construction.  out is the
-    build_matrix_batch buffer h_tilde is written to, when given.
+    Returns (h_tilde, b, phi, feasible, residual_rel, residue).  phi is what
+    the surface applies, quantized when cfg.resolution_bits is set;
+    feasibility and the solver residual / ||b|| refer to the continuous solve,
+    because quantized levels are within [0, 1) by construction.  The residues
+    are the aggregate mismatch under phi, taken from the solved system in
+    aggregate mode.  out is the build_matrix_batch buffer h_tilde is written
+    to, when given.
     """
     h_tilde = bf.build_matrix_batch(h, g, gains.l_reflect, cfg.cancellation_mode, out)
     b = bf.build_target_batch(w, gains.l_direct, cfg.cancellation_mode)
@@ -195,7 +197,9 @@ def _cancel(cfg, gains, w, h, g, out=None):
     residual_rel = np.where(norm_b > 0, resid / np.where(norm_b > 0, norm_b, 1.0), 0.0)
     if cfg.resolution_bits is not None:
         phi = bf.quantize_surface(phi, cfg.resolution_bits)
-    return h_tilde, b, phi, feasible, residual_rel
+    residue = (bf.aggregate_residues(h_tilde, b, phi, cfg.M, cfg.K)
+               if cfg.cancellation_mode == AGGREGATE else bf.residues_batch(w, h, g, gains, phi))
+    return h_tilde, b, phi, feasible, residual_rel, residue
 
 
 def _surface_chunk(cfg, gains, start, count):
@@ -224,11 +228,9 @@ def _surface_chunk(cfg, gains, start, count):
         n = min(block, count - s)
         flat = draw_chunk_normals(cfg, start + s, n, out=normals[:n])
         w, h, g = assemble_batch(cfg, flat, out=tuple(a[:n] for a in fading))
-        h_tilde, b, phi, feasible[s:s + n], residual_rel[s:s + n] = _cancel(
+        *_, feasible[s:s + n], residual_rel[s:s + n], residue[s:s + n] = _cancel(
             cfg, gains, w, h, g, out=system[:n])
-        residue[s:s + n] = (bf.aggregate_residues(h_tilde, b, phi, M, K) if aggregate
-                            else bf.residues_batch(w, h, g, gains, phi))
-        eff[s:s + n] = np.square(np.abs(bf.desired_columns(w))).sum(axis=-1)
+        eff[s:s + n] = bf.effective_gains(w)
     return eff, residue, feasible, residual_rel
 
 
@@ -297,27 +299,21 @@ def link_stage(cfg, surfaces):
     """
     if _surface_keys(cfg) != _surface_keys(surfaces.cfg):
         raise ValueError("surfaces were built for another config (beyond its link keys)")
-    M, K, L = cfg.M, cfg.K, cfg.L
+    K, L = cfg.K, cfg.L
     p = cfg.tx_power_watt
     noise = cfg.noise_watt
     gains = compute_gains(cfg)
     eff, residue = surfaces.eff_gain, surfaces.residue
 
-    T = surfaces.trials
-    outage = np.empty((T, M, K), dtype=bool)
-    rate = np.empty((T, M, K))
-    oma_outage = np.empty((T, M, K), dtype=bool)
-    oma_rate = np.empty((T, M, K))
-    for m in range(M):
-        for k in range(K):
-            gmk = eff[:, m, k]
-            rmk = residue[:, m, k]
-            lb = gains.l_direct[m, k]
-            outage[:, m, k], rate[:, m, k] = lm.sic_chain(
-                gmk, rmk, lb, p, cfg.power_alloc, cfg.target_rate, k, noise, L)
-            snr, oout = lm.oma_snr(gmk, lb, p, noise, L, K, cfg.target_rate[k])
-            oma_outage[:, m, k] = oout
-            oma_rate[:, m, k] = np.log2(1.0 + snr) / K
+    outage = np.empty(eff.shape, dtype=bool)
+    rate = np.empty(eff.shape)
+    for k in range(K):   # every cluster's user k at once
+        outage[..., k], rate[..., k] = lm.sic_chain(
+            eff[..., k], residue[..., k], gains.l_direct[:, k], p, cfg.power_alloc,
+            cfg.target_rate, k, noise, L)
+    snr, oma_outage = lm.oma_snr(eff, gains.l_direct, p, noise, L, K,
+                                 np.asarray(cfg.target_rate))
+    oma_rate = np.log2(1.0 + snr) / K
     failed = surfaces.failed
     if failed.any():
         outage[failed], rate[failed] = False, 0.0

@@ -39,6 +39,7 @@ _FPMIN = float(np.finfo(float).tiny) / _EPS
 _ITMAX = 20000
 _LARGE_SHAPE = 1e3     # P(s, x) takes _gamma_large_shape from here on
 _SERIES_ITMAX = 10 ** 7   # its series' step cap: 8.6 sqrt(s) steps reach it at s ~ 1e12
+_MAX_SHAPE = 1e12      # the largest shape P(s, x) takes, so that the series stays under its cap
 _EXP_ARG_MAX = 708.0   # e^-x is a normal float and e^x finite up to here
 
 CONSISTENT_TOL = 1e-8       # residual/||b|| threshold for an exact (consistent) solve
@@ -230,10 +231,15 @@ def lower_incomplete_gamma_regularized(s, x):
     - otherwise: the modified-Lentz continued fraction for Gamma(s, x),
       which converges fast there; for integer s it is reached only past
       _EXP_ARG_MAX.
+
+    A shape above _MAX_SHAPE = 1e12 is a ValueError: near x = s the series
+    would pass its step cap (P(1e13, 1e13)), and past 2^53 the fraction's
+    first step divides by x + 1 - s, which rounds to 0 (P(1e20, 1e20)).
     """
     if not 0 < s < _LARGE_SHAPE:   # NaN and infinity too
-        if not 0 < s < math.inf:
-            raise ValueError(f"shape must be positive and finite, got {s}")
+        if not 0 < s <= _MAX_SHAPE:
+            raise ValueError(f"shape must be positive and finite, at most {_MAX_SHAPE:g}, "
+                             f"got {s}")
         return _gamma_large_shape(s, x)
     if not x >= 0:   # NaN too: the continued fraction would never converge on it
         raise ValueError(f"argument must be >= 0, got {x}")

@@ -28,7 +28,7 @@ from .analytics import (
     high_snr_slope,
     op_closed_form,
 )
-from .beamforming import system_rows
+from .beamforming import effective_gains, system_rows
 from .channel import assemble_batch
 from .numerics import (
     adaptive_quadrature,
@@ -95,15 +95,19 @@ def check_special_functions():
 # -- 3: effective channel gain distribution ----------------------------------
 
 def check_channel_statistics(cfg, draws):
-    """KS test of the effective gain against Gamma(L, 1) for L in {1, 2, 4}."""
+    """KS test of user (0, 0)'s effective gain against Gamma(L, 1), L in {1, 2, 4}.
+
+    Draws and assembles mc.CHUNK trials at a time."""
     t0 = time.perf_counter()
     details = []
     ok = True
     for L in (1, 2, 4):
         sub = cfg.with_updates(L=L, N=4, master_seed=cfg.master_seed + L)
-        flat = mc.draw_chunk_normals(sub, 0, draws)
-        w, _, _ = assemble_batch(sub, flat)
-        eff = np.square(np.abs(w[:, 0, 0, :, 0])).sum(axis=-1)
+        eff = np.empty(draws)
+        for start in range(0, draws, mc.CHUNK):
+            n = min(mc.CHUNK, draws - start)
+            w, _, _ = assemble_batch(sub, mc.draw_chunk_normals(sub, start, n))
+            eff[start:start + n] = effective_gains(w)[:, 0, 0]
         stat = ks_statistic(eff, lambda x, L=L: gamma_cdf(x, L))
         crit = ks_critical(draws, alpha=0.01)
         ok &= stat < crit
@@ -113,6 +117,32 @@ def check_channel_statistics(cfg, draws):
 
 # -- 4: Monte Carlo vs closed-form outage ------------------------------------
 
+def _simulated_vs_closed(name, cfg, trials, powers_dbm, threads, metric, users, se_rule,
+                         where):
+    """|MC - closed| <= 3 se_rule(result, closed) for the users k in ``users`` of
+    every cluster at every power; where(result) labels the worst user.  One
+    batch of ideal surfaces serves every power."""
+    t0 = time.perf_counter()
+    worst = 0.0
+    worst_at = ""
+    ideal = cfg.with_updates(resolution_bits=None)
+    surfaces = mc.surface_stage(ideal, trials, threads)
+    for p_dbm in powers_dbm:
+        sub = ideal.with_updates(tx_power_dbm=float(p_dbm))
+        clusters = [cluster_inputs(sub, m) for m in range(sub.M)]
+        for r in mc.estimates_from_batch(sub, mc.link_stage(sub, surfaces), metric):
+            if r.k not in users:
+                continue
+            closed = closed_form(clusters[r.m], metric, r.k)
+            pulls = abs(r.estimate - closed) / se_rule(r, closed)
+            if pulls > worst:
+                worst, worst_at = pulls, f"p={p_dbm} dBm {where(r)}"
+    label = metric.split("_")[0]
+    return _finish(name, t0, worst <= 3.0,
+                   f"worst |{label}_MC - {label}_closed| = {worst:.2f} SE at {worst_at} "
+                   f"({trials} trials/point, limit 3 SE)")
+
+
 def check_op_vs_closed_form(cfg, trials, powers_dbm=(20.0, 25.0, 30.0, 35.0),
                             threads=None):
     """|OP_MC - OP_closed| <= 3 SE at every power point and user.
@@ -120,28 +150,13 @@ def check_op_vs_closed_form(cfg, trials, powers_dbm=(20.0, 25.0, 30.0, 35.0),
     With zero observed events the estimator SE collapses, so the comparison
     scale is the binomial SE under whichever probability is larger.
     """
-    t0 = time.perf_counter()
-    worst = 0.0
-    worst_at = ""
-    ideal = cfg.with_updates(resolution_bits=None)
-    surfaces = mc.surface_stage(ideal, trials, threads)   # shared by every power
-    for p_dbm in powers_dbm:
-        sub = ideal.with_updates(tx_power_dbm=float(p_dbm))
-        results = mc.estimates_from_batch(sub, mc.link_stage(sub, surfaces), "OP_user")
-        clusters = [cluster_inputs(sub, m) for m in range(sub.M)]
-        for r in results:
-            closed = closed_form(clusters[r.m], "OP_user", r.k)
-            pstar = min(max(r.estimate, closed, 1.0 / trials), 1.0 - 1.0 / trials)
-            se = max(r.stderr, math.sqrt(pstar * (1.0 - pstar) / trials))
-            pulls = abs(r.estimate - closed) / se
-            if pulls > worst:
-                worst, worst_at = pulls, f"p={p_dbm} dBm user ({r.m},{r.k})"
-    ok = worst <= 3.0
-    return _finish(
-        "op_vs_closed_form", t0, ok,
-        f"worst |OP_MC - OP_closed| = {worst:.2f} SE at {worst_at} "
-        f"({trials} trials/point, limit 3 SE)",
-    )
+    def se_rule(r, closed):
+        pstar = min(max(r.estimate, closed, 1.0 / trials), 1.0 - 1.0 / trials)
+        return max(r.stderr, math.sqrt(pstar * (1.0 - pstar) / trials))
+
+    return _simulated_vs_closed("op_vs_closed_form", cfg, trials, powers_dbm, threads,
+                                "OP_user", range(cfg.K), se_rule,
+                                lambda r: f"user ({r.m},{r.k})")
 
 
 def _invert_closed_op(inputs, k, target):
@@ -214,27 +229,9 @@ def check_er_closed_vs_quadrature():
 
 def check_er_vs_closed_form(cfg, trials, powers_dbm=(20.0, 30.0, 40.0), threads=None):
     """|ER_MC - ER_closed| <= 3 SE for the nearest user at each power."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    worst_at = ""
-    k_near = cfg.K - 1
-    ideal = cfg.with_updates(resolution_bits=None)
-    surfaces = mc.surface_stage(ideal, trials, threads)   # shared by every power
-    for p_dbm in powers_dbm:
-        sub = ideal.with_updates(tx_power_dbm=float(p_dbm))
-        results = mc.estimates_from_batch(sub, mc.link_stage(sub, surfaces), "ER_user")
-        clusters = [cluster_inputs(sub, m) for m in range(sub.M)]
-        for r in results:
-            if r.k != k_near:
-                continue
-            closed = closed_form(clusters[r.m], "ER_user", r.k)
-            pulls = abs(r.estimate - closed) / max(r.stderr, 1e-12)
-            if pulls > worst:
-                worst, worst_at = pulls, f"p={p_dbm} dBm cluster {r.m}"
-    ok = worst <= 3.0
-    return _finish("er_vs_closed_form", t0, ok,
-                   f"worst |ER_MC - ER_closed| = {worst:.2f} SE at {worst_at} "
-                   f"({trials} trials/point, limit 3 SE)")
+    return _simulated_vs_closed("er_vs_closed_form", cfg, trials, powers_dbm, threads,
+                                "ER_user", (cfg.K - 1,), lambda r, _: max(r.stderr, 1e-12),
+                                lambda r: f"cluster {r.m}")
 
 
 # -- 7: high-SNR slopes, ceilings and floors ----------------------------------

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -298,6 +299,21 @@ def test_gamma_huge_shape_near_the_median_vs_scipy(s):
     for x in (s - math.sqrt(s), s, s + math.sqrt(s)):
         ref = float(special.gammainc(s, x))
         assert lower_incomplete_gamma_regularized(s, x) == pytest.approx(ref, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("s, x", [(1e13, 1e13), (1e20, 1e20), (1e20, 2e20)])
+def test_gamma_rejects_shapes_past_the_bound(s, x):
+    """Past s = 1e12 the series near x = s would run to its 1e7-step cap (~1.2 s, then
+    NumericsError), and past 2^53 the continued fraction divides by zero: such a shape
+    is a domain error, raised at once, for the scalar and for gamma_cdf alike."""
+    for call in (lambda: lower_incomplete_gamma_regularized(s, x), lambda: gamma_cdf([x], s)):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"at most 1e\+12"):
+            call()
+        assert time.perf_counter() - t0 < 0.05
+    # the bound itself is a valid shape
+    assert lower_incomplete_gamma_regularized(1e12, 1e6) == 0.0
+    assert lower_incomplete_gamma_regularized(1e12, 2e12) == 1.0
 
 
 def _mpmath_gamma_series(s, x, mpmath):

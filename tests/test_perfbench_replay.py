@@ -26,9 +26,14 @@ def replay(monkeypatch):
     return replay
 
 
+TALL_M3 = {"M": 3, "L": 4, "N": 96, "d_user": ((160.0, 80.0),) * 3,   # mc_tall_m3
+           "d_direct": ((200.0, 100.0),) * 3}
+
+
 @pytest.mark.parametrize("updates", [{}, {"resolution_bits": 3},
                                      {"cancellation_mode": "per-symbol"},
-                                     {"N": 256, "resolution_bits": 3}])   # mc_wide_3bit
+                                     {"N": 256, "resolution_bits": 3},   # mc_wide_3bit
+                                     TALL_M3, {**TALL_M3, "cancellation_mode": "per-symbol"}])
 def test_replay_point_matches_run_trials(baseline_cfg, replay, updates):
     cfg = baseline_cfg.with_updates(trials=2100, **updates)   # one full and one partial chunk
     replayed = replay.replay_point(replay.Tracer(), cfg)

@@ -1,8 +1,37 @@
+import numpy as np
+
 from scbsim import montecarlo as mc
 from scbsim import validation
+from scbsim.channel import assemble_batch
 
 TRIALS = mc.CHUNK + 52
 FAILING_TRIAL = mc.CHUNK + 40   # in the short second chunk, so the salvage reruns 52 trials
+
+
+def test_channel_statistics_draws_chunk_by_chunk(baseline_cfg, monkeypatch):
+    """Check 03 asks for at most mc.CHUNK trials at a time, and the gains it tests are
+    user (0, 0)'s sum_l |w[0, 0, l, 0]|^2 over the whole sample, byte for byte."""
+    draw = mc.draw_chunk_normals
+    asked, samples = [], []
+
+    def spy_draw(cfg, start, count, out=None):
+        asked.append(count)
+        return draw(cfg, start, count, out)
+
+    def spy_ks(sample, cdf):
+        samples.append(sample.copy())
+        return ks_statistic(sample, cdf)
+
+    ks_statistic = validation.ks_statistic
+    monkeypatch.setattr(mc, "draw_chunk_normals", spy_draw)
+    monkeypatch.setattr(validation, "ks_statistic", spy_ks)
+    draws = 2 * mc.CHUNK + 100
+    assert validation.check_channel_statistics(baseline_cfg, draws).passed
+    assert max(asked) <= mc.CHUNK and sum(asked) == 3 * draws
+    for L, got in zip((1, 2, 4), samples, strict=True):
+        sub = baseline_cfg.with_updates(L=L, N=4, master_seed=baseline_cfg.master_seed + L)
+        w, _, _ = assemble_batch(sub, draw(sub, 0, draws))
+        assert got.tobytes() == np.square(np.abs(w[:, 0, 0, :, 0])).sum(axis=-1).tobytes()
 
 
 def test_residue_check_covers_the_per_symbol_rank_bound(baseline_cfg):
