@@ -17,16 +17,21 @@ power and noise), so a sweep over one of them builds its surfaces once and
 runs the link stage per point; ``run_trials`` is the two stages in a row.
 
 Work units of the surface stage: a chunk (CHUNK trials) is one thread-pool
-task and the unit the salvage path reruns trial by trial.  Inside a chunk,
-trials run in blocks of ``block_trials(cfg)``, about BLOCK_BYTES of standard
-normals, so that a block's arrays stay in cache from draw to residue.  Each
-chunk allocates one workspace sized for a single block (the normals, the
-fading arrays w, h, g and the system matrix) and every block reuses it, which
-keeps the allocation, and the page faults, the same from pass to pass.  In
-aggregate mode the system matrix is g scaled in place, so g shares the
-system's memory and the residues are taken from the system and target the
-solver used.  The block size depends on the config only, never on the thread
-count, and no trial's values depend on the block or chunk it is computed in.
+task and the unit the salvage path reruns trial by trial.  Every chunk runs
+on the pool, at one thread as at eight, and writes its trials straight into
+its slice of the batch's arrays; the salvage writes through the same slices.
+Pool threads do not inherit the caller's np.errstate, which is a context
+variable, so an errstate for the stage has to be set in the worker.  Inside
+a chunk, trials run in blocks of ``block_trials(cfg)``, about BLOCK_BYTES of
+standard normals, so that a block's arrays stay in cache from draw to
+residue.  Each chunk allocates one workspace sized for a single block (the
+normals, the fading arrays w, h, g and the system matrix) and every block
+reuses it, which keeps the allocation, and the page faults, the same from
+pass to pass.  In aggregate mode the system matrix is g scaled in place, so
+g shares the system's memory and the residues are taken from the system and
+target the solver used.  The block size depends on the config only, never on
+the thread count, and no trial's values depend on the block or chunk it is
+computed in.
 
 Key derivation (fixed for cross-language reproduction):
 
@@ -141,10 +146,6 @@ class SurfaceBatch:
     failed: np.ndarray        # (T,) bool; these trials' arrays are zeroed
     cfg: ScenarioConfig       # the config the surfaces were built for
 
-    @property
-    def trials(self):
-        return self.failed.shape[0]
-
 
 def draw_chunk_normals(cfg, start, count, out=None):
     """Flat standard normals for trials [start, start+count), one row each.
@@ -202,14 +203,15 @@ def _cancel(cfg, gains, w, h, g, out=None):
     return h_tilde, b, phi, feasible, residual_rel, residue
 
 
-def _surface_chunk(cfg, gains, start, count):
+def _surface_chunk(cfg, gains, start, count, out=None):
     """(eff_gain, residue, feasible, residual_rel) of trials [start, start+count).
 
     Runs the chunk block by block (block_trials) through one workspace sized
     for a single block: the normals, the fading arrays and the system matrix.
     In aggregate mode the system is g scaled in place, row (m, k, l) from
     g[m, k, l], so g is assembled straight into the system's memory and the
-    residues come from the system the solver used.
+    residues come from the system the solver used.  out, when given, is the
+    tuple of four arrays with count rows that is filled and returned.
     """
     M, K, L, N = cfg.M, cfg.K, cfg.L, cfg.N
     aggregate = cfg.cancellation_mode == AGGREGATE
@@ -220,10 +222,9 @@ def _surface_chunk(cfg, gains, start, count):
     shared_g = system.reshape(block, M, K, L, N) if aggregate and M > 1 else None
     fading = empty_fading(cfg, block, shared_g)
 
-    eff = np.empty((count, M, K))
-    residue = np.empty((count, M, K))
-    feasible = np.empty(count, dtype=bool)
-    residual_rel = np.empty(count)
+    eff, residue, feasible, residual_rel = out or (
+        np.empty((count, M, K)), np.empty((count, M, K)), np.empty(count, dtype=bool),
+        np.empty(count))
     for s in range(0, count, block):
         n = min(block, count - s)
         flat = draw_chunk_normals(cfg, start + s, n, out=normals[:n])
@@ -238,51 +239,39 @@ def surface_stage(cfg, trials=None, threads=None):
     """Draw, assemble, build, solve, quantize and residue for a batch of trials.
 
     Nothing here reads a LINK_KEYS value, so one SurfaceBatch serves every
-    config that differs from cfg only in those keys.  Deterministic for any
-    thread count.
+    config that differs from cfg only in those keys.  Every chunk is a task
+    on a pool of ``threads`` workers, also when that is 1, and fills its
+    slice of the batch's arrays in place; the result is the same for any
+    thread count.  The workers do not inherit the caller's np.errstate (a
+    context variable), so an errstate meant for the stage must be set
+    inside the worker.
     """
     trials = cfg.trials if trials is None else int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     threads = threads or min(8, os.cpu_count() or 1)
     gains = compute_gains(cfg)
-    M, K = cfg.M, cfg.K
-
-    eff = np.empty((trials, M, K))
-    residue = np.empty((trials, M, K))
-    feasible = np.empty(trials, dtype=bool)
-    residual_rel = np.empty(trials)
+    arrays = (np.empty((trials, cfg.M, cfg.K)), np.empty((trials, cfg.M, cfg.K)),
+              np.empty(trials, dtype=bool), np.empty(trials))
     failed = np.zeros(trials, dtype=bool)
-    arrays = (eff, residue, feasible, residual_rel)
 
     def work(start):
         count = min(CHUNK, trials - start)
         try:
-            res = _surface_chunk(cfg, gains, start, count)
+            _surface_chunk(cfg, gains, start, count, tuple(a[start:start + count] for a in arrays))
         except np.linalg.LinAlgError:
             # salvage the chunk trial by trial; zero and mark unrecoverable ones
             for i in range(start, start + count):
                 try:
-                    res1 = _surface_chunk(cfg, gains, i, 1)
+                    _surface_chunk(cfg, gains, i, 1, tuple(a[i:i + 1] for a in arrays))
                 except np.linalg.LinAlgError:
                     failed[i] = True
-                    res1 = (0.0, 0.0, False, 0.0)
-                for full, part in zip(arrays, res1):
-                    full[i:i + 1] = part
-            return
-        for full, part in zip(arrays, res):
-            full[start:start + count] = part
+                    for a in arrays:
+                        a[i] = 0
 
-    starts = range(0, trials, CHUNK)
-    if threads <= 1:
-        for s in starts:
-            work(s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-
-    return SurfaceBatch(eff_gain=eff, residue=residue, feasible=feasible,
-                        residual_rel=residual_rel, failed=failed, cfg=cfg)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(work, range(0, trials, CHUNK)))
+    return SurfaceBatch(*arrays, failed=failed, cfg=cfg)
 
 
 def _surface_keys(cfg):

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import montecarlo as mc
 from .analytics import (
-    ClosedFormInputs,
     closed_form,
     cluster_inputs,
     diversity_order,
@@ -182,7 +181,7 @@ def check_diversity_order(cfg, trials, threads=None):
         rows = max(1, system_rows(cfg.M, cfg.K, L, cfg.cancellation_mode))
         sub = cfg.with_updates(L=L, N=2 * rows, resolution_bits=None,
                                master_seed=cfg.master_seed + 100 + L)
-        base = ClosedFormInputs.from_config(sub, 0, 0)
+        base = cluster_inputs(sub, 0)[0]
         p_lo = _invert_closed_op(base, 0, 8e-3)
         p_hi = _invert_closed_op(base, 0, 2.5e-4)
         closed_curve = [(p, op_closed_form(replace(base, p_watt=p), 0)) for p in (p_lo, p_hi)]

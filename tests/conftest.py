@@ -28,10 +28,10 @@ def fail_trial(monkeypatch):
     def inject(trial):
         real = montecarlo._surface_chunk
 
-        def chunk(cfg, gains, start, count):
+        def chunk(cfg, gains, start, count, out=None):
             if start <= trial < start + count:
                 raise np.linalg.LinAlgError(f"injected failure of trial {trial}")
-            return real(cfg, gains, start, count)
+            return real(cfg, gains, start, count, out)
 
         monkeypatch.setattr(montecarlo, "_surface_chunk", chunk)
 

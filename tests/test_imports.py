@@ -1,12 +1,15 @@
-"""No module of the package or the test suite imports a name it never uses."""
+"""No module of the package or the test suite imports a name it never uses, and the
+package imports nothing beyond numpy and the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "scbsim").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "scbsim").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source):
@@ -33,3 +36,32 @@ def test_guard_finds_unused_imports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source):
+    """(line, module) of each absolute import that is neither numpy nor standard library.
+
+    pyproject.toml makes numpy the package's one dependency; scipy, mpmath and
+    hypothesis come with the test extra only.
+    """
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append((node.lineno, node.module))
+    return sorted((line, name) for line, name in imported
+                  if name.split(".")[0] != "numpy"
+                  and name.split(".")[0] not in sys.stdlib_module_names)
+
+
+def test_guard_finds_foreign_imports():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from numpy.linalg import svd\nimport scipy.special\nfrom mpmath import mp\n"
+              "from . import numerics\n")
+    assert foreign_imports(source) == [(5, "scipy.special"), (6, "mpmath")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_depends_on_numpy_only(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
