@@ -3,12 +3,17 @@
 The minimum-norm solver backs the passive beamforming design (the
 cancellation system is underdetermined whenever the surface has more elements
 than constraint rows).  Stacks with rows <= columns are solved through the
-small r x r Gram matrix A A^H; a trial falls back to the truncated SVD when
-its Gram matrix is ill-conditioned (eigenvalue ratio at most
-GRAM_MIN_EIG_RATIO), its solution is non-finite or its residual exceeds
-CONSISTENT_TOL * ||b||.  Stacks with rows > columns (least squares) always
-use the SVD.  The regularized lower incomplete gamma function and the
-exponential integrals feed the closed-form outage and rate expressions.
+small r x r Gram matrix G = A A^H, inverted by one stacked ``inv`` per
+block; a trial falls back to the truncated SVD when G is ill-conditioned
+(eigenvalue ratio at most GRAM_MIN_EIG_RATIO), its solution is non-finite or
+its residual exceeds CONSISTENT_TOL * ||b||.  The Frobenius condition number
+||G||_F ||G^-1||_F settles the ratio test for most trials without
+eigenvalues; eigvalsh runs only on the trials it leaves open.  If ``inv``
+raises because one G of a block is exactly singular, that block is inverted
+trial by trial and the singular trials fall back.  Stacks with rows >
+columns (least squares) always use the SVD.  The regularized lower
+incomplete gamma function and the exponential integrals feed the
+closed-form outage and rate expressions.
 P(s, x) is -expm1(-x) at s = 1.  Otherwise, in its lower tail (x < s/2),
 it sums the power series, whose terms are all positive, so it keeps its
 relative accuracy however small P is.  Above that, an integer shape (every
@@ -44,7 +49,8 @@ _EXP_ARG_MAX = 708.0   # e^-x is a normal float and e^x finite up to here
 
 CONSISTENT_TOL = 1e-8       # residual/||b|| threshold for an exact (consistent) solve
 RANK_TOL = 1e-10            # the SVD truncates singular values below RANK_TOL * s_max
-GRAM_MIN_EIG_RATIO = 1e-4   # smallest lambda_min/lambda_max of a a^H the Gram path accepts
+GRAM_MIN_EIG_RATIO = 1e-4   # smallest lambda_min/lambda_max of G = a a^H the Gram path accepts;
+                            # ||G||_F ||G^-1||_F below its inverse passes without eigenvalues
 
 
 class NumericsError(ArithmeticError):
@@ -60,14 +66,17 @@ def min_norm_solve_batch(a, b):
     (..., c) minimizing ||x|| among minimizers of ||a x - b||.
 
     Dispatch: when r <= c each system is first solved through its Gram
-    matrix, x = a^H (a a^H)^{-1} b.  A trial keeps that answer only when x is
-    finite, the Gram eigenvalue ratio lambda_min / lambda_max exceeds
-    GRAM_MIN_EIG_RATIO and the residual is at most CONSISTENT_TOL * ||b||.
-    The ratio is tested first, so a trial that fails it goes to the SVD
-    without a Gram solve.  The normal equations square the condition number,
-    so the ratio bound caps cond(a) at 100 and the relative error of x near
-    1e-12.  Every other trial, and every stack with
-    r > c, is solved by SVD with singular values below RANK_TOL * s_max
+    matrix G = a a^H, x = a^H G^{-1} b, with G^{-1} from one stacked inv
+    (trial by trial when one G of the stack is exactly singular; that trial
+    falls back).  A trial keeps that answer only when x is finite, the Gram
+    eigenvalue ratio lambda_min / lambda_max exceeds GRAM_MIN_EIG_RATIO and
+    the residual is at most CONSISTENT_TOL * ||b||.  The ratio test is read
+    first through the Frobenius condition number ||G||_F ||G^{-1}||_F, which
+    is at least lambda_max / lambda_min: below 1 / GRAM_MIN_EIG_RATIO it
+    passes a trial without eigenvalues.  The normal equations square the
+    condition number, so the ratio bound caps cond(a) at 100 and the
+    relative error of x near 1e-12.  Every other trial, and every stack
+    with r > c, is solved by SVD with singular values below RANK_TOL * s_max
     truncated; GRAM_MIN_EIG_RATIO >> RANK_TOL**2, so no trial with such a
     singular value passes the ratio test.
     """
@@ -98,39 +107,65 @@ def min_norm_solve_batch(a, b):
 def _gram_min_norm(a, b):
     """Gram-matrix min-norm solve of a (T, r, c) stack; returns (x, residual, accepted).
 
-    The conditioning test runs first, and only the trials that pass it are
-    solved; x and residual of the other trials are left zero.  Overflow in a
-    trial only makes that trial fail the test, so it raises no floating-point
-    warning here.
+    One stacked LAPACK call, inv, serves the conditioning test and the
+    solve; y = G^{-1} b and x = a^H y are BLAS products.  The test is the
+    eigenvalue ratio lambda_min / lambda_max of G against
+    GRAM_MIN_EIG_RATIO, read first through cond_F = ||G||_F ||G^{-1}||_F,
+    which brackets cond_2 = lambda_max / lambda_min: cond_2 <= cond_F <=
+    (r/2)(cond_2 + 1/cond_2).  A block in which cond_F settles every trial
+    makes no other LAPACK call; eigvalsh runs on the trials in between.
+    cond_F alone would be loose at large r: at r = 48 (per-symbol, M = 3)
+    it passes almost none of the trials that the ratio test passes.  When
+    inv raises because some G of the stack is exactly singular, the stack
+    is inverted trial by trial and the singular trials fail.  Overflow in a
+    trial only makes that trial fail, so it raises no floating-point warning
+    here; the x and residual of a trial that fails are meaningless.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.matmul(a, a.conj().swapaxes(-1, -2))
         ok = np.isfinite(gram).all(axis=(-2, -1))
-        # LAPACK leaves non-finite input unspecified: keep it out of eigvalsh
+        # LAPACK leaves non-finite input unspecified: keep it out of inv
         gram[~ok] = np.eye(a.shape[-2])
-        ev = np.linalg.eigvalsh(gram)
-        ok &= ev[..., 0] > GRAM_MIN_EIG_RATIO * ev[..., -1]
-        if ok.all():
-            return _gram_solve(a, b, gram)
-        x = np.zeros(a.shape[:-2] + a.shape[-1:], dtype=np.complex128)
-        resid = np.zeros(a.shape[:-2])
-        keep = np.flatnonzero(ok)
-        if keep.size:
-            x[keep], resid[keep], ok[keep] = _gram_solve(a[keep], b[keep], gram[keep])
+        try:
+            ginv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            ginv = np.zeros_like(gram)
+            for t, g in enumerate(gram):
+                try:
+                    ginv[t] = np.linalg.inv(g)
+                except np.linalg.LinAlgError:
+                    ok[t] = False
+        # Squared, cond_F passes a trial below the bound and fails it from
+        # (r/2)(bound + 1/bound) on.  A squared norm past the float range
+        # makes cond_sq inf or nan, and eigvalsh decides.  cond_F >= r, so
+        # while ||G^-1||_F^2 is finite and r >= 2, ||G||_F^2 is a normal
+        # float: underflow passes no trial.
+        bound = 1.0 / GRAM_MIN_EIG_RATIO
+        cond_sq = _frobenius_sq(gram) * _frobenius_sq(ginv)
+        passed = cond_sq < bound ** 2
+        worst = (0.5 * a.shape[-2] * (bound + 1.0 / bound)) ** 2
+        failed = np.isfinite(cond_sq) & (cond_sq >= worst)
+        unsure = np.flatnonzero(ok & ~passed & ~failed)
+        if unsure.size:
+            ev = np.linalg.eigvalsh(gram[unsure])
+            passed[unsure] = ev[:, 0] > GRAM_MIN_EIG_RATIO * ev[:, -1]
+        ok &= passed
+        y = np.matmul(ginv, b[..., None])
+        # x = a^H y = conj(y^H a): no conjugated copy of a is materialized
+        x = np.matmul(y.conj().swapaxes(-1, -2), a)[..., 0, :]
+        np.conjugate(x, out=x)
+        ax = np.matmul(a, x[..., None])[..., 0]
+        ax -= b
+        resid = np.linalg.norm(ax, axis=-1)
+        ok &= np.isfinite(x).all(axis=-1)
+        ok &= resid <= CONSISTENT_TOL * np.linalg.norm(b, axis=-1)
     return x, resid, ok
 
 
-def _gram_solve(a, b, gram):
-    """x = a^H gram^{-1} b for a well-conditioned stack; returns (x, residual, accepted)."""
-    y = np.linalg.solve(gram, b[..., None])
-    # x = a^H y = conj(y^H a): no conjugated copy of a is materialized
-    x = np.matmul(y.conj().swapaxes(-1, -2), a)[..., 0, :]
-    np.conjugate(x, out=x)
-    ax = np.matmul(a, x[..., None])[..., 0]
-    ax -= b
-    resid = np.linalg.norm(ax, axis=-1)
-    ok = np.isfinite(x).all(axis=-1) & (resid <= CONSISTENT_TOL * np.linalg.norm(b, axis=-1))
-    return x, resid, ok
+def _frobenius_sq(m):
+    """Squared Frobenius norms of a C-contiguous stack of complex matrices."""
+    v = m.view(np.float64)
+    return np.einsum("...ij,...ij->...", v, v)
 
 
 def _svd_min_norm(a, b):

@@ -142,6 +142,81 @@ def test_min_norm_gram_fallback_is_per_trial():
     assert resid[1] <= 1e-12
 
 
+def _count_calls(monkeypatch, name):
+    """Record the argument shape of each np.linalg.<name> call."""
+    calls, real = [], getattr(np.linalg, name)
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_min_norm_gram_path_makes_one_lapack_call(monkeypatch):
+    """A well-conditioned stack costs one stacked inv: no eigvalsh and no solve."""
+    rng = np.random.default_rng(64)
+    a = _complex_normals(rng, (64, 8, 256))
+    b = _complex_normals(rng, (64, 8))
+    x_svd, _ = numerics._svd_min_norm(a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gram path called eigvalsh or solve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    inv_calls = _count_calls(monkeypatch, "inv")
+    x, resid = min_norm_solve_batch(a, b)
+    assert inv_calls == [(64, 8, 8)]
+    rel = np.linalg.norm(x - x_svd, axis=-1) / np.linalg.norm(x_svd, axis=-1)
+    assert rel.max() <= 1e-12
+    assert resid.max() <= 1e-12 * np.linalg.norm(b, axis=-1).min()
+
+
+@pytest.mark.parametrize("spectrum, accepted, eig_calls", [
+    ((1.0, 1 / 5e3), True, []),                     # cond_F = cond_2 + 1/cond_2 < 1e4
+    ((1.0, 1 / (1e4 * (1 - 1e-9))), True, [(1, 2, 2)]),
+    ((1.0, 1 / (1e4 * (1 + 1e-9))), False, []),     # cond_F >= (r/2)(1e4 + 1e-4)
+    ((1.0,) * 3 + (1 / 9.9e3,) * 3, True, [(1, 6, 6)]),
+    ((1.0,) * 3 + (1 / 1.01e4,) * 3, False, []),
+], ids=["cond_F_passes", "just_below", "just_above", "clustered_below", "clustered_above"])
+def test_min_norm_gram_boundary(monkeypatch, spectrum, accepted, eig_calls):
+    """Diagonal Grams near cond_2 = 1e4.
+
+    At r = 2, cond_F = cond_2 + 1/cond_2, so cond_2 just below 1e4 has cond_F
+    above 1e4 and takes eigvalsh of that trial alone; just above 1e4, cond_F
+    reaches (r/2)(1e4 + 1e-4) and fails it without eigenvalues.  Three
+    eigenvalues at each end give cond_F = 3 (cond_2 + 1/cond_2), the most
+    any r = 6 spectrum can have."""
+    r = len(spectrum)
+    a = np.hstack([np.diag(np.sqrt(spectrum)), np.zeros((r, 1))])[None]
+    b = np.sqrt(spectrum)[None]
+    calls = _count_calls(monkeypatch, "eigvalsh")
+    _, _, ok = numerics._gram_min_norm(a, b)
+    assert ok.tolist() == [accepted] and calls == eig_calls
+    x, resid = min_norm_solve_batch(a, b)
+    if accepted:
+        assert np.allclose(x, [[1.0] * r + [0.0]], rtol=0, atol=1e-12)
+    else:
+        x_svd, resid_svd = numerics._svd_min_norm(a, b)
+        assert np.array_equal(x, x_svd) and np.array_equal(resid, resid_svd)
+
+
+@pytest.mark.parametrize("scale", [1e79, 1e-79])
+def test_min_norm_gram_norm_overflow_takes_eigenvalues(monkeypatch, scale):
+    """||G||_F^2 ||G^-1||_F^2 overflows although G and G^-1 are finite and
+    cond_2 = 4: eigvalsh, not the overflow, decides, and the trial stays on
+    the Gram path."""
+    a = np.array([[[scale, 0.0, 0.0], [0.0, 0.5 * scale, 0.0]]])
+    b = np.array([[scale, 0.5 * scale]])
+    calls = _count_calls(monkeypatch, "eigvalsh")
+    _, _, ok = numerics._gram_min_norm(a, b)
+    assert ok.tolist() == [True] and calls == [(1, 2, 2)]
+    x, _ = min_norm_solve_batch(a, b)
+    assert np.allclose(x, [[1.0, 1.0, 0.0]], rtol=0, atol=1e-12)
+
+
 def test_min_norm_gram_overflow_falls_back_quietly():
     # the Gram matrix overflows to inf; the SVD path still solves the system
     a = np.array([[[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]]])
