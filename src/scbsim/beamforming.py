@@ -124,15 +124,17 @@ def build_matrix_batch(h, g, l_reflect, mode, out=None):
     return out
 
 
-def solve_passive_batch(h_tilde, b):
+def solve_passive_batch(h_tilde, b, norm_b=None):
     """Minimum-norm coefficients for a batch of systems.
 
-    Returns (phi, residual_norm, feasible, consistent) arrays.
+    Returns (phi, residual_norm, feasible, consistent) arrays.  norm_b, when
+    given, is np.linalg.norm(b, axis=-1).
     """
-    phi, resid = min_norm_solve_batch(h_tilde, b)
+    if norm_b is None:
+        norm_b = np.linalg.norm(b, axis=-1)
+    phi, resid = min_norm_solve_batch(h_tilde, b, norm_b)
     amp = np.abs(phi)
     feasible = amp.max(axis=-1) <= 1.0 + FEASIBLE_TOL
-    norm_b = np.linalg.norm(b, axis=-1)
     consistent = resid <= CONSISTENT_TOL * norm_b + 1e-300
     return phi, resid, feasible, consistent
 

@@ -73,15 +73,23 @@ def _fmt_sweep(value):
     return repr(as_float) if as_float == value else str(value)
 
 
+def _point_cells(sweep_var, sweep_value, cfg, fp):
+    """(head, tail) of a sweep point's rows: the cells before the cluster cell
+    (sweep variable and value) and those after the trials cell (mode,
+    cancellation, scenario, fingerprint), each with its separating commas."""
+    mode = "ideal" if cfg.resolution_bits is None else f"{cfg.resolution_bits}-bit"
+    head = f"{_fmt(sweep_var)},{_fmt_sweep(sweep_value)},"
+    tail = "," + ",".join(map(_fmt, (mode, cfg.cancellation_mode, cfg.ris_scenario, fp)))
+    return head, tail
+
+
 def point_rows(sweep_var, sweep_value, cfg, fp):
     """The CSV row formatter of one sweep point: row(m, k, metric, estimate, stderr,
     trials) -> line.  The point-constant cells (sweep variable and value, mode,
     cancellation, scenario, fingerprint) are formatted once, here.  Each row is
     one f-string with _fmt's cells: m and k are ints or None (an empty cell),
     estimate and stderr floats (repr), trials an int."""
-    mode = "ideal" if cfg.resolution_bits is None else f"{cfg.resolution_bits}-bit"
-    head = f"{_fmt(sweep_var)},{_fmt_sweep(sweep_value)},"
-    tail = "," + ",".join(map(_fmt, (mode, cfg.cancellation_mode, cfg.ris_scenario, fp)))
+    head, tail = _point_cells(sweep_var, sweep_value, cfg, fp)
 
     def row(m, k, metric, estimate, stderr, trials):
         return (f"{head}{'' if m is None else m},{'' if k is None else k},{metric},"
@@ -284,25 +292,29 @@ def cmd_analytic(args):
     cfg = _load_cfg(args)
     var, values, metrics = _sweep_request(args, cfg, ANALYTIC_METRICS)
     # every valid point has cfg's M and K (the distance matrices fix them); ER_user
-    # has a closed form for the nearest user only, OP_pair one per cluster
-    plan = [(metric, {"ER_user": (cfg.K - 1,), "OP_pair": (None,)}.get(metric, range(cfg.K)))
-            for metric in metrics]
+    # has a closed form for the nearest user only, OP_pair one per cluster.  The
+    # rows of a point, in order, with their cluster, user and metric cells
+    # formatted once per sweep
+    rows = [(metric, m, k, f"{m},{'' if k is None else k},{metric}")
+            for metric in metrics
+            for m in range(cfg.M)
+            for k in {"ER_user": (cfg.K - 1,), "OP_pair": (None,)}.get(metric, range(cfg.K))]
     fp = sweep_fingerprint(cfg, var)
     lines = [CSV_HEADER]
     assumption_violated = False
     for value in values:
         point = mc.sweep_config(cfg, var, value)
-        row = point_rows(var, value, point, fp(point))
+        head, tail = _point_cells(var, value, point, fp(point))
+        tail = ",0.0,0" + tail   # stderr and trials of every closed-form row
         clusters = [cluster_inputs(point, m) for m in range(point.M)]
-        for metric, users in plan:
-            for m, cluster in enumerate(clusters):
-                for k in users:
-                    try:
-                        name, estimate = metric, closed_form(cluster, metric, k)
-                    except InfeasibleRatesError:
-                        assumption_violated = True
-                        name, estimate = metric + "_infeasible", 1.0
-                    lines.append(row(m, k, name, estimate, 0.0, 0))
+        for metric, m, k, cells in rows:
+            try:
+                estimate = closed_form(clusters[m], metric, k)
+            except InfeasibleRatesError:
+                assumption_violated = True
+                lines.append(f"{head}{cells}_infeasible,1.0{tail}")
+                continue
+            lines.append(f"{head}{cells},{estimate!r}{tail}")
     _write_lines(args.out, lines)
     return EXIT_ASSUMPTION if assumption_violated else EXIT_OK
 

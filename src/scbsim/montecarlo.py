@@ -160,16 +160,16 @@ def draw_chunk_normals(cfg, start, count, out=None):
         out = np.empty((count, n))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
+    # a snapshot that the setter only reads: key[0] is the one entry a trial changes
     state = bitgen.state
     key = state["state"]["key"]
-    counter = state["state"]["counter"]
+    key[1] = 0
+    state["state"]["counter"][:] = 0
+    state["buffer_pos"] = 4
+    state["has_uint32"] = 0
+    state["uinteger"] = 0
     for i, k in enumerate(trial_keys(cfg.master_seed, start, count).tolist()):
         key[0] = k
-        key[1] = 0
-        counter[:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
         bitgen.state = state
         gen.standard_normal(n, out=out[i])
     return out
@@ -193,8 +193,8 @@ def _cancel(cfg, gains, w, h, g, out=None):
     """
     h_tilde = bf.build_matrix_batch(h, g, gains.l_reflect, cfg.cancellation_mode, out)
     b = bf.build_target_batch(w, gains.l_direct, cfg.cancellation_mode)
-    phi, resid, feasible, _ = bf.solve_passive_batch(h_tilde, b)
     norm_b = np.linalg.norm(b, axis=-1)
+    phi, resid, feasible, _ = bf.solve_passive_batch(h_tilde, b, norm_b)
     residual_rel = np.where(norm_b > 0, resid / np.where(norm_b > 0, norm_b, 1.0), 0.0)
     if cfg.resolution_bits is not None:
         phi = bf.quantize_surface(phi, cfg.resolution_bits)

@@ -59,7 +59,7 @@ class NumericsError(ArithmeticError):
 
 # -- minimum-norm least squares --------------------------------------------
 
-def min_norm_solve_batch(a, b):
+def min_norm_solve_batch(a, b, norm_b=None):
     """Minimum-norm least-squares solutions for a stack of complex systems.
 
     a: (..., r, c), b: (..., r).  Returns (x, residual_norm) with x of shape
@@ -79,6 +79,12 @@ def min_norm_solve_batch(a, b):
     with r > c, is solved by SVD with singular values below RANK_TOL * s_max
     truncated; GRAM_MIN_EIG_RATIO >> RANK_TOL**2, so no trial with such a
     singular value passes the ratio test.
+
+    A non-finite entry of a or b is a ValueError.  On the Gram path only b
+    is scanned up front: a non-finite entry of a makes its row's diagonal
+    Gram entry non-finite, so a is scanned only in the trials whose Gram is.
+    norm_b, when given, is np.linalg.norm(b, axis=-1), which the caller
+    already holds.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -89,7 +95,7 @@ def min_norm_solve_batch(a, b):
         raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
     if r == 0:
         return np.zeros(b.shape[:-1] + (c,), dtype=np.complex128), np.zeros(b.shape[:-1])
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (np.isfinite(b).all() and (r <= c or np.isfinite(a).all())):
         raise ValueError("non-finite input")
     if r > c:
         return _svd_min_norm(a, b)
@@ -97,15 +103,18 @@ def min_norm_solve_batch(a, b):
     lead = b.shape[:-1]
     a = a.reshape(-1, r, c)
     b = b.reshape(-1, r)
-    x, resid, ok = _gram_min_norm(a, b)
+    x, resid, ok = _gram_min_norm(a, b, None if norm_b is None else np.reshape(norm_b, -1))
     if not ok.all():
         bad = ~ok
         x[bad], resid[bad] = _svd_min_norm(a[bad], b[bad])
     return x.reshape(lead + (c,)), resid.reshape(lead)
 
 
-def _gram_min_norm(a, b):
+def _gram_min_norm(a, b, norm_b=None):
     """Gram-matrix min-norm solve of a (T, r, c) stack; returns (x, residual, accepted).
+
+    norm_b, when given, holds the (T,) norms of b.  A non-finite entry of a
+    is a ValueError, found through the non-finite Grams it makes.
 
     One stacked LAPACK call, inv, serves the conditioning test and the
     solve; y = G^{-1} b and x = a^H y are BLAS products.  The test is the
@@ -124,8 +133,12 @@ def _gram_min_norm(a, b):
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.matmul(a, a.conj().swapaxes(-1, -2))
         ok = np.isfinite(gram).all(axis=(-2, -1))
-        # LAPACK leaves non-finite input unspecified: keep it out of inv
-        gram[~ok] = np.eye(a.shape[-2])
+        if not ok.all():
+            bad = ~ok
+            if not np.isfinite(a[bad]).all():
+                raise ValueError("non-finite input")
+            # LAPACK leaves non-finite input unspecified: keep it out of inv
+            gram[bad] = np.eye(a.shape[-2])
         try:
             ginv = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
@@ -158,7 +171,9 @@ def _gram_min_norm(a, b):
         ax -= b
         resid = np.linalg.norm(ax, axis=-1)
         ok &= np.isfinite(x).all(axis=-1)
-        ok &= resid <= CONSISTENT_TOL * np.linalg.norm(b, axis=-1)
+        if norm_b is None:
+            norm_b = np.linalg.norm(b, axis=-1)
+        ok &= resid <= CONSISTENT_TOL * norm_b
     return x, resid, ok
 
 
@@ -308,9 +323,9 @@ def gamma_cdf(x, shape):
     up at call time.  A NaN element raises ValueError.
     """
     xs = np.asarray(x, dtype=float)
+    scalar = lower_incomplete_gamma_regularized
     # Python floats: numpy float64 scalars make the scalar loops several times slower
-    out = np.array([lower_incomplete_gamma_regularized(shape, max(v, 0.0))
-                    for v in np.ravel(xs).tolist()])
+    out = np.array([scalar(shape, v) for v in np.maximum(xs, 0.0).ravel().tolist()])
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 

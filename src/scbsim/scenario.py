@@ -105,61 +105,14 @@ class ScenarioConfig:
     master_seed: int = 12345
 
     def __post_init__(self):
-        object.__setattr__(self, "d_user", _as_matrix(self.d_user))
-        object.__setattr__(self, "d_direct", _as_matrix(self.d_direct))
-        object.__setattr__(self, "power_alloc", tuple(float(v) for v in self.power_alloc))
-        object.__setattr__(self, "target_rate", tuple(float(v) for v in self.target_rate))
+        for name, normalize in _NORMALIZE.items():
+            object.__setattr__(self, name, normalize(getattr(self, name)))
         self.validate()
 
     def validate(self):
-        for name in ("M", "K", "L", "N"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-        for name in ("d1", "alpha1", "alpha2", "alpha3", "rician_k1", "rician_k2"):
-            v = getattr(self, name)
-            if not 0 < v < math.inf:
-                raise ConfigError(f"{name} must be strictly positive and finite, got {v!r}")
-        for label, mat in (("d_user", self.d_user), ("d_direct", self.d_direct)):
-            if len(mat) != self.M or any(len(row) != self.K for row in mat):
-                raise ConfigError(
-                    f"geometry.{label} must be an M x K ({self.M} x {self.K}) matrix; "
-                    "every per-user distance must be given explicitly"
-                )
-            if any(not 0 < d < math.inf for row in mat for d in row):
-                raise ConfigError(f"geometry.{label} entries must be strictly positive and finite")
-        if len(self.power_alloc) != self.K:
-            raise ConfigError(f"noma.power_alloc must have K={self.K} entries")
-        if len(self.target_rate) != self.K:
-            raise ConfigError(f"noma.target_rate must have K={self.K} entries")
-        if any(not a > 0 for a in self.power_alloc):
-            raise ConfigError("noma.power_alloc entries must be strictly positive")
-        if abs(sum(self.power_alloc) - 1.0) > 1e-12:
-            raise ConfigError("noma.power_alloc: power allocation must sum to 1")
-        if any(self.power_alloc[i] < self.power_alloc[i + 1] - 1e-15 for i in range(self.K - 1)):
-            raise ConfigError(
-                "noma.power_alloc must be non-increasing (user 0 is the farthest user)"
-            )
-        if any(not 0 <= r < math.inf for r in self.target_rate):
-            raise ConfigError("noma.target_rate entries must be finite and >= 0")
-        if self.ris_scenario not in RIS_SCENARIOS:
-            raise ConfigError(f"ris.ris_scenario must be one of {RIS_SCENARIOS}")
-        if self.cancellation_mode not in CANCELLATION_MODES:
-            raise ConfigError(f"ris.cancellation_mode must be one of {CANCELLATION_MODES}")
-        if self.resolution_bits is not None:
-            if not (isinstance(self.resolution_bits, int) and self.resolution_bits >= 1):
-                raise ConfigError("ris.resolution_bits must be an integer >= 1 when present")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ConfigError("tx_power_dbm must be finite")
-        if not 0 < self.bandwidth_hz < math.inf:
-            raise ConfigError("bandwidth_hz must be strictly positive and finite")
-        if self.noise_dbm_override is not None and not math.isfinite(self.noise_dbm_override):
-            raise ConfigError("noise_dbm_override must be finite")
-        self.power_model.validate()
-        if not (isinstance(self.trials, int) and self.trials >= 1):
-            raise ConfigError("montecarlo.trials must be an integer >= 1")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2 ** 64):
-            raise ConfigError("montecarlo.master_seed must be an unsigned 64-bit integer")
+        """Run every rule of _RULES in order; the first that fails raises ConfigError."""
+        for _, check in _RULES:
+            check(self)
 
     # -- derived quantities ------------------------------------------------
 
@@ -178,11 +131,33 @@ class ScenarioConfig:
         return dbm_to_watt(self.tx_power_dbm)
 
     def with_updates(self, **kwargs):
-        """A validated copy with the given fields replaced."""
+        """A validated copy with the given fields replaced.
+
+        The copy takes this instance's fields, normalizes the updated ones as
+        __post_init__ does and runs only the rules of _RULES that read an
+        updated field.  This instance passed every rule when it was built, so
+        the first rule that fails is the first a full validate() would fail.
+        A TypeError, an unknown field name among them, is a ConfigError.
+        """
         try:
-            return replace(self, **kwargs)
+            if not kwargs.keys() <= _RULES_READING.keys():
+                return replace(self, **kwargs)   # raises the unknown name's TypeError
+            values = dict(self.__dict__, **kwargs)
+            for name, normalize in _NORMALIZE.items():
+                if name in kwargs:
+                    values[name] = normalize(values[name])
+            new = object.__new__(type(self))
+            new.__dict__.update(values)
+            rules = [_RULES_READING[name] for name in kwargs]
+            for i in rules[0] if len(rules) == 1 else sorted(set().union(*rules)):
+                _RULES[i][1](new)
+            return new
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _float_tuple(value):
+    return tuple(float(v) for v in value)
 
 
 def _as_matrix(value):
@@ -197,6 +172,151 @@ def _as_matrix(value):
             )
         rows.append(tuple(float(v) for v in row))
     return tuple(rows)
+
+
+# The fields __post_init__ normalizes, in the order it normalizes them.
+_NORMALIZE = {"d_user": _as_matrix, "d_direct": _as_matrix,
+              "power_alloc": _float_tuple, "target_rate": _float_tuple}
+
+
+# -- validation rules ----------------------------------------------------------
+#
+# validate() runs every rule of _RULES in order and with_updates only the rules
+# that read an updated field, so each rule names every field its check reads.
+
+def _count_rule(name):
+    def check(cfg):
+        v = getattr(cfg, name)
+        if not (isinstance(v, int) and v >= 1):
+            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+    return (name,), check
+
+
+def _positive_rule(name):
+    def check(cfg):
+        v = getattr(cfg, name)
+        if not 0 < v < math.inf:
+            raise ConfigError(f"{name} must be strictly positive and finite, got {v!r}")
+    return (name,), check
+
+
+def _distance_rules(label):
+    def shape(cfg):
+        mat = getattr(cfg, label)
+        if len(mat) != cfg.M or any(len(row) != cfg.K for row in mat):
+            raise ConfigError(
+                f"geometry.{label} must be an M x K ({cfg.M} x {cfg.K}) matrix; "
+                "every per-user distance must be given explicitly"
+            )
+
+    def entries(cfg):
+        if any(not 0 < d < math.inf for row in getattr(cfg, label) for d in row):
+            raise ConfigError(f"geometry.{label} entries must be strictly positive and finite")
+
+    return ((label, "M", "K"), shape), ((label,), entries)
+
+
+def _alloc_length(cfg):
+    if len(cfg.power_alloc) != cfg.K:
+        raise ConfigError(f"noma.power_alloc must have K={cfg.K} entries")
+
+
+def _rate_length(cfg):
+    if len(cfg.target_rate) != cfg.K:
+        raise ConfigError(f"noma.target_rate must have K={cfg.K} entries")
+
+
+def _alloc_positive(cfg):
+    if any(not a > 0 for a in cfg.power_alloc):
+        raise ConfigError("noma.power_alloc entries must be strictly positive")
+
+
+def _alloc_sum(cfg):
+    if abs(sum(cfg.power_alloc) - 1.0) > 1e-12:
+        raise ConfigError("noma.power_alloc: power allocation must sum to 1")
+
+
+def _alloc_order(cfg):
+    alloc = cfg.power_alloc
+    if any(a < b - 1e-15 for a, b in zip(alloc, alloc[1:])):
+        raise ConfigError("noma.power_alloc must be non-increasing (user 0 is the farthest user)")
+
+
+def _rate_values(cfg):
+    if any(not 0 <= r < math.inf for r in cfg.target_rate):
+        raise ConfigError("noma.target_rate entries must be finite and >= 0")
+
+
+def _ris_scenario(cfg):
+    if cfg.ris_scenario not in RIS_SCENARIOS:
+        raise ConfigError(f"ris.ris_scenario must be one of {RIS_SCENARIOS}")
+
+
+def _cancellation_mode(cfg):
+    if cfg.cancellation_mode not in CANCELLATION_MODES:
+        raise ConfigError(f"ris.cancellation_mode must be one of {CANCELLATION_MODES}")
+
+
+def _resolution_bits(cfg):
+    bits = cfg.resolution_bits
+    if bits is not None and not (isinstance(bits, int) and bits >= 1):
+        raise ConfigError("ris.resolution_bits must be an integer >= 1 when present")
+
+
+def _tx_power(cfg):
+    if not math.isfinite(cfg.tx_power_dbm):
+        raise ConfigError("tx_power_dbm must be finite")
+
+
+def _bandwidth(cfg):
+    if not 0 < cfg.bandwidth_hz < math.inf:
+        raise ConfigError("bandwidth_hz must be strictly positive and finite")
+
+
+def _noise_override(cfg):
+    if cfg.noise_dbm_override is not None and not math.isfinite(cfg.noise_dbm_override):
+        raise ConfigError("noise_dbm_override must be finite")
+
+
+def _power_model(cfg):
+    cfg.power_model.validate()
+
+
+def _trials(cfg):
+    if not (isinstance(cfg.trials, int) and cfg.trials >= 1):
+        raise ConfigError("montecarlo.trials must be an integer >= 1")
+
+
+def _master_seed(cfg):
+    if not (isinstance(cfg.master_seed, int) and 0 <= cfg.master_seed < 2 ** 64):
+        raise ConfigError("montecarlo.master_seed must be an unsigned 64-bit integer")
+
+
+_RULES = (   # (fields read, check(cfg)), in the order validate() runs them
+    *(_count_rule(name) for name in ("M", "K", "L", "N")),
+    *(_positive_rule(name)
+      for name in ("d1", "alpha1", "alpha2", "alpha3", "rician_k1", "rician_k2")),
+    *_distance_rules("d_user"),
+    *_distance_rules("d_direct"),
+    (("power_alloc", "K"), _alloc_length),
+    (("target_rate", "K"), _rate_length),
+    (("power_alloc",), _alloc_positive),
+    (("power_alloc",), _alloc_sum),
+    (("power_alloc",), _alloc_order),   # no K: the length rule before it has checked it
+    (("target_rate",), _rate_values),
+    (("ris_scenario",), _ris_scenario),
+    (("cancellation_mode",), _cancellation_mode),
+    (("resolution_bits",), _resolution_bits),
+    (("tx_power_dbm",), _tx_power),
+    (("bandwidth_hz",), _bandwidth),
+    (("noise_dbm_override",), _noise_override),
+    (("power_model",), _power_model),
+    (("trials",), _trials),
+    (("master_seed",), _master_seed),
+)
+# field name -> indices into _RULES of the rules that read it, in order
+_RULES_READING = {f.name: tuple(i for i, (names, _) in enumerate(_RULES) if f.name in names)
+                  for f in fields(ScenarioConfig)}
 
 
 # -- config document parsing / serialization -------------------------------

@@ -228,6 +228,41 @@ def test_min_norm_gram_overflow_falls_back_quietly():
     assert resid[0] <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", ["a", "b"])
+def test_min_norm_gram_path_rejects_non_finite_trial(bad, where):
+    """A non-finite entry in one trial of a Gram-path stack (rows <= columns) raises,
+    whether it sits in a, where only its trial's Gram is scanned, or in b."""
+    rng = np.random.default_rng(11)
+    a = _complex_normals(rng, (5, 3, 8))
+    b = _complex_normals(rng, (5, 3))
+    if where == "a":
+        a[3, 2, 6] = bad
+    else:
+        b[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite input"):
+            min_norm_solve_batch(a, b)
+
+
+def test_min_norm_finite_gram_overflow_falls_back_per_trial():
+    """A finite stack in which one trial's Gram overflows does not raise: that trial
+    takes the SVD, and the others keep the answers they get without it."""
+    rng = np.random.default_rng(12)
+    a = _complex_normals(rng, (4, 2, 5))
+    b = _complex_normals(rng, (4, 2))
+    a[2] *= 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, resid = min_norm_solve_batch(a, b)
+    x_svd, resid_svd = numerics._svd_min_norm(a[2:3], b[2:3])
+    assert np.array_equal(x[2], x_svd[0]) and np.array_equal(resid[2], resid_svd[0])
+    rest = [0, 1, 3]
+    x_rest, resid_rest = min_norm_solve_batch(a[rest], b[rest])
+    assert np.array_equal(x[rest], x_rest) and np.array_equal(resid[rest], resid_rest)
+
+
 def test_min_norm_batch_leading_shapes():
     rng = np.random.default_rng(9)
     a = _complex_normals(rng, (2, 3, 4, 10))

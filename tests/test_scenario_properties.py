@@ -1,4 +1,8 @@
-"""Property tests of the config document: the round trip and the sweep fingerprint."""
+"""Property tests of the config document (the round trip and the sweep
+fingerprint) and of with_updates against a full revalidation."""
+
+import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -76,3 +80,162 @@ def test_sweep_fingerprint_on_generated_sweeps(cfg, var, data):
     except ConfigError:
         reject()
     assert sweep_fingerprint(cfg, var)(point) == fingerprint(point)
+
+
+UNKNOWN_FIELD = "bogus_field"
+
+
+def _matrix(rows, cols, entry=positive):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _allocations(k):
+    """Valid power allocations of k users, as lists."""
+    return st.lists(st.floats(1.0, 100.0), min_size=k, max_size=k).map(
+        lambda w: [v / sum(w) for v in sorted(w, reverse=True)])
+
+
+def _spoiled(lists, bad):
+    """A list from `lists` with one entry replaced by a `bad` value (for a matrix,
+    one entry of one row)."""
+    def spoil(value):
+        copy = [list(row) if isinstance(row, list) else row for row in value]
+        nested = isinstance(copy[0], list)
+        spots = ([(i, j) for i, row in enumerate(copy) for j in range(len(row))] if nested
+                 else [(i, None) for i in range(len(copy))])
+
+        def put(spot, entry):
+            i, j = spot
+            if nested:
+                copy[i][j] = entry
+            else:
+                copy[i] = entry
+            return copy
+
+        return st.builds(put, st.sampled_from(spots), bad)
+    return lists.flatmap(spoil)
+
+
+def _field_values(cfg):
+    """field name -> (valid values, invalid values) for an update of cfg.  The
+    invalid ones are out of range or of the wrong type or shape."""
+    M, K = cfg.M, cfg.K
+    counts = (st.integers(1, 4), st.integers(-2, 0) | st.sampled_from([2.0, "2", None]))
+    positives = (positive, st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan,
+                                                                      "1", None]))
+    other_shape = st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(
+        lambda shape: shape != (M, K)).flatmap(lambda shape: _matrix(*shape))
+    matrices = (_matrix(M, K),
+                _spoiled(_matrix(M, K), st.sampled_from([0.0, -2.0, math.inf, math.nan]))
+                | other_shape | positive | st.just([160.0, 80.0]) | st.none())
+    allocs = (_allocations(K),
+              _allocations(K).map(lambda a: a[::-1])
+              | _spoiled(_allocations(K), st.sampled_from([0.0, -0.5, 0.9, math.nan]))
+              | st.lists(st.floats(0.0, 1.0), max_size=4).filter(lambda a: len(a) != K)
+              | st.none())
+    rates = (st.lists(non_negative, min_size=K, max_size=K),
+             _spoiled(st.lists(non_negative, min_size=K, max_size=K),
+                      st.sampled_from([-1.0, math.inf, math.nan]))
+             | st.lists(non_negative, max_size=4).filter(lambda r: len(r) != K) | st.none())
+    pm = st.builds(PowerModel, p_bs_watt=non_negative, p_user_watt=non_negative,
+                   p_ris_watt=non_negative, amp_factor=st.floats(1.0, 10.0))
+    bad_pm_entry = st.sampled_from([-1.0, math.inf, math.nan])
+    bad_pm = st.sampled_from(["p_bs_watt", "p_user_watt", "p_ris_watt", "amp_factor"]).flatmap(
+        lambda name: st.builds(lambda v: PowerModel(**{name: v}),
+                               bad_pm_entry | st.just(0.5) if name == "amp_factor"
+                               else bad_pm_entry))
+    return {
+        "M": counts, "K": counts, "L": counts, "N": counts,
+        **{name: positives for name in
+           ("d1", "alpha1", "alpha2", "alpha3", "rician_k1", "rician_k2", "bandwidth_hz")},
+        "d_user": matrices, "d_direct": matrices,
+        "power_alloc": allocs, "target_rate": rates,
+        "ris_scenario": (st.sampled_from(RIS_SCENARIOS), st.sampled_from(["bogus", None])),
+        "cancellation_mode": (st.sampled_from(CANCELLATION_MODES),
+                              st.sampled_from(["bogus", None])),
+        "resolution_bits": (st.none() | st.integers(1, 16),
+                            st.integers(-2, 0) | st.sampled_from([2.5, "3"])),
+        "tx_power_dbm": (finite, st.sampled_from([math.nan, math.inf, -math.inf, "30", None])),
+        "noise_dbm_override": (st.none() | finite, st.sampled_from([math.nan, -math.inf, "1"])),
+        "power_model": (pm, bad_pm | st.none()),
+        "trials": (st.integers(1, 2 ** 40), st.integers(-2, 0) | st.sampled_from([1.5, "5"])),
+        "master_seed": (st.integers(0, 2 ** 64 - 1),
+                        st.sampled_from([-1, 2 ** 64, 3.0, "3", None])),
+    }
+
+
+@st.composite
+def updates_of(draw, cfg, case):
+    """An update of cfg.  case = (field, "valid" or "invalid"): that field with such
+    a value and up to two more fields with any value; (UNKNOWN_FIELD, None): that
+    name and up to two fields; ("M" or "K", fields): that count changed, with the
+    given fields (distance matrices, for K also power_alloc and target_rate) in the
+    new shape."""
+    values = _field_values(cfg)
+    name, kind = case
+    if isinstance(kind, tuple):
+        count = draw(st.integers(1, 3).filter(lambda n: n != getattr(cfg, name)))
+        rows, cols = (count, cfg.K) if name == "M" else (cfg.M, count)
+        shaped = {"d_user": _matrix(rows, cols), "d_direct": _matrix(rows, cols),
+                  "power_alloc": _allocations(count),
+                  "target_rate": st.lists(non_negative, min_size=count, max_size=count)}
+        return {name: count, **{label: draw(shaped[label]) for label in kind}}
+    updates = ({name: draw(values[name][kind == "invalid"])} if kind
+               else {name: draw(st.integers())})
+    for other in draw(st.lists(st.sampled_from(sorted(values.keys() - {name})), max_size=2,
+                               unique=True)):
+        updates[other] = draw(st.one_of(*values[other]))
+    return updates
+
+
+def replace_validated(cfg, updates):
+    """The copy dataclasses.replace builds, which runs __post_init__ and so the full
+    validate(); a TypeError is a ConfigError, as with_updates makes it."""
+    try:
+        return replace(cfg, **updates)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _outcome(fn):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return fn(), None
+    except Exception as exc:   # noqa: BLE001 - the type and message are compared
+        return None, (type(exc), str(exc))
+
+
+# Each reshape case reaches one more rule that reads the changed count.
+_RESHAPED = [("M", ()), ("M", ("d_user",)), ("M", ("d_direct",)), ("M", ("d_user", "d_direct")),
+             ("K", ()), ("K", ("d_user",)), ("K", ("d_direct",)), ("K", ("d_user", "d_direct")),
+             ("K", ("d_user", "d_direct", "power_alloc")),
+             ("K", ("d_user", "d_direct", "target_rate")),
+             ("K", ("d_user", "d_direct", "power_alloc", "target_rate"))]
+UPDATE_CASES = ([(f.name, kind) for f in fields(ScenarioConfig) for kind in ("valid", "invalid")]
+                + [(UNKNOWN_FIELD, None)] + _RESHAPED)
+
+
+def _case_id(case):
+    name, kind = case
+    return f"{name}-{'+'.join(kind) or 'alone'}" if isinstance(kind, tuple) else f"{name}-{kind}"
+
+
+@pytest.mark.parametrize("case", UPDATE_CASES, ids=map(_case_id, UPDATE_CASES))
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_with_updates_matches_replace_and_full_validate(case, data):
+    """with_updates gives the config or the error of a full revalidation.  It runs
+    only the rules that read an updated field, so a rule that leaves out a field it
+    reads shows up here, given an invalid value of every field, as a missed or a
+    different error."""
+    cfg = data.draw(configs())
+    updates = data.draw(updates_of(cfg, case))
+    expected, expected_error = _outcome(lambda: replace_validated(cfg, updates))
+    got, error = _outcome(lambda: cfg.with_updates(**updates))
+    assert error == expected_error
+    if expected_error is None:
+        assert got == expected and hash(got) == hash(expected)
+        assert serialize_config(got) == serialize_config(expected)
+        assert fingerprint(got) == fingerprint(expected)
+    elif UNKNOWN_FIELD in updates:
+        assert error[0] is ConfigError
