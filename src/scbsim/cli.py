@@ -83,6 +83,12 @@ def _point_cells(sweep_var, sweep_value, cfg, fp):
     return head, tail
 
 
+def _row_cells(m, k, metric):
+    """The cluster, user and metric cells of a row; m and k are ints or None (an
+    empty cell)."""
+    return f"{'' if m is None else m},{'' if k is None else k},{metric}"
+
+
 def point_rows(sweep_var, sweep_value, cfg, fp):
     """The CSV row formatter of one sweep point: row(m, k, metric, estimate, stderr,
     trials) -> line.  The point-constant cells (sweep variable and value, mode,
@@ -92,8 +98,7 @@ def point_rows(sweep_var, sweep_value, cfg, fp):
     head, tail = _point_cells(sweep_var, sweep_value, cfg, fp)
 
     def row(m, k, metric, estimate, stderr, trials):
-        return (f"{head}{'' if m is None else m},{'' if k is None else k},{metric},"
-                f"{estimate!r},{stderr!r},{trials}{tail}")
+        return f"{head}{_row_cells(m, k, metric)},{estimate!r},{stderr!r},{trials}{tail}"
 
     return row
 
@@ -295,7 +300,7 @@ def cmd_analytic(args):
     # has a closed form for the nearest user only, OP_pair one per cluster.  The
     # rows of a point, in order, with their cluster, user and metric cells
     # formatted once per sweep
-    rows = [(metric, m, k, f"{m},{'' if k is None else k},{metric}")
+    rows = [(metric, m, k, _row_cells(m, k, metric))
             for metric in metrics
             for m in range(cfg.M)
             for k in {"ER_user": (cfg.K - 1,), "OP_pair": (None,)}.get(metric, range(cfg.K))]
@@ -305,7 +310,7 @@ def cmd_analytic(args):
     for value in values:
         point = mc.sweep_config(cfg, var, value)
         head, tail = _point_cells(var, value, point, fp(point))
-        tail = ",0.0,0" + tail   # stderr and trials of every closed-form row
+        tail = ",0.0,0" + tail   # point_rows' stderr and trials cells, 0.0 and 0 here
         clusters = [cluster_inputs(point, m) for m in range(point.M)]
         for metric, m, k, cells in rows:
             try:

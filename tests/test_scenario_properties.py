@@ -96,23 +96,22 @@ def _allocations(k):
 
 
 def _spoiled(lists, bad):
-    """A list from `lists` with one entry replaced by a `bad` value (for a matrix,
-    one entry of one row)."""
+    """A list from `lists` with one entry (for a matrix, one entry of one row)
+    replaced by a `bad` value."""
+    def put(value, spot, entry):
+        value = [list(row) if isinstance(row, list) else row for row in value]
+        i, j = spot
+        if j is None:
+            value[i] = entry
+        else:
+            value[i][j] = entry
+        return value
+
     def spoil(value):
-        copy = [list(row) if isinstance(row, list) else row for row in value]
-        nested = isinstance(copy[0], list)
-        spots = ([(i, j) for i, row in enumerate(copy) for j in range(len(row))] if nested
-                 else [(i, None) for i in range(len(copy))])
+        spots = ([(i, j) for i, row in enumerate(value) for j in range(len(row))]
+                 if isinstance(value[0], list) else [(i, None) for i in range(len(value))])
+        return st.builds(put, st.just(value), st.sampled_from(spots), bad)
 
-        def put(spot, entry):
-            i, j = spot
-            if nested:
-                copy[i][j] = entry
-            else:
-                copy[i] = entry
-            return copy
-
-        return st.builds(put, st.sampled_from(spots), bad)
     return lists.flatmap(spoil)
 
 
