@@ -89,23 +89,12 @@ def _row_cells(m, k, metric):
     return f"{'' if m is None else m},{'' if k is None else k},{metric}"
 
 
-def point_rows(sweep_var, sweep_value, cfg, fp):
-    """The CSV row formatter of one sweep point: row(m, k, metric, estimate, stderr,
-    trials) -> line.  The point-constant cells (sweep variable and value, mode,
-    cancellation, scenario, fingerprint) are formatted once, here.  Each row is
-    one f-string with _fmt's cells: m and k are ints or None (an empty cell),
-    estimate and stderr floats (repr), trials an int."""
-    head, tail = _point_cells(sweep_var, sweep_value, cfg, fp)
-
-    def row(m, k, metric, estimate, stderr, trials):
-        return f"{head}{_row_cells(m, k, metric)},{estimate!r},{stderr!r},{trials}{tail}"
-
-    return row
-
-
 def csv_row(sweep_var, sweep_value, m, k, metric, estimate, stderr, trials,
             cfg, fp):
-    return point_rows(sweep_var, sweep_value, cfg, fp)(m, k, metric, estimate, stderr, trials)
+    """One CSV line: m and k are ints or None (an empty cell), estimate and stderr
+    floats (repr), trials an int."""
+    head, tail = _point_cells(sweep_var, sweep_value, cfg, fp)
+    return f"{head}{_row_cells(m, k, metric)},{estimate!r},{stderr!r},{trials}{tail}"
 
 
 def _write_lines(path, lines):
@@ -278,10 +267,11 @@ def cmd_simulate(args):
             if batch.failures:
                 failures.append(
                     (value, f"{batch.failures} trials failed numerically (excluded)"))
-            row = point_rows(var, value, point, batch.fingerprint)
             for metric in metrics:
-                for r in mc.estimates_from_batch(point, batch, metric, args.feasible_only):
-                    lines.append(row(r.m, r.k, r.metric, r.estimate, r.stderr, r.trials))
+                lines += [csv_row(var, value, r.m, r.k, r.metric, r.estimate, r.stderr,
+                                  r.trials, point, r.fingerprint)
+                          for r in mc.estimates_from_batch(point, batch, metric,
+                                                           args.feasible_only)]
             del batch   # free this point's arrays before the next point allocates its own
         except Exception as exc:   # noqa: BLE001 - per-point isolation is the contract
             if point is None:   # no valid point config: report the base trial count
@@ -310,7 +300,7 @@ def cmd_analytic(args):
     for value in values:
         point = mc.sweep_config(cfg, var, value)
         head, tail = _point_cells(var, value, point, fp(point))
-        tail = ",0.0,0" + tail   # point_rows' stderr and trials cells, 0.0 and 0 here
+        tail = ",0.0,0" + tail   # csv_row's stderr and trials cells, 0.0 and 0 here
         clusters = [cluster_inputs(point, m) for m in range(point.M)]
         for metric, m, k, cells in rows:
             try:
@@ -345,7 +335,7 @@ def cmd_dump(args):
         raise ConfigError(f"--trial must be in [0, 2^64), got {args.trial}")
     gains = compute_gains(cfg)
     w, h, g = assemble_batch(cfg, mc.draw_chunk_normals(cfg, args.trial, 1))
-    h_tilde, b, phi, _, _, residue = mc._cancel(cfg, gains, w, h, g)
+    h_tilde, b, phi, _, _, residue = mc.cancel(cfg, gains, w, h, g)
     lines = ["block,row,col,re,im"]
 
     def emit_matrix(name, mat):

@@ -180,7 +180,7 @@ def block_trials(cfg):
     return min(CHUNK, max(1, BLOCK_BYTES // (8 * normals_per_trial(cfg))))
 
 
-def _cancel(cfg, gains, w, h, g, out=None):
+def cancel(cfg, gains, w, h, g, out=None):
     """Build, solve, (on a finite-resolution surface) quantize and take residues.
 
     Returns (h_tilde, b, phi, feasible, residual_rel, residue).  phi is what
@@ -229,7 +229,7 @@ def _surface_chunk(cfg, gains, start, count, out=None):
         n = min(block, count - s)
         flat = draw_chunk_normals(cfg, start + s, n, out=normals[:n])
         w, h, g = assemble_batch(cfg, flat, out=tuple(a[:n] for a in fading))
-        *_, feasible[s:s + n], residual_rel[s:s + n], residue[s:s + n] = _cancel(
+        *_, feasible[s:s + n], residual_rel[s:s + n], residue[s:s + n] = cancel(
             cfg, gains, w, h, g, out=system[:n])
         eff[s:s + n] = bf.effective_gains(w)
     return eff, residue, feasible, residual_rel

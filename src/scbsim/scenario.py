@@ -174,11 +174,6 @@ def _as_matrix(value):
     return tuple(rows)
 
 
-# The fields __post_init__ normalizes, in the order it normalizes them.
-_NORMALIZE = {"d_user": _as_matrix, "d_direct": _as_matrix,
-              "power_alloc": _float_tuple, "target_rate": _float_tuple}
-
-
 # -- validation rules ----------------------------------------------------------
 #
 # validate() runs every rule of _RULES in order and with_updates only the rules
@@ -268,11 +263,6 @@ def _tx_power(cfg):
         raise ConfigError("tx_power_dbm must be finite")
 
 
-def _bandwidth(cfg):
-    if not 0 < cfg.bandwidth_hz < math.inf:
-        raise ConfigError("bandwidth_hz must be strictly positive and finite")
-
-
 def _noise_override(cfg):
     if cfg.noise_dbm_override is not None and not math.isfinite(cfg.noise_dbm_override):
         raise ConfigError("noise_dbm_override must be finite")
@@ -280,11 +270,6 @@ def _noise_override(cfg):
 
 def _power_model(cfg):
     cfg.power_model.validate()
-
-
-def _trials(cfg):
-    if not (isinstance(cfg.trials, int) and cfg.trials >= 1):
-        raise ConfigError("montecarlo.trials must be an integer >= 1")
 
 
 def _master_seed(cfg):
@@ -308,10 +293,10 @@ _RULES = (   # (fields read, check(cfg)), in the order validate() runs them
     (("cancellation_mode",), _cancellation_mode),
     (("resolution_bits",), _resolution_bits),
     (("tx_power_dbm",), _tx_power),
-    (("bandwidth_hz",), _bandwidth),
+    _positive_rule("bandwidth_hz"),
     (("noise_dbm_override",), _noise_override),
     (("power_model",), _power_model),
-    (("trials",), _trials),
+    _count_rule("trials"),
     (("master_seed",), _master_seed),
 )
 # field name -> indices into _RULES of the rules that read it, in order
@@ -350,7 +335,10 @@ _SECTION_KEYS = {
     "power_model.amp_factor": ("amp_factor", "float"),
 }
 
-_POWER_MODEL_FIELDS = ("p_bs_watt", "p_user_watt", "p_ris_watt", "amp_factor")
+_POWER_MODEL_FIELDS = tuple(f.name for f in fields(PowerModel))
+# The fields __post_init__ normalizes, in the order it normalizes them.
+_NORMALIZE = {name: {"matrix": _as_matrix, "list": _float_tuple}[kind]
+              for name, kind in _SECTION_KEYS.values() if kind in ("matrix", "list")}
 
 _KEY_OF = {name: key for key, (name, _) in _SECTION_KEYS.items()}
 # The keys of the ScenarioConfig fields without a default, in declaration order.

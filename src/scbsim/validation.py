@@ -6,7 +6,7 @@ Every Monte Carlo check takes its trial counts as arguments: the acceptance
 tests pass the full counts, and ``run_checks`` holds the defaults of the
 ``validate`` command and alone shrinks them for ``--quick``.  A check that
 compares several transmit powers on one config builds its trials' surfaces
-once and runs only the link stage per power (``montecarlo.link_stage``).
+once and runs only the link stage per power (``_power_points``).
 """
 
 from __future__ import annotations
@@ -116,6 +116,15 @@ def check_channel_statistics(cfg, draws):
 
 # -- 4: Monte Carlo vs closed-form outage ------------------------------------
 
+def _power_points(cfg, trials, threads, powers_dbm):
+    """(point, batch) per transmit power: cfg at that power and its link-stage
+    batch, every batch from one surface batch built for cfg."""
+    surfaces = mc.surface_stage(cfg, trials, threads)
+    for p_dbm in powers_dbm:
+        point = cfg.with_updates(tx_power_dbm=float(p_dbm))
+        yield point, mc.link_stage(point, surfaces)
+
+
 def _simulated_vs_closed(name, cfg, trials, powers_dbm, threads, metric, users, se_rule,
                          where):
     """|MC - closed| <= 3 se_rule(result, closed) for the users k in ``users`` of
@@ -125,17 +134,15 @@ def _simulated_vs_closed(name, cfg, trials, powers_dbm, threads, metric, users, 
     worst = 0.0
     worst_at = ""
     ideal = cfg.with_updates(resolution_bits=None)
-    surfaces = mc.surface_stage(ideal, trials, threads)
-    for p_dbm in powers_dbm:
-        sub = ideal.with_updates(tx_power_dbm=float(p_dbm))
+    for sub, batch in _power_points(ideal, trials, threads, powers_dbm):
         clusters = [cluster_inputs(sub, m) for m in range(sub.M)]
-        for r in mc.estimates_from_batch(sub, mc.link_stage(sub, surfaces), metric):
+        for r in mc.estimates_from_batch(sub, batch, metric):
             if r.k not in users:
                 continue
             closed = closed_form(clusters[r.m], metric, r.k)
             pulls = abs(r.estimate - closed) / se_rule(r, closed)
             if pulls > worst:
-                worst, worst_at = pulls, f"p={p_dbm} dBm {where(r)}"
+                worst, worst_at = pulls, f"p={sub.tx_power_dbm} dBm {where(r)}"
     label = metric.split("_")[0]
     return _finish(name, t0, worst <= 3.0,
                    f"worst |{label}_MC - {label}_closed| = {worst:.2f} SE at {worst_at} "
@@ -188,10 +195,10 @@ def check_diversity_order(cfg, trials, threads=None):
         slope_closed = diversity_order(closed_curve)
 
         sim_curve = []
-        surfaces = mc.surface_stage(sub, trials, threads)   # shared by both powers
-        for p in (p_lo, p_hi):
-            point = sub.with_updates(tx_power_dbm=10.0 * math.log10(p) + 30.0)
-            res = mc.estimates_from_batch(point, mc.link_stage(point, surfaces), "OP_user")
+        powers_dbm = [10.0 * math.log10(p) + 30.0 for p in (p_lo, p_hi)]
+        for p, (point, batch) in zip((p_lo, p_hi),
+                                     _power_points(sub, trials, threads, powers_dbm)):
+            res = mc.estimates_from_batch(point, batch, "OP_user")
             op00 = next(r for r in res if r.m == 0 and r.k == 0)
             sim_curve.append((p, op00.estimate))
         try:
@@ -261,10 +268,8 @@ def check_high_snr_slopes(cfg, trials, threads=None):
     # (c) 3-bit surface: rate ceiling and outage floor between 40 and 50 dBm
     ni_er, ni_op = {}, {}
     three_bit = cfg.with_updates(resolution_bits=3)
-    surfaces = mc.surface_stage(three_bit, trials, threads)   # shared by both powers
-    for p_dbm in (40.0, 50.0):
-        sub = three_bit.with_updates(tx_power_dbm=p_dbm)
-        batch = mc.link_stage(sub, surfaces)
+    for sub, batch in _power_points(three_bit, trials, threads, (40.0, 50.0)):
+        p_dbm = sub.tx_power_dbm
         ni_er[p_dbm] = next(r.estimate for r in mc.estimates_from_batch(sub, batch, "ER_user")
                             if r.m == 0 and r.k == k_near)
         ni_op[p_dbm] = {r.k: r.estimate for r in mc.estimates_from_batch(sub, batch, "OP_user")

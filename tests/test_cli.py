@@ -242,6 +242,28 @@ def test_simulate_threads_byte_identical(small_cfg_file, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("sweep", ["tx_power_dbm=-10,0,10", "N=16,24"])
+def test_simulate_rows_are_csv_rows_of_run_trials(small_cfg_file, tmp_path, sweep):
+    """simulate's CSV is CSV_HEADER plus csv_row over estimates_from_batch(run_trials(point)),
+    the rebuild perfbench gates, for a link-key sweep (one batch of surfaces serves
+    every point) and a surface sweep, with every metric."""
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--config", small_cfg_file, "--out", out, "--threads", 1,
+                    "--sweep", sweep, "--metrics", ",".join(mc.METRICS)]) == 0
+    cfg = load_config(small_cfg_file.read_text())
+    var, values = cli.parse_sweep(sweep)
+    lines = [cli.CSV_HEADER]
+    for value in values:
+        point = mc.sweep_config(cfg, var, value)
+        batch = run_trials(point, threads=1)
+        lines += [cli.csv_row(var, value, r.m, r.k, r.metric, r.estimate, r.stderr, r.trials,
+                              point, r.fingerprint)
+                  for metric in mc.METRICS for r in mc.estimates_from_batch(point, batch, metric)]
+    # four per-user, three per-cluster and one global metric at every point
+    assert len(mc.METRICS) == 8 and len(lines) == 1 + len(values) * (4 * 4 + 3 * 2 + 1)
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_simulate_mode_override(small_cfg_file, tmp_path):
     out = tmp_path / "bits.csv"
     assert run_cli(["simulate", "--config", small_cfg_file, "--out", out,
@@ -404,7 +426,10 @@ def test_analytic_stops_at_an_invalid_sweep_point(tmp_path, capsys):
 
 
 def test_csv_rows_leave_cluster_and_user_cells_empty(baseline_cfg):
-    row = cli.point_rows("tx_power_dbm", 30, baseline_cfg, "0123456789ab")
+    def row(m, k, metric, estimate, stderr, trials):
+        return cli.csv_row("tx_power_dbm", 30, m, k, metric, estimate, stderr, trials,
+                           baseline_cfg, "0123456789ab")
+
     assert row(None, None, "feasibility_rate", 0.5, 0.125, 7) == (
         "tx_power_dbm,30.0,,,feasibility_rate,0.5,0.125,7,ideal,aggregate,diffuse,0123456789ab")
     assert row(1, None, "SE", 2.0, 0.0, 7) == (
@@ -545,19 +570,36 @@ def test_threads_below_one_exit2(small_cfg_file, tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode,bits", [("ideal", None), ("bits=3", 3)])
-def test_dump_residues_are_the_engine_residues(small_cfg_file, tmp_path, mode, bits):
-    cfg = load_config(small_cfg_file.read_text()).with_updates(resolution_bits=bits)
+SINGLE_CLUSTER = {"M": 1, "d_user": ((160.0, 80.0),), "d_direct": ((200.0, 100.0),)}
+
+
+@pytest.mark.parametrize("mode,bits,cancellation,updates", [
+    ("ideal", None, "aggregate", {}),
+    ("bits=3", 3, "aggregate", {}),
+    ("ideal", None, "per-symbol", {}),
+    ("bits=3", 3, "per-symbol", {}),
+    ("ideal", None, "aggregate", SINGLE_CLUSTER),
+], ids=["ideal-None", "bits=3-3", "per-symbol-ideal", "per-symbol-bits=3", "M1"])
+def test_dump_residues_are_the_engine_residues(small_cfg_file, tmp_path, mode, bits,
+                                               cancellation, updates):
+    cfg = load_config(small_cfg_file.read_text()).with_updates(**updates)
+    cfg_path = tmp_path / "dump.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    cfg = cfg.with_updates(resolution_bits=bits, cancellation_mode=cancellation)
     for t in (0, 2):
         out = tmp_path / f"dump{t}.csv"
-        assert run_cli(["dump", "--config", small_cfg_file, "--mode", mode,
-                        "--trial", t, "--out", out]) == 0
+        assert run_cli(["dump", "--config", cfg_path, "--mode", mode,
+                        "--cancellation", cancellation, "--trial", t, "--out", out]) == 0
         residue = run_trials(cfg, t + 1, threads=1).residue[t]
-        rows = [l.split(",") for l in out.read_text().splitlines()
-                if l.startswith("residue,")]
+        lines = out.read_text().splitlines()
+        rows = [l.split(",") for l in lines if l.startswith("residue,")]
         assert len(rows) == cfg.M * cfg.K
         for _, m, k, re, im in rows:
             assert re == repr(float(residue[int(m), int(k)])) and im == "0.0"
+        if cfg.M == 1:   # no other cluster to cancel: an empty system, exact zero residues
+            blocks = {l.split(",")[0] for l in lines[1:]}
+            assert "H_tilde" not in blocks and "B" not in blocks and "phi" in blocks
+            assert all(re == "0.0" for _, _, _, re, _ in rows)
 
 
 def test_validate_subset_quick(small_cfg_file, capsys):

@@ -1,5 +1,6 @@
-"""No module of the package or the test suite imports a name it never uses, and the
-package imports nothing beyond numpy and the standard library."""
+"""No module of the package or the test suite imports a name it never uses, the
+package imports nothing beyond numpy and the standard library, and no package
+module reads another's underscore names."""
 
 import ast
 import sys
@@ -65,3 +66,38 @@ def test_guard_finds_foreign_imports():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_package_depends_on_numpy_only(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_reads(source):
+    """(line, name) of each underscore name a module reads from another module of
+    the package: ``alias._name`` on an alias bound by ``from . import module``, or
+    ``from .module import _name``.  Dunder names are public."""
+    tree = ast.parse(source)
+    modules = set()
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                else:
+                    reads.append((node.lineno, f"{node.module}.{alias.name}"))
+    reads += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    return sorted((line, name) for line, name in reads
+                  if name.rsplit(".", 1)[1].startswith("_")
+                  and not name.rsplit(".", 1)[1].startswith("__"))
+
+
+def test_guard_finds_private_reads():
+    source = ("import numpy as np\nfrom . import montecarlo as mc\nfrom . import numerics\n"
+              "from .scenario import ConfigError, _RULES\n"
+              "mc._cancel(np._x)\nmc.cancel()\nnumerics._gamma\nnumerics.__name__\n")
+    assert private_reads(source) == [(4, "scenario._RULES"), (5, "mc._cancel"),
+                                     (7, "numerics._gamma")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_reads_no_private_name_of_another_module(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
