@@ -62,7 +62,7 @@ from . import linkmetrics as lm
 from .analytics import energy_efficiency
 from .channel import assemble_batch, empty_fading, normals_per_trial
 from .pathloss import compute_gains
-from .scenario import AGGREGATE, INT_FIELDS, ConfigError, ScenarioConfig, fingerprint
+from .scenario import AGGREGATE, INT_FIELDS, ScenarioConfig, fingerprint
 
 CHUNK = 2048          # fixed chunk size; must not depend on the thread count
 BLOCK_BYTES = 2 << 20  # standard normals per cache block (block_trials), in bytes
@@ -399,14 +399,13 @@ def estimates_from_batch(cfg, batch, metric, feasible_only=False):
 def sweep_config(cfg, variable, value):
     """Config copy with one swept variable replaced (validated).
 
-    Integer variables take an int as it is and reject non-integral floats
-    instead of truncating them, so the value a CSV row reports is the value
-    that was simulated.
+    An integer variable takes an integral value as an int; any other value
+    goes to the variable's rule as it is, which rejects it instead of
+    truncating it, so the value a CSV row reports is the value that was
+    simulated.  A float variable takes the value as a float.
     """
-    if variable in INT_FIELDS:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{variable} must be an integer, got {value!r}")
-        value = int(value)
-    else:
+    if variable not in INT_FIELDS:
         value = float(value)
+    elif not isinstance(value, float) or value.is_integer():
+        value = int(value)
     return cfg.with_updates(**{variable: value})

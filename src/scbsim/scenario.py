@@ -55,19 +55,13 @@ def dbm_to_watt(x_dbm):
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Static power draw used by the energy-efficiency metric (all watts)."""
+    """Static power draw used by the energy-efficiency metric (all watts).  The
+    power_model.* keys of the schema hold the rules its values must meet."""
 
     p_bs_watt: float = 10.0    # base-station circuitry
     p_user_watt: float = 0.1   # per user terminal
     p_ris_watt: float = 0.01   # per reflecting element controller
     amp_factor: float = 1.2    # inverse amplifier efficiency, multiplies tx power
-
-    def validate(self):
-        for name in ("p_bs_watt", "p_user_watt", "p_ris_watt"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"power_model.{name} must be finite and >= 0")
-        if not 1.0 <= self.amp_factor < math.inf:
-            raise ConfigError("power_model.amp_factor must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -137,23 +131,27 @@ class ScenarioConfig:
         __post_init__ does and runs only the rules of _RULES that read an
         updated field.  This instance passed every rule when it was built, so
         the first rule that fails is the first a full validate() would fail.
-        A TypeError, an unknown field name among them, is a ConfigError.
+        An unknown field name is a ConfigError.
         """
         try:
             if not kwargs.keys() <= _RULES_READING.keys():
                 return replace(self, **kwargs)   # raises the unknown name's TypeError
-            values = dict(self.__dict__, **kwargs)
-            for name, normalize in _NORMALIZE.items():
-                if name in kwargs:
-                    values[name] = normalize(values[name])
-            new = object.__new__(type(self))
-            new.__dict__.update(values)
-            rules = [_RULES_READING[name] for name in kwargs]
-            for i in rules[0] if len(rules) == 1 else sorted(set().union(*rules)):
-                _RULES[i][1](new)
-            return new
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
+        values = dict(self.__dict__, **kwargs)
+        for name, normalize in _NORMALIZE.items():
+            if name in kwargs:
+                values[name] = normalize(values[name])
+        new = object.__new__(type(self))
+        new.__dict__.update(values)
+        rules = [_RULES_READING[name] for name in kwargs]
+        for i in rules[0] if len(rules) == 1 else sorted(set().union(*rules)):
+            _RULES[i][1](new)
+        return new
+
+
+def _reject(key, what, value):
+    raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 def _float_tuple(value):
@@ -161,143 +159,155 @@ def _float_tuple(value):
 
 
 def _as_matrix(value):
-    """Normalize a distance matrix to a tuple of tuples of floats."""
+    """A distance matrix as a tuple of tuples of floats; a number is a 1 x 1 matrix."""
     if isinstance(value, (int, float)):
         return ((float(value),),)
-    rows = []
-    for row in value:
-        if isinstance(row, (int, float)):
-            raise ConfigError(
-                "distance matrices need one row per cluster (use ';' between rows)"
-            )
-        rows.append(tuple(float(v) for v in row))
-    return tuple(rows)
+    return tuple(tuple(float(v) for v in row) for row in value)
+
+
+def _normalizer(key, kind):
+    """The function __post_init__ applies to a matrix or list field."""
+    what, convert = {
+        "matrix": ("a matrix of numbers, one row per cluster (';' between rows)", _as_matrix),
+        "list": ("a list of numbers", _float_tuple),
+    }[kind]
+
+    def normalize(value):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            _reject(key, what, value)
+
+    return normalize
+
+
+# -- the config schema ---------------------------------------------------------
+#
+# key -> (field, kind, value rules).  The kind is how a document spells the
+# value; each value rule is (what the value must be, test(value)).  The
+# power_model.* keys set the fields of PowerModel.
+
+def _is_count(v):
+    return isinstance(v, int) and v >= 1
+
+
+_COUNT = (("an integer >= 1", _is_count),)
+_POSITIVE = (("strictly positive and finite", lambda v: 0 < v < math.inf),)
+_POSITIVE_ENTRIES = (("strictly positive and finite entries",
+                      lambda m: all(0 < d < math.inf for row in m for d in row)),)
+_WATTS = (("finite and >= 0", lambda v: 0 <= v < math.inf),)
+
+_SECTION_KEYS = {
+    "M": ("M", "int", _COUNT),
+    "K": ("K", "int", _COUNT),
+    "L": ("L", "int", _COUNT),
+    "rician_k1": ("rician_k1", "float", _POSITIVE),
+    "rician_k2": ("rician_k2", "float", _POSITIVE),
+    "tx_power_dbm": ("tx_power_dbm", "float", (("finite", math.isfinite),)),
+    "bandwidth_hz": ("bandwidth_hz", "float", _POSITIVE),
+    "noise_dbm_override": ("noise_dbm_override", "optfloat",
+                           (("none or finite", lambda v: v is None or math.isfinite(v)),)),
+    "geometry.d1": ("d1", "float", _POSITIVE),
+    "geometry.d_user": ("d_user", "matrix", _POSITIVE_ENTRIES),
+    "geometry.d_direct": ("d_direct", "matrix", _POSITIVE_ENTRIES),
+    "geometry.alpha1": ("alpha1", "float", _POSITIVE),
+    "geometry.alpha2": ("alpha2", "float", _POSITIVE),
+    "geometry.alpha3": ("alpha3", "float", _POSITIVE),
+    "noma.power_alloc": ("power_alloc", "list", (
+        ("strictly positive entries", lambda a: all(v > 0 for v in a)),
+        ("entries that sum to 1", lambda a: abs(sum(a) - 1.0) <= 1e-12),
+        ("non-increasing (user 0 is the farthest user)",
+         lambda a: all(x >= y - 1e-15 for x, y in zip(a, a[1:]))),
+    )),
+    "noma.target_rate": ("target_rate", "list",
+                         (("finite entries >= 0", lambda r: all(0 <= v < math.inf for v in r)),)),
+    "ris.N": ("N", "int", _COUNT),
+    "ris.ris_scenario": ("ris_scenario", "str",
+                         ((f"one of {RIS_SCENARIOS}", RIS_SCENARIOS.__contains__),)),
+    "ris.cancellation_mode": ("cancellation_mode", "str",
+                              ((f"one of {CANCELLATION_MODES}", CANCELLATION_MODES.__contains__),)),
+    "ris.resolution_bits": ("resolution_bits", "optint",
+                            (("none or an integer >= 1", lambda v: v is None or _is_count(v)),)),
+    "montecarlo.trials": ("trials", "int", _COUNT),
+    "montecarlo.master_seed": ("master_seed", "int", (
+        ("an unsigned 64-bit integer", lambda v: isinstance(v, int) and 0 <= v < 2 ** 64),)),
+    "power_model.p_bs_watt": ("p_bs_watt", "float", _WATTS),
+    "power_model.p_user_watt": ("p_user_watt", "float", _WATTS),
+    "power_model.p_ris_watt": ("p_ris_watt", "float", _WATTS),
+    "power_model.amp_factor": ("amp_factor", "float",
+                               (("finite and >= 1", lambda v: 1.0 <= v < math.inf),)),
+}
+
+_POWER_MODEL_FIELDS = tuple(f.name for f in fields(PowerModel))
+# The fields __post_init__ normalizes, in the order it normalizes them.
+_NORMALIZE = {name: _normalizer(key, kind) for key, (name, kind, _) in _SECTION_KEYS.items()
+              if kind in ("matrix", "list")}
+
+_KEY_OF = {name: key for key, (name, _, _) in _SECTION_KEYS.items()}
+# The keys of the ScenarioConfig fields without a default, in declaration order.
+_REQUIRED = tuple(_KEY_OF[f.name] for f in fields(ScenarioConfig)
+                  if f.default is MISSING and f.default_factory is MISSING)
+INT_FIELDS = tuple(name for name, kind, _ in _SECTION_KEYS.values() if kind in ("int", "optint"))
+NUMERIC_FIELDS = tuple(name for name, kind, _ in _SECTION_KEYS.values()
+                       if kind in ("int", "optint", "float", "optfloat")
+                       and name not in _POWER_MODEL_FIELDS)
 
 
 # -- validation rules ----------------------------------------------------------
 #
 # validate() runs every rule of _RULES in order and with_updates only the rules
-# that read an updated field, so each rule names every field its check reads.
+# that read an updated field, so each rule names every field its check reads: a
+# value rule its key's field (power_model for a power_model.* key), a cross-field
+# rule the fields listed with it.
 
-def _count_rule(name):
+def _value_rule(key, name, what, test):
+    """(fields read, check) of one value rule of the schema.  A test that raises,
+    as for a value of the wrong type, rejects the value."""
+    def check(obj):
+        value = getattr(obj, name)
+        try:
+            ok = test(value)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            _reject(key, what, value)
+
+    if name not in _POWER_MODEL_FIELDS:
+        return (name,), check
+
+    def check_power_model(cfg):
+        if not isinstance(cfg.power_model, PowerModel):
+            _reject("power_model", "a PowerModel", cfg.power_model)
+        check(cfg.power_model)
+
+    return ("power_model",), check_power_model
+
+
+def _shape_rule(name):
+    """The check that a distance matrix is M x K."""
     def check(cfg):
-        v = getattr(cfg, name)
-        if not (isinstance(v, int) and v >= 1):
-            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-    return (name,), check
-
-
-def _positive_rule(name):
-    def check(cfg):
-        v = getattr(cfg, name)
-        if not 0 < v < math.inf:
-            raise ConfigError(f"{name} must be strictly positive and finite, got {v!r}")
-    return (name,), check
-
-
-def _distance_rules(label):
-    def shape(cfg):
-        mat = getattr(cfg, label)
+        mat = getattr(cfg, name)
         if len(mat) != cfg.M or any(len(row) != cfg.K for row in mat):
-            raise ConfigError(
-                f"geometry.{label} must be an M x K ({cfg.M} x {cfg.K}) matrix; "
-                "every per-user distance must be given explicitly"
-            )
-
-    def entries(cfg):
-        if any(not 0 < d < math.inf for row in getattr(cfg, label) for d in row):
-            raise ConfigError(f"geometry.{label} entries must be strictly positive and finite")
-
-    return ((label, "M", "K"), shape), ((label,), entries)
+            _reject(_KEY_OF[name], f"an M x K ({cfg.M} x {cfg.K}) matrix", mat)
+    return check
 
 
-def _alloc_length(cfg):
-    if len(cfg.power_alloc) != cfg.K:
-        raise ConfigError(f"noma.power_alloc must have K={cfg.K} entries")
-
-
-def _rate_length(cfg):
-    if len(cfg.target_rate) != cfg.K:
-        raise ConfigError(f"noma.target_rate must have K={cfg.K} entries")
-
-
-def _alloc_positive(cfg):
-    if any(not a > 0 for a in cfg.power_alloc):
-        raise ConfigError("noma.power_alloc entries must be strictly positive")
-
-
-def _alloc_sum(cfg):
-    if abs(sum(cfg.power_alloc) - 1.0) > 1e-12:
-        raise ConfigError("noma.power_alloc: power allocation must sum to 1")
-
-
-def _alloc_order(cfg):
-    alloc = cfg.power_alloc
-    if any(a < b - 1e-15 for a, b in zip(alloc, alloc[1:])):
-        raise ConfigError("noma.power_alloc must be non-increasing (user 0 is the farthest user)")
-
-
-def _rate_values(cfg):
-    if any(not 0 <= r < math.inf for r in cfg.target_rate):
-        raise ConfigError("noma.target_rate entries must be finite and >= 0")
-
-
-def _ris_scenario(cfg):
-    if cfg.ris_scenario not in RIS_SCENARIOS:
-        raise ConfigError(f"ris.ris_scenario must be one of {RIS_SCENARIOS}")
-
-
-def _cancellation_mode(cfg):
-    if cfg.cancellation_mode not in CANCELLATION_MODES:
-        raise ConfigError(f"ris.cancellation_mode must be one of {CANCELLATION_MODES}")
-
-
-def _resolution_bits(cfg):
-    bits = cfg.resolution_bits
-    if bits is not None and not (isinstance(bits, int) and bits >= 1):
-        raise ConfigError("ris.resolution_bits must be an integer >= 1 when present")
-
-
-def _tx_power(cfg):
-    if not math.isfinite(cfg.tx_power_dbm):
-        raise ConfigError("tx_power_dbm must be finite")
-
-
-def _noise_override(cfg):
-    if cfg.noise_dbm_override is not None and not math.isfinite(cfg.noise_dbm_override):
-        raise ConfigError("noise_dbm_override must be finite")
-
-
-def _power_model(cfg):
-    cfg.power_model.validate()
-
-
-def _master_seed(cfg):
-    if not (isinstance(cfg.master_seed, int) and 0 <= cfg.master_seed < 2 ** 64):
-        raise ConfigError("montecarlo.master_seed must be an unsigned 64-bit integer")
+def _length_rule(name):
+    """The check that a per-user list has K entries."""
+    def check(cfg):
+        if len(getattr(cfg, name)) != cfg.K:
+            _reject(_KEY_OF[name], f"a list of K={cfg.K} entries", getattr(cfg, name))
+    return check
 
 
 _RULES = (   # (fields read, check(cfg)), in the order validate() runs them
-    *(_count_rule(name) for name in ("M", "K", "L", "N")),
-    *(_positive_rule(name)
-      for name in ("d1", "alpha1", "alpha2", "alpha3", "rician_k1", "rician_k2")),
-    *_distance_rules("d_user"),
-    *_distance_rules("d_direct"),
-    (("power_alloc", "K"), _alloc_length),
-    (("target_rate", "K"), _rate_length),
-    (("power_alloc",), _alloc_positive),
-    (("power_alloc",), _alloc_sum),
-    (("power_alloc",), _alloc_order),   # no K: the length rule before it has checked it
-    (("target_rate",), _rate_values),
-    (("ris_scenario",), _ris_scenario),
-    (("cancellation_mode",), _cancellation_mode),
-    (("resolution_bits",), _resolution_bits),
-    (("tx_power_dbm",), _tx_power),
-    _positive_rule("bandwidth_hz"),
-    (("noise_dbm_override",), _noise_override),
-    (("power_model",), _power_model),
-    _count_rule("trials"),
-    (("master_seed",), _master_seed),
+    *(_value_rule(key, name, what, test)
+      for key, (name, _, rules) in _SECTION_KEYS.items() for what, test in rules),
+    # The cross-field rules run last, so every field they read has passed its value rules.
+    (("d_user", "M", "K"), _shape_rule("d_user")),
+    (("d_direct", "M", "K"), _shape_rule("d_direct")),
+    (("power_alloc", "K"), _length_rule("power_alloc")),
+    (("target_rate", "K"), _length_rule("target_rate")),
 )
 # field name -> indices into _RULES of the rules that read it, in order
 _RULES_READING = {f.name: tuple(i for i, (names, _) in enumerate(_RULES) if f.name in names)
@@ -305,50 +315,6 @@ _RULES_READING = {f.name: tuple(i for i, (names, _) in enumerate(_RULES) if f.na
 
 
 # -- config document parsing / serialization -------------------------------
-
-_SECTION_KEYS = {
-    "M": ("M", "int"),
-    "K": ("K", "int"),
-    "L": ("L", "int"),
-    "rician_k1": ("rician_k1", "float"),
-    "rician_k2": ("rician_k2", "float"),
-    "tx_power_dbm": ("tx_power_dbm", "float"),
-    "bandwidth_hz": ("bandwidth_hz", "float"),
-    "noise_dbm_override": ("noise_dbm_override", "optfloat"),
-    "geometry.d1": ("d1", "float"),
-    "geometry.d_user": ("d_user", "matrix"),
-    "geometry.d_direct": ("d_direct", "matrix"),
-    "geometry.alpha1": ("alpha1", "float"),
-    "geometry.alpha2": ("alpha2", "float"),
-    "geometry.alpha3": ("alpha3", "float"),
-    "noma.power_alloc": ("power_alloc", "list"),
-    "noma.target_rate": ("target_rate", "list"),
-    "ris.N": ("N", "int"),
-    "ris.ris_scenario": ("ris_scenario", "str"),
-    "ris.cancellation_mode": ("cancellation_mode", "str"),
-    "ris.resolution_bits": ("resolution_bits", "optint"),
-    "montecarlo.trials": ("trials", "int"),
-    "montecarlo.master_seed": ("master_seed", "int"),
-    "power_model.p_bs_watt": ("p_bs_watt", "float"),
-    "power_model.p_user_watt": ("p_user_watt", "float"),
-    "power_model.p_ris_watt": ("p_ris_watt", "float"),
-    "power_model.amp_factor": ("amp_factor", "float"),
-}
-
-_POWER_MODEL_FIELDS = tuple(f.name for f in fields(PowerModel))
-# The fields __post_init__ normalizes, in the order it normalizes them.
-_NORMALIZE = {name: {"matrix": _as_matrix, "list": _float_tuple}[kind]
-              for name, kind in _SECTION_KEYS.values() if kind in ("matrix", "list")}
-
-_KEY_OF = {name: key for key, (name, _) in _SECTION_KEYS.items()}
-# The keys of the ScenarioConfig fields without a default, in declaration order.
-_REQUIRED = tuple(_KEY_OF[f.name] for f in fields(ScenarioConfig)
-                  if f.default is MISSING and f.default_factory is MISSING)
-INT_FIELDS = tuple(name for name, kind in _SECTION_KEYS.values() if kind in ("int", "optint"))
-NUMERIC_FIELDS = tuple(name for name, kind in _SECTION_KEYS.values()
-                       if kind in ("int", "optint", "float", "optfloat")
-                       and name not in _POWER_MODEL_FIELDS)
-
 
 def _parse_int(text):
     """An integer literal exactly; a float literal (40.0, 1e3) only when it is integral."""
@@ -390,7 +356,7 @@ def load_config(text):
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        field_name, kind = _SECTION_KEYS[key]
+        field_name, kind, _ = _SECTION_KEYS[key]
         if kind == "matrix":
             rows = [r for r in val.split(";") if r.strip()]
             values[field_name] = tuple(
@@ -429,7 +395,7 @@ def serialize_config(cfg):
     """Canonical config document; load_config(serialize_config(cfg)) == cfg."""
     return "".join(_config_line(key, kind, getattr(
         cfg.power_model if name in _POWER_MODEL_FIELDS else cfg, name))
-        for key, (name, kind) in _SECTION_KEYS.items())
+        for key, (name, kind, _) in _SECTION_KEYS.items())
 
 
 def fingerprint(cfg):

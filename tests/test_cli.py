@@ -149,8 +149,8 @@ def test_simulate_rows_follow_sweep_order(small_cfg_file, tmp_path):
     assert rows == [[v, m, k, metric] for v in ("10.0", "0.0") for metric, m, k in per_point]
 
 
-@pytest.mark.parametrize("bad,reason", [("0", "N must be an integer >= 1, got 0"),
-                                        ("16.5", "N must be an integer, got 16.5")],
+@pytest.mark.parametrize("bad,reason", [("0", "ris.N must be an integer >= 1, got 0"),
+                                        ("16.5", "ris.N must be an integer >= 1, got 16.5")],
                          ids=["N=0", "N=16.5"])
 def test_simulate_failed_point_is_isolated(small_cfg_file, tmp_path, capsys, bad, reason):
     """A point that cannot run is reported on stderr; the other points keep their rows."""

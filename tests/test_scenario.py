@@ -168,6 +168,32 @@ def test_validation_error_names_field():
         make_cfg(power_alloc=(0.7, 0.4))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("power_model", None, "power_model must be a PowerModel, got None"),
+    ("d_user", None, "geometry.d_user must be a matrix of numbers, one row per cluster "
+                     "(';' between rows), got None"),
+    ("d_direct", [200.0, 100.0], "geometry.d_direct must be a matrix of numbers, one row per "
+                                 "cluster (';' between rows), got [200.0, 100.0]"),
+    ("target_rate", None, "noma.target_rate must be a list of numbers, got None"),
+    ("power_alloc", "0.5", "noma.power_alloc must be a list of numbers, got '0.5'"),
+    ("d1", "80", "geometry.d1 must be strictly positive and finite, got '80'"),
+    ("tx_power_dbm", None, "tx_power_dbm must be finite, got None"),
+    ("N", 0, "ris.N must be an integer >= 1, got 0"),
+    ("power_model", PowerModel(amp_factor=0.5),
+     "power_model.amp_factor must be finite and >= 1, got 0.5"),
+], ids=["power_model-None", "d_user-None", "d_direct-row", "target_rate-None",
+        "power_alloc-str", "d1-str", "tx_power_dbm-None", "N-0", "amp_factor-0.5"])
+def test_bad_value_is_a_config_error_naming_its_key(baseline_cfg, field, value, message):
+    """A value of the wrong type or out of range raises "<key> must be <what>, got
+    <value>" from a direct build and from with_updates, never a bare TypeError or
+    AttributeError."""
+    for build in (lambda: make_cfg(**{field: value}),
+                  lambda: baseline_cfg.with_updates(**{field: value})):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_with_updates_revalidates(baseline_cfg):
     assert baseline_cfg.with_updates(tx_power_dbm=10.0).tx_power_dbm == 10.0
     with pytest.raises(ConfigError):

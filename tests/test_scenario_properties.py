@@ -1,7 +1,9 @@
 """Property tests of the config document (the round trip and the sweep
-fingerprint) and of with_updates against a full revalidation."""
+fingerprint), of with_updates against a full revalidation, and of the accepted
+values of each field against an oracle written here."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -95,6 +97,26 @@ def _allocations(k):
         lambda w: [v / sum(w) for v in sorted(w, reverse=True)])
 
 
+def _increasing_allocations(k):
+    """Allocations of k users that increase by more than any rounding, as lists
+    (none for k = 1)."""
+    if k == 1:
+        return st.nothing()
+    steps = st.lists(st.floats(1.0, 100.0), min_size=k, max_size=k).map(
+        lambda w: [v + i for i, v in enumerate(sorted(w))])
+    return steps.map(lambda w: [v / sum(w) for v in w])
+
+
+def _shaped(cfg, name, count):
+    """field -> values in the shape that count `name` ("M" or "K") = count gives."""
+    rows, cols = (count, cfg.K) if name == "M" else (cfg.M, count)
+    shaped = {"d_user": _matrix(rows, cols), "d_direct": _matrix(rows, cols)}
+    if name == "K":
+        shaped.update(power_alloc=_allocations(count),
+                      target_rate=st.lists(non_negative, min_size=count, max_size=count))
+    return shaped
+
+
 def _spoiled(lists, bad):
     """A list from `lists` with one entry (for a matrix, one entry of one row)
     replaced by a `bad` value."""
@@ -117,20 +139,24 @@ def _spoiled(lists, bad):
 
 def _field_values(cfg):
     """field name -> (valid values, invalid values) for an update of cfg.  The
-    invalid ones are out of range or of the wrong type or shape."""
+    invalid ones are out of range or of the wrong type or shape.  A valid M or K
+    is valid with the fields _shaped reshapes."""
     M, K = cfg.M, cfg.K
     counts = (st.integers(1, 4), st.integers(-2, 0) | st.sampled_from([2.0, "2", None]))
     positives = (positive, st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan,
                                                                       "1", None]))
     other_shape = st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(
         lambda shape: shape != (M, K)).flatmap(lambda shape: _matrix(*shape))
-    matrices = (_matrix(M, K),
+    one_by_one = (M, K) == (1, 1)   # a number is a 1 x 1 matrix
+    matrices = (_matrix(M, K) | (positive if one_by_one else st.nothing()),
                 _spoiled(_matrix(M, K), st.sampled_from([0.0, -2.0, math.inf, math.nan]))
-                | other_shape | positive | st.just([160.0, 80.0]) | st.none())
+                | other_shape | (st.nothing() if one_by_one else positive)
+                | st.just([160.0, 80.0]) | st.none())
     allocs = (_allocations(K),
-              _allocations(K).map(lambda a: a[::-1])
-              | _spoiled(_allocations(K), st.sampled_from([0.0, -0.5, 0.9, math.nan]))
+              _increasing_allocations(K)
+              | _spoiled(_allocations(K), st.sampled_from([0.0, -0.5, 1.5, math.nan]))
               | st.lists(st.floats(0.0, 1.0), max_size=4).filter(lambda a: len(a) != K)
+              | st.integers(1, 4).filter(lambda n: n != K).flatmap(_allocations)
               | st.none())
     rates = (st.lists(non_negative, min_size=K, max_size=K),
              _spoiled(st.lists(non_negative, min_size=K, max_size=K),
@@ -174,10 +200,7 @@ def updates_of(draw, cfg, case):
     name, kind = case
     if isinstance(kind, tuple):
         count = draw(st.integers(1, 3).filter(lambda n: n != getattr(cfg, name)))
-        rows, cols = (count, cfg.K) if name == "M" else (cfg.M, count)
-        shaped = {"d_user": _matrix(rows, cols), "d_direct": _matrix(rows, cols),
-                  "power_alloc": _allocations(count),
-                  "target_rate": st.lists(non_negative, min_size=count, max_size=count)}
+        shaped = _shaped(cfg, name, count)
         return {name: count, **{label: draw(shaped[label]) for label in kind}}
     updates = ({name: draw(values[name][kind == "invalid"])} if kind
                else {name: draw(st.integers())})
@@ -224,8 +247,9 @@ def _case_id(case):
 @given(data=st.data())
 def test_with_updates_matches_replace_and_full_validate(case, data):
     """with_updates gives the config or the error of a full revalidation.  It runs
-    only the rules that read an updated field, so a rule that leaves out a field it
-    reads shows up here, given an invalid value of every field, as a missed or a
+    only the rules that read an updated field.  The value rules' read sets are
+    derived from the schema; a cross-field rule that leaves out a field it reads
+    shows up here, given an invalid value of every field, as a missed or a
     different error."""
     cfg = data.draw(configs())
     updates = data.draw(updates_of(cfg, case))
@@ -238,3 +262,35 @@ def test_with_updates_matches_replace_and_full_validate(case, data):
         assert fingerprint(got) == fingerprint(expected)
     elif UNKNOWN_FIELD in updates:
         assert error[0] is ConfigError
+
+
+# The config key of each field; power_model's errors name it or one of its
+# power_model.* keys.
+FIELD_KEYS = {name: f"{section}.{name}" for section, names in (
+    ("geometry", "d1 d_user d_direct alpha1 alpha2 alpha3"),
+    ("noma", "power_alloc target_rate"),
+    ("ris", "N ris_scenario cancellation_mode resolution_bits"),
+    ("montecarlo", "trials master_seed")) for name in names.split()}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_field_values_build_or_fail_naming_their_key(name, data):
+    """The accepted values of each field, against _field_values as the oracle: a
+    valid value builds, and an invalid one raises a ConfigError that names the
+    field's config key, by a direct build and by with_updates."""
+    cfg = data.draw(configs())
+    valid, invalid = _field_values(cfg)[name]
+    value = data.draw(valid)
+    updates = {name: value}
+    if name in ("M", "K"):
+        updates.update({label: data.draw(values)
+                        for label, values in _shaped(cfg, name, value).items()})
+    bad = data.draw(invalid)
+    key = re.escape(FIELD_KEYS.get(name, name)) + (r"(\.\w+)?" if name == "power_model" else "")
+    for build in (lambda u: replace(cfg, **u), lambda u: cfg.with_updates(**u)):
+        build(updates)
+        with pytest.raises(ConfigError) as exc:
+            build({name: bad})
+        assert re.fullmatch(rf"{key} must be .+, got .+", str(exc.value), re.DOTALL)
