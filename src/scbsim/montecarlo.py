@@ -1,12 +1,12 @@
 """Deterministic parallel Monte Carlo engine.
 
-Reproducibility contract: trial i draws every random number from a Philox
-stream keyed by ``trial_key(master_seed, i)`` (a splitmix64 hash mix, see
-below), so each trial is a pure function of (config, master_seed, i).  Trials
-are processed in fixed-size chunks; worker threads only fill disjoint slices
-of preallocated per-trial arrays and every reduction runs over the assembled
-arrays in trial order (numpy pairwise summation).  Results are therefore
-bit-identical for any worker count.
+Reproducibility contract: trial i draws every random number from an SFC64
+stream whose state is derived from ``trial_key(master_seed, i)`` (a splitmix64
+hash mix, see below), so each trial is a pure function of (config,
+master_seed, i).  Trials are processed in fixed-size chunks; worker threads
+only fill disjoint slices of preallocated per-trial arrays and every
+reduction runs over the assembled arrays in trial order (numpy pairwise
+summation).  Results are therefore bit-identical for any worker count.
 
 The engine runs in two stages.  ``surface_stage`` draws, assembles, builds,
 solves, quantizes and takes residues, chunk by chunk on the thread pool, and
@@ -44,9 +44,18 @@ Key derivation (fixed for cross-language reproduction):
 ``trial_key`` is the scalar reference; ``trial_keys`` computes the same keys
 for a range of trials on uint64 arrays.
 
-The 64-bit key seeds a Philox4x64 counter-based generator (counter zero),
-from which the trial draws one flat block of standard normals consumed in
-the documented channel layout.
+Each trial's SFC64 generator (Doty-Humphrey's small fast chaotic generator,
+numpy's ``SFC64``) starts from the 256-bit state, in numpy's word order
+
+    a = trial_key(seed, i),  b = splitmix64(a),  c = splitmix64(b),  counter = 1
+
+written directly, with no SeedSequence and no warm-up rounds, and the trial
+draws one flat block of standard normals from it (numpy's ziggurat), consumed
+in the documented channel layout.  SFC64's reference seeding sets a = b = c
+to one seed word and runs 12 rounds to mix that structure away.  Here a, b and
+c are successive splitmix64 outputs, each a full-avalanche bijection of the
+one before, so the state has no such structure and the first output is used
+as is.
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ def splitmix64(x):
 
 
 def trial_key(master_seed, trial_index):
-    """64-bit Philox key of one trial."""
+    """64-bit key of one trial: the first word of its SFC64 state."""
     return splitmix64((master_seed ^ splitmix64(trial_index)) & _MASK64)
 
 
@@ -93,9 +102,18 @@ def trial_keys(master_seed, start, count):
     return splitmix64(np.uint64(master_seed) ^ splitmix64(index))
 
 
+def _sfc64_state(words):
+    """numpy's SFC64 state with the (a, b, c, counter) words given, nothing buffered."""
+    return {"bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0}
+
+
 def trial_rng(master_seed, trial_index):
     """Fresh generator positioned at the start of a trial's private stream."""
-    return np.random.Generator(np.random.Philox(key=trial_key(master_seed, trial_index)))
+    a = trial_key(master_seed, trial_index)
+    b = splitmix64(a)
+    bitgen = np.random.SFC64(0)
+    bitgen.state = _sfc64_state(np.array([a, b, splitmix64(b), 1], dtype=np.uint64))
+    return np.random.Generator(bitgen)
 
 
 @dataclass(frozen=True)
@@ -150,26 +168,23 @@ class SurfaceBatch:
 def draw_chunk_normals(cfg, start, count, out=None):
     """Flat standard normals for trials [start, start+count), one row each.
 
-    Reuses a single Philox/Generator pair and resets its state to the trial
-    key before every row; each row is bit-identical to an independent draw
+    Reuses a single SFC64/Generator pair and sets its state to the trial's
+    words before every row; each row is bit-identical to an independent draw
     from trial_rng(master_seed, i).  out, when given, is a C-contiguous
     (count, normals_per_trial) float64 array that is filled and returned.
     """
     n = normals_per_trial(cfg)
     if out is None:
         out = np.empty((count, n))
-    bitgen = np.random.Philox(key=0)
+    a = trial_keys(cfg.master_seed, start, count)
+    b = splitmix64(a)
+    words = np.stack([a, b, splitmix64(b), np.ones_like(a)], axis=1)   # (count, 4)
+    bitgen = np.random.SFC64(0)
     gen = np.random.Generator(bitgen)
-    # a snapshot that the setter only reads: key[0] is the one entry a trial changes
-    state = bitgen.state
-    key = state["state"]["key"]
-    key[1] = 0
-    state["state"]["counter"][:] = 0
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    for i, k in enumerate(trial_keys(cfg.master_seed, start, count).tolist()):
-        key[0] = k
+    # a state dict that the setter only reads: the words are the one entry a trial changes
+    state = _sfc64_state(None)
+    for i, row in enumerate(words):
+        state["state"]["state"] = row
         bitgen.state = state
         gen.standard_normal(n, out=out[i])
     return out
@@ -343,14 +358,8 @@ def _energy_efficiency(rate, cfg):
 
 
 def _pair_outage(outage, cfg):
-    """Product of the users' outage proportions, delta-method stderr."""
-    users = [_proportion(outage[:, k], cfg) for k in range(outage.shape[1])]
-    est = float(np.prod([p for p, _ in users]))
-    var = 0.0
-    for k, (_, se) in enumerate(users):
-        others = np.prod([p for j, (p, _) in enumerate(users) if j != k])
-        var += (others * se) ** 2
-    return est, float(np.sqrt(var))
+    """Fraction of trials in which every user of the cluster is in outage."""
+    return _proportion(outage.all(axis=1), cfg)
 
 
 # metric -> (TrialBatch field, scope, estimator(sample, cfg) -> (estimate, stderr)).

@@ -154,15 +154,24 @@ def _reject(key, what, value):
     raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
+def _not_text(value):
+    """value, unless it is a string: float() would parse one as a number, and
+    iterating one would read it as a list of its characters (TypeError)."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(value)
+    return value
+
+
 def _float_tuple(value):
-    return tuple(float(v) for v in value)
+    """A list of numbers as a tuple of floats."""
+    return tuple(float(_not_text(v)) for v in _not_text(value))
 
 
 def _as_matrix(value):
     """A distance matrix as a tuple of tuples of floats; a number is a 1 x 1 matrix."""
     if isinstance(value, (int, float)):
         return ((float(value),),)
-    return tuple(tuple(float(v) for v in row) for row in value)
+    return tuple(_float_tuple(row) for row in _not_text(value))
 
 
 def _normalizer(key, kind):
@@ -197,16 +206,27 @@ _POSITIVE_ENTRIES = (("strictly positive and finite entries",
                       lambda m: all(0 < d < math.inf for row in m for d in row)),)
 _WATTS = (("finite and >= 0", lambda v: 0 <= v < math.inf),)
 
+# A rule on a dBm value's watts calls dbm_to_watt, which returns a positive float or
+# raises ConfigError, and so rejects the value.
 _SECTION_KEYS = {
     "M": ("M", "int", _COUNT),
     "K": ("K", "int", _COUNT),
     "L": ("L", "int", _COUNT),
     "rician_k1": ("rician_k1", "float", _POSITIVE),
     "rician_k2": ("rician_k2", "float", _POSITIVE),
-    "tx_power_dbm": ("tx_power_dbm", "float", (("finite", math.isfinite),)),
-    "bandwidth_hz": ("bandwidth_hz", "float", _POSITIVE),
-    "noise_dbm_override": ("noise_dbm_override", "optfloat",
-                           (("none or finite", lambda v: v is None or math.isfinite(v)),)),
+    "tx_power_dbm": ("tx_power_dbm", "float", (
+        ("finite", math.isfinite),
+        ("finite and positive in watts", dbm_to_watt),
+    )),
+    "bandwidth_hz": ("bandwidth_hz", "float", (
+        *_POSITIVE,
+        ("a bandwidth whose noise power is finite and positive in watts",
+         lambda v: dbm_to_watt(noise_power_dbm(v))),
+    )),
+    "noise_dbm_override": ("noise_dbm_override", "optfloat", (
+        ("none or finite", lambda v: v is None or math.isfinite(v)),
+        ("none or finite and positive in watts", lambda v: v is None or dbm_to_watt(v)),
+    )),
     "geometry.d1": ("d1", "float", _POSITIVE),
     "geometry.d_user": ("d_user", "matrix", _POSITIVE_ENTRIES),
     "geometry.d_direct": ("d_direct", "matrix", _POSITIVE_ENTRIES),

@@ -76,16 +76,24 @@ def test_flags_a_command_does_not_read_exit2(command, flag, capsys):
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("updates,command,reason", [
-    ({"tx_power_dbm": 4000.0}, "analytic", "4000.0 dBm is inf W"),
-    ({"d1": 0.5, "alpha1": 1100.0}, "feasibility", "largescale_diffuse(0.5, 160.0, 1100.0"),
-    ({"d_direct": ((1e10, 100.0), (200.0, 100.0)), "alpha3": 40.0}, "analytic",
+@pytest.mark.parametrize("lines,command,reason", [
+    ({"tx_power_dbm": "4000.0"}, "analytic",
+     "tx_power_dbm must be finite and positive in watts, got 4000.0"),
+    ({"geometry.d1": "0.5", "geometry.alpha1": "1100.0"}, "feasibility",
+     "largescale_diffuse(0.5, 160.0, 1100.0"),
+    ({"geometry.d_direct": "1e10, 100.0; 200.0, 100.0", "geometry.alpha3": "40.0"}, "analytic",
      "largescale_direct(10000000000.0, 40.0) = 0.0"),
 ], ids=["tx_power_dbm", "d1_alpha1", "d_direct_alpha3"])
-def test_overflowing_config_exit2(tmp_path, baseline_cfg, capsys, updates, command, reason):
-    """Finite config values whose power or gain a float cannot hold are a config error."""
+def test_overflowing_config_exit2(tmp_path, baseline_cfg, capsys, lines, command, reason):
+    """Finite config values whose power or gain a float cannot hold are a config
+    error: at load for a power, whose watts a value rule checks, and when the
+    command computes it for a path gain."""
+    text = "".join(
+        f"{key} = {lines[key]}\n" if key in lines else line
+        for line in serialize_config(baseline_cfg).splitlines(keepends=True)
+        for key in [line.partition(" = ")[0]])
     cfg_path = tmp_path / "over.cfg"
-    cfg_path.write_text(serialize_config(baseline_cfg.with_updates(**updates)))
+    cfg_path.write_text(text)
     assert run_cli([command, "--config", cfg_path]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {reason}")
 
@@ -99,8 +107,9 @@ def test_simulate_sweep_of_failing_points_exits_0(small_cfg_file, tmp_path, caps
                     "--threads", 1]) == 0
     assert out.read_text() == cli.CSV_HEADER + "\n"
     err = capsys.readouterr().err
-    assert "point tx_power_dbm=4000.0 failed: ConfigError: 4000.0 dBm" in err
-    assert "point tx_power_dbm=5000.0 failed: ConfigError: 5000.0 dBm" in err
+    for value in ("4000.0", "5000.0"):
+        assert (f"point tx_power_dbm={value} failed: ConfigError: tx_power_dbm must be "
+                f"finite and positive in watts, got {value}") in err
 
 
 def test_config_errors_exit2(tmp_path, capsys):

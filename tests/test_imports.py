@@ -1,6 +1,7 @@
 """No module of the package or the test suite imports a name it never uses, the
-package imports nothing beyond numpy and the standard library, and no package
-module reads another's underscore names."""
+package imports nothing beyond numpy and the standard library, no package
+module reads another's underscore names, and the package's only bit generator
+is numpy's SFC64."""
 
 import ast
 import sys
@@ -101,3 +102,42 @@ def test_guard_finds_private_reads():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_package_reads_no_private_name_of_another_module(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+# The one per-trial stream: numpy.random's SFC64, run through a Generator.
+RANDOM_NAMES = {"SFC64", "Generator"}
+
+
+def random_reads(source):
+    """(line, name) of each numpy.random name a module reads other than SFC64 and
+    Generator: ``<name>.random.X`` and ``from numpy.random import X``.  Binding the
+    module itself to a name (``from numpy import random``, ``import numpy.random
+    as r``) reads "random", since the guard does not follow such a name."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            reads += [(node.lineno, "random") for alias in node.names
+                      if alias.name == "numpy.random" and alias.asname]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            reads += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            reads += [(node.lineno, "random") for alias in node.names if alias.name == "random"]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "random" and isinstance(node.value.value, ast.Name)):
+            reads.append((node.lineno, node.attr))
+    return sorted((line, name) for line, name in reads if name not in RANDOM_NAMES)
+
+
+def test_guard_finds_other_generators():
+    source = ("import numpy as np\nimport numpy.random as npr\nfrom numpy import random\n"
+              "from numpy.random import Philox, SFC64\n"
+              "np.random.Generator(np.random.SFC64(0))\nnp.random.default_rng(1)\n"
+              "numpy.random.PCG64(2)\nnp.linalg.random\n")
+    assert random_reads(source) == [(2, "random"), (3, "random"), (4, "Philox"),
+                                    (6, "default_rng"), (7, "PCG64")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_draws_from_sfc64_only(path):
+    """The package constructs no numpy.random bit generator other than SFC64."""
+    assert random_reads(path.read_text(encoding="utf-8")) == []

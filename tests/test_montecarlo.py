@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scbsim.analytics import ClosedFormInputs, op_closed_form
+from scbsim.analytics import ClosedFormInputs, closed_form, cluster_inputs, op_closed_form
 from scbsim.beamforming import build_matrix_batch, build_target_batch, solve_passive_batch
 from scbsim.channel import assemble_batch, empty_fading, normals_per_trial
 from scbsim.cli import parse_sweep
@@ -61,6 +61,58 @@ def test_trial_key_frozen_values():
     assert trial_key(2 ** 64 - 1, 2 ** 32) == 7289086089401116507
 
 
+def test_trial_stream_frozen_values():
+    # pinned so the documented SFC64 state words and their order cannot drift
+    assert trial_rng(0, 0).standard_normal(3).tolist() == [
+        -0.07087122945300256, -0.6321906845736442, 1.1880080634766341]
+    assert trial_rng(12345, 1).standard_normal(3).tolist() == [
+        0.05803527962318624, -0.7205501634044048, 1.755306584428279]
+
+
+def sfc64_reference(a, b, c, counter, count):
+    """The first count outputs of SFC64 from state words (a, b, c, counter), in
+    Python integers mod 2^64."""
+    mask = (1 << 64) - 1
+    out = []
+    for _ in range(count):
+        tmp = (a + b + counter) & mask
+        counter += 1
+        a, b = b ^ (b >> 11), (c + (c << 3)) & mask
+        c = (((c << 24) | (c >> 40)) + tmp) & mask
+        out.append(tmp)
+    return out
+
+
+@pytest.mark.parametrize("seed,trial", [(0, 0), (12345, 1), (2 ** 64 - 1, 2 ** 32)])
+def test_trial_stream_state_is_the_documented_words(seed, trial):
+    """A trial's raw SFC64 outputs follow from a = trial_key, b = splitmix64(a),
+    c = splitmix64(b) and counter = 1, with no warm-up."""
+    a = trial_key(seed, trial)
+    want = sfc64_reference(a, splitmix64(a), splitmix64(splitmix64(a)), 1, 8)
+    assert trial_rng(seed, trial).bit_generator.random_raw(8).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+def test_first_normals_of_consecutive_trials_are_standard(fast_cfg, seed):
+    """The first normal after each state write, over 8192 consecutive trials,
+    passes a KS test against N(0, 1): the draw most exposed to weak seeding."""
+    stats = pytest.importorskip("scipy.stats")
+    flat = draw_chunk_normals(fast_cfg.with_updates(master_seed=seed), 0, 8192)
+    for column in (0, 1):
+        assert stats.kstest(flat[:, column], "norm").pvalue > 1e-3, column
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+def test_consecutive_trials_are_uncorrelated(fast_cfg, seed):
+    """Row i and row i + 1 show no lag-1 correlation beyond 4 SE, in the first
+    normal alone and pooled over every normal of the rows.  For independent
+    standard normals the sample mean of x * y has SE 1 / sqrt(pairs)."""
+    flat = draw_chunk_normals(fast_cfg.with_updates(master_seed=seed), 0, 4096)
+    products = flat[:-1] * flat[1:]
+    for sample in (products[:, 0], products.ravel()):
+        assert abs(sample.mean()) <= 4.0 / math.sqrt(sample.size)
+
+
 @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
 def test_trial_keys_match_scalar_reference(seed):
     keys = trial_keys(seed, 0, 4096)
@@ -74,7 +126,7 @@ def test_trial_streams_are_distinct():
 
 
 def test_draw_chunk_normals_matches_trial_streams(fast_cfg):
-    """Row i of a chunk is bit for bit trial (start + i)'s own Philox stream."""
+    """Row i of a chunk is bit for bit trial (start + i)'s own SFC64 stream."""
     start = 5
     n = normals_per_trial(fast_cfg)
     flat = draw_chunk_normals(fast_cfg, start, CHUNK + 1)
@@ -277,14 +329,27 @@ def test_proportion_and_mean_stderr(fast_cfg):
     assert er.stderr == pytest.approx(sample.std(ddof=1) / math.sqrt(2000))
 
 
-def test_op_pair_is_product_with_delta_stderr(fast_cfg):
-    batch = run_trials(fast_cfg, 4000, threads=1)
-    users = estimates_from_batch(fast_cfg, batch, "OP_user")
-    pair = [r for r in estimates_from_batch(fast_cfg, batch, "OP_pair") if r.m == 0][0]
-    u = [r for r in users if r.m == 0]
-    assert pair.estimate == pytest.approx(u[0].estimate * u[1].estimate)
-    var = (u[1].estimate * u[0].stderr) ** 2 + (u[0].estimate * u[1].stderr) ** 2
-    assert pair.stderr == pytest.approx(math.sqrt(var))
+def test_op_pair_is_joint_outage_proportion(fast_cfg):
+    """OP_pair is the fraction of trials in which both users of the cluster are in
+    outage, with its binomial SE."""
+    cfg = fast_cfg.with_updates(tx_power_dbm=-10.0)
+    batch = run_trials(cfg, 4000, threads=1)
+    for pair in estimates_from_batch(cfg, batch, "OP_pair"):
+        both = batch.outage[:, pair.m, :].all(axis=1)
+        assert 0 < both.sum() < batch.outage[:, pair.m, :].any(axis=1).sum()
+        assert pair.estimate == both.mean()
+        assert pair.stderr == pytest.approx(math.sqrt(both.mean() * (1 - both.mean()) / 4000))
+
+
+def test_op_pair_matches_closed_form_on_an_ideal_surface(baseline_cfg):
+    """On an ideal surface the residue is zero and the users' gains independent, so
+    the joint outage rate estimates the product of the users' closed-form OP."""
+    cfg = baseline_cfg.with_updates(tx_power_dbm=-10.0)
+    batch = run_trials(cfg, 8192, threads=2)
+    for pair in estimates_from_batch(cfg, batch, "OP_pair"):
+        closed = closed_form(cluster_inputs(cfg, pair.m), "OP_pair", None)
+        assert 0.02 < closed < 0.2   # outage events are frequent here
+        assert abs(pair.estimate - closed) <= 3.0 * pair.stderr, (pair.m, closed)
 
 
 def test_se_and_ee_estimates(fast_cfg):

@@ -176,13 +176,23 @@ def test_validation_error_names_field():
                                  "cluster (';' between rows), got [200.0, 100.0]"),
     ("target_rate", None, "noma.target_rate must be a list of numbers, got None"),
     ("power_alloc", "0.5", "noma.power_alloc must be a list of numbers, got '0.5'"),
+    ("target_rate", "12", "noma.target_rate must be a list of numbers, got '12'"),
+    ("d_user", ["12", "34"], "geometry.d_user must be a matrix of numbers, one row per cluster "
+                             "(';' between rows), got ['12', '34']"),
     ("d1", "80", "geometry.d1 must be strictly positive and finite, got '80'"),
     ("tx_power_dbm", None, "tx_power_dbm must be finite, got None"),
+    ("tx_power_dbm", 4000.0, "tx_power_dbm must be finite and positive in watts, got 4000.0"),
+    ("noise_dbm_override", -4000.0,
+     "noise_dbm_override must be none or finite and positive in watts, got -4000.0"),
+    ("bandwidth_hz", 1e-310, "bandwidth_hz must be a bandwidth whose noise power is finite "
+                             "and positive in watts, got 1e-310"),
     ("N", 0, "ris.N must be an integer >= 1, got 0"),
     ("power_model", PowerModel(amp_factor=0.5),
      "power_model.amp_factor must be finite and >= 1, got 0.5"),
 ], ids=["power_model-None", "d_user-None", "d_direct-row", "target_rate-None",
-        "power_alloc-str", "d1-str", "tx_power_dbm-None", "N-0", "amp_factor-0.5"])
+        "power_alloc-str", "target_rate-digits", "d_user-digit-rows", "d1-str",
+        "tx_power_dbm-None", "tx_power_dbm-overflow", "noise_dbm_override-underflow",
+        "bandwidth_hz-underflow", "N-0", "amp_factor-0.5"])
 def test_bad_value_is_a_config_error_naming_its_key(baseline_cfg, field, value, message):
     """A value of the wrong type or out of range raises "<key> must be <what>, got
     <value>" from a direct build and from with_updates, never a bare TypeError or

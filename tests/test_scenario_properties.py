@@ -33,6 +33,13 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
+# powers in dBm, and bandwidths, whose watts a float holds as a finite positive number
+# (10^((x - 30) / 10) W overflows above about 3110 dBm and underflows below -3200 dBm,
+# the noise power of a bandwidth below about 1e-303 Hz)
+dbm = st.floats(-3000.0, 3000.0)
+bandwidths = st.floats(min_value=1e-290, allow_infinity=False)
+# text that float() reads digit by digit when it is taken for a list or a matrix
+digits = st.sampled_from(["12", "1"])
 
 
 @st.composite
@@ -52,8 +59,8 @@ def configs(draw):
         ris_scenario=draw(st.sampled_from(RIS_SCENARIOS)),
         cancellation_mode=draw(st.sampled_from(CANCELLATION_MODES)),
         resolution_bits=draw(st.none() | st.integers(1, 16)),
-        tx_power_dbm=draw(finite), bandwidth_hz=draw(positive),
-        noise_dbm_override=draw(st.none() | finite),
+        tx_power_dbm=draw(dbm), bandwidth_hz=draw(bandwidths),
+        noise_dbm_override=draw(st.none() | dbm),
         power_model=PowerModel(p_bs_watt=draw(non_negative), p_user_watt=draw(non_negative),
                                p_ris_watt=draw(non_negative),
                                amp_factor=draw(st.floats(1.0, allow_infinity=False))),
@@ -151,17 +158,18 @@ def _field_values(cfg):
     matrices = (_matrix(M, K) | (positive if one_by_one else st.nothing()),
                 _spoiled(_matrix(M, K), st.sampled_from([0.0, -2.0, math.inf, math.nan]))
                 | other_shape | (st.nothing() if one_by_one else positive)
-                | st.just([160.0, 80.0]) | st.none())
+                | st.just([160.0, 80.0]) | digits | st.just(["12"]) | st.none())
     allocs = (_allocations(K),
               _increasing_allocations(K)
               | _spoiled(_allocations(K), st.sampled_from([0.0, -0.5, 1.5, math.nan]))
               | st.lists(st.floats(0.0, 1.0), max_size=4).filter(lambda a: len(a) != K)
               | st.integers(1, 4).filter(lambda n: n != K).flatmap(_allocations)
-              | st.none())
+              | digits | st.none())
     rates = (st.lists(non_negative, min_size=K, max_size=K),
              _spoiled(st.lists(non_negative, min_size=K, max_size=K),
                       st.sampled_from([-1.0, math.inf, math.nan]))
-             | st.lists(non_negative, max_size=4).filter(lambda r: len(r) != K) | st.none())
+             | st.lists(non_negative, max_size=4).filter(lambda r: len(r) != K) | digits
+             | st.none())
     pm = st.builds(PowerModel, p_bs_watt=non_negative, p_user_watt=non_negative,
                    p_ris_watt=non_negative, amp_factor=st.floats(1.0, 10.0))
     bad_pm_entry = st.sampled_from([-1.0, math.inf, math.nan])
@@ -172,7 +180,8 @@ def _field_values(cfg):
     return {
         "M": counts, "K": counts, "L": counts, "N": counts,
         **{name: positives for name in
-           ("d1", "alpha1", "alpha2", "alpha3", "rician_k1", "rician_k2", "bandwidth_hz")},
+           ("d1", "alpha1", "alpha2", "alpha3", "rician_k1", "rician_k2")},
+        "bandwidth_hz": (bandwidths, positives[1] | st.sampled_from([1e-310, 5e-324])),
         "d_user": matrices, "d_direct": matrices,
         "power_alloc": allocs, "target_rate": rates,
         "ris_scenario": (st.sampled_from(RIS_SCENARIOS), st.sampled_from(["bogus", None])),
@@ -180,8 +189,10 @@ def _field_values(cfg):
                               st.sampled_from(["bogus", None])),
         "resolution_bits": (st.none() | st.integers(1, 16),
                             st.integers(-2, 0) | st.sampled_from([2.5, "3"])),
-        "tx_power_dbm": (finite, st.sampled_from([math.nan, math.inf, -math.inf, "30", None])),
-        "noise_dbm_override": (st.none() | finite, st.sampled_from([math.nan, -math.inf, "1"])),
+        "tx_power_dbm": (dbm, st.sampled_from([math.nan, math.inf, -math.inf, 4000.0, -4000.0,
+                                               1e300, "30", None])),
+        "noise_dbm_override": (st.none() | dbm, st.sampled_from([math.nan, -math.inf, 4000.0,
+                                                                -4000.0, "1"])),
         "power_model": (pm, bad_pm | st.none()),
         "trials": (st.integers(1, 2 ** 40), st.integers(-2, 0) | st.sampled_from([1.5, "5"])),
         "master_seed": (st.integers(0, 2 ** 64 - 1),
