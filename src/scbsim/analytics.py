@@ -161,14 +161,12 @@ def high_snr_slope(curve):
     return (r2 - r1) / (math.log2(p2) - math.log2(p1))
 
 
-def energy_efficiency(se, power_model, p_watt, K, N):
+def energy_efficiency(se, cfg):
     """Cluster EE: spectral efficiency over total dissipated power.
 
     Dissipation = BS static + K user terminals + amplifier (amp_factor * p)
-    + N element controllers.
+    + N element controllers; a valid config makes it positive (amp_factor
+    >= 1, p > 0, the other terms >= 0).
     """
-    total = (power_model.p_bs_watt + K * power_model.p_user_watt
-             + p_watt * power_model.amp_factor + N * power_model.p_ris_watt)
-    if total <= 0:
-        raise ValueError("total dissipated power must be positive")
-    return se / total
+    return se / (cfg.p_bs_watt + cfg.K * cfg.p_user_watt
+                 + cfg.tx_power_watt * cfg.amp_factor + cfg.N * cfg.p_ris_watt)

@@ -267,11 +267,12 @@ def cmd_simulate(args):
             if batch.failures:
                 failures.append(
                     (value, f"{batch.failures} trials failed numerically (excluded)"))
-            for metric in metrics:
-                lines += [csv_row(var, value, r.m, r.k, r.metric, r.estimate, r.stderr,
-                                  r.trials, point, r.fingerprint)
-                          for r in mc.estimates_from_batch(point, batch, metric,
-                                                           args.feasible_only)]
+            # the whole list is built before any row is added: a point whose
+            # metrics do not all succeed writes no rows
+            lines += [csv_row(var, value, r.m, r.k, r.metric, r.estimate, r.stderr,
+                              r.trials, point, r.fingerprint)
+                      for metric in metrics
+                      for r in mc.estimates_from_batch(point, batch, metric, args.feasible_only)]
             del batch   # free this point's arrays before the next point allocates its own
         except Exception as exc:   # noqa: BLE001 - per-point isolation is the contract
             if point is None:   # no valid point config: report the base trial count

@@ -353,8 +353,7 @@ def _sum_rate(rate, cfg):
 
 
 def _energy_efficiency(rate, cfg):
-    return tuple(energy_efficiency(v, cfg.power_model, cfg.tx_power_watt, cfg.K, cfg.N)
-                 for v in _sum_rate(rate, cfg))
+    return tuple(energy_efficiency(v, cfg) for v in _sum_rate(rate, cfg))
 
 
 def _pair_outage(outage, cfg):
@@ -383,15 +382,15 @@ def estimates_from_batch(cfg, batch, metric, feasible_only=False):
     """Estimator results for one metric from an existing trial batch."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+    field, scope, estimator = _ESTIMATORS[metric]
     keep = ~batch.failed
-    if feasible_only:
+    if feasible_only and scope != "global":   # the feasibility rate reads every trial
         keep = keep & batch.feasible
     if not keep.any():
         raise ValueError("no usable trials survived the feasibility filter")
-    field, scope, estimator = _ESTIMATORS[metric]
     data = getattr(batch, field)
     if scope == "global":
-        cells = [(None, None, data[~batch.failed])]
+        cells = [(None, None, data[keep])]
     elif scope == "cluster":
         cells = [(m, None, data[keep, m]) for m in range(cfg.M)]
     else:

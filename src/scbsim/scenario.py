@@ -8,16 +8,18 @@ Monte Carlo bookkeeping live here.  Instances are immutable and safe to share
 across worker threads.
 
 Config files use a flat ``key = value`` grammar with dotted section prefixes
-(``geometry.*``, ``noma.*``, ``ris.*``, ``montecarlo.*``, ``power_model.*``).
-Lists are comma separated, matrices use ``;`` between rows, ``#`` starts a
-comment.  Distances are meters, powers dBm except the power model (watts).
+(``geometry.*``, ``noma.*``, ``ris.*``, ``montecarlo.*``, ``power_model.*``);
+every key sets one ScenarioConfig field (``ris.N`` sets ``N``,
+``power_model.amp_factor`` sets ``amp_factor``).  Lists are comma separated,
+matrices use ``;`` between rows, ``#`` starts a comment.  Distances are
+meters, powers dBm except the four power-model fields (watts).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 DIFFUSE = "diffuse"
 ANOMALOUS = "anomalous"
@@ -54,17 +56,6 @@ def dbm_to_watt(x_dbm):
 
 
 @dataclass(frozen=True)
-class PowerModel:
-    """Static power draw used by the energy-efficiency metric (all watts).  The
-    power_model.* keys of the schema hold the rules its values must meet."""
-
-    p_bs_watt: float = 10.0    # base-station circuitry
-    p_user_watt: float = 0.1   # per user terminal
-    p_ris_watt: float = 0.01   # per reflecting element controller
-    amp_factor: float = 1.2    # inverse amplifier efficiency, multiplies tx power
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description; validated on construction, then immutable.
 
@@ -94,7 +85,11 @@ class ScenarioConfig:
     tx_power_dbm: float = 30.0
     bandwidth_hz: float = 1e8
     noise_dbm_override: float | None = None
-    power_model: PowerModel = field(default_factory=PowerModel)
+    # static power draw of the energy-efficiency metric, watts
+    p_bs_watt: float = 10.0     # base-station circuitry
+    p_user_watt: float = 0.1    # per user terminal
+    p_ris_watt: float = 0.01    # per reflecting element controller
+    amp_factor: float = 1.2     # inverse amplifier efficiency, multiplies tx power
     trials: int = 100000
     master_seed: int = 12345
 
@@ -193,8 +188,7 @@ def _normalizer(key, kind):
 # -- the config schema ---------------------------------------------------------
 #
 # key -> (field, kind, value rules).  The kind is how a document spells the
-# value; each value rule is (what the value must be, test(value)).  The
-# power_model.* keys set the fields of PowerModel.
+# value; each value rule is (what the value must be, test(value)).
 
 def _is_count(v):
     return isinstance(v, int) and v >= 1
@@ -258,27 +252,25 @@ _SECTION_KEYS = {
                                (("finite and >= 1", lambda v: 1.0 <= v < math.inf),)),
 }
 
-_POWER_MODEL_FIELDS = tuple(f.name for f in fields(PowerModel))
 # The fields __post_init__ normalizes, in the order it normalizes them.
 _NORMALIZE = {name: _normalizer(key, kind) for key, (name, kind, _) in _SECTION_KEYS.items()
               if kind in ("matrix", "list")}
 
 _KEY_OF = {name: key for key, (name, _, _) in _SECTION_KEYS.items()}
 # The keys of the ScenarioConfig fields without a default, in declaration order.
-_REQUIRED = tuple(_KEY_OF[f.name] for f in fields(ScenarioConfig)
-                  if f.default is MISSING and f.default_factory is MISSING)
+_REQUIRED = tuple(_KEY_OF[f.name] for f in fields(ScenarioConfig) if f.default is MISSING)
 INT_FIELDS = tuple(name for name, kind, _ in _SECTION_KEYS.values() if kind in ("int", "optint"))
-NUMERIC_FIELDS = tuple(name for name, kind, _ in _SECTION_KEYS.values()
+# The sweepable fields: every numeric field outside power_model.*.
+NUMERIC_FIELDS = tuple(name for key, (name, kind, _) in _SECTION_KEYS.items()
                        if kind in ("int", "optint", "float", "optfloat")
-                       and name not in _POWER_MODEL_FIELDS)
+                       and not key.startswith("power_model."))
 
 
 # -- validation rules ----------------------------------------------------------
 #
 # validate() runs every rule of _RULES in order and with_updates only the rules
 # that read an updated field, so each rule names every field its check reads: a
-# value rule its key's field (power_model for a power_model.* key), a cross-field
-# rule the fields listed with it.
+# value rule its key's field, a cross-field rule the fields listed with it.
 
 def _value_rule(key, name, what, test):
     """(fields read, check) of one value rule of the schema.  A test that raises,
@@ -292,15 +284,7 @@ def _value_rule(key, name, what, test):
         if not ok:
             _reject(key, what, value)
 
-    if name not in _POWER_MODEL_FIELDS:
-        return (name,), check
-
-    def check_power_model(cfg):
-        if not isinstance(cfg.power_model, PowerModel):
-            _reject("power_model", "a PowerModel", cfg.power_model)
-        check(cfg.power_model)
-
-    return ("power_model",), check_power_model
+    return (name,), check
 
 
 def _shape_rule(name):
@@ -392,9 +376,6 @@ def load_config(text):
     missing = [k for k in _REQUIRED if _SECTION_KEYS[k][0] not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    pm_kwargs = {k: values.pop(k) for k in _POWER_MODEL_FIELDS if k in values}
-    if pm_kwargs:
-        values["power_model"] = PowerModel(**pm_kwargs)
     return ScenarioConfig(**values)
 
 
@@ -413,9 +394,8 @@ def _config_line(key, kind, value):
 
 def serialize_config(cfg):
     """Canonical config document; load_config(serialize_config(cfg)) == cfg."""
-    return "".join(_config_line(key, kind, getattr(
-        cfg.power_model if name in _POWER_MODEL_FIELDS else cfg, name))
-        for key, (name, kind, _) in _SECTION_KEYS.items())
+    return "".join(_config_line(key, kind, getattr(cfg, name))
+                   for key, (name, kind, _) in _SECTION_KEYS.items())
 
 
 def fingerprint(cfg):

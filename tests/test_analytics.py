@@ -19,7 +19,7 @@ from scbsim.analytics import (
     sic_threshold,
 )
 from scbsim.numerics import gamma_cdf, quadrature_semi_infinite
-from scbsim.scenario import PowerModel, dbm_to_watt
+from scbsim.scenario import dbm_to_watt
 
 NOISE = dbm_to_watt(-94.0)
 
@@ -246,14 +246,14 @@ def test_high_snr_slope_zero_for_ceiling():
 
 # -- efficiency ---------------------------------------------------------------------------
 
-def test_energy_efficiency_reference():
-    # defaults: 10 + 2*0.1 + 1*1.2 + 100*0.01 = 12.4
-    got = energy_efficiency(4.0, PowerModel(), p_watt=1.0, K=2, N=100)
-    assert got == pytest.approx(4.0 / 12.4, rel=1e-12)
-    assert energy_efficiency(0.0, PowerModel(), 1.0, 2, 100) == 0.0
+def test_energy_efficiency_reference(baseline_cfg):
+    # default power model at 30 dBm: 10 + 2*0.1 + 1*1.2 + 100*0.01 = 12.4
+    cfg = baseline_cfg.with_updates(N=100)
+    assert (cfg.K, cfg.tx_power_dbm) == (2, 30.0)
+    assert energy_efficiency(4.0, cfg) == pytest.approx(4.0 / 12.4, rel=1e-12)
+    assert energy_efficiency(0.0, cfg) == 0.0
 
 
-def test_energy_efficiency_decreases_with_elements():
-    pm = PowerModel()
-    values = [energy_efficiency(4.0, pm, 1.0, 2, n) for n in (50, 100, 200, 400)]
+def test_energy_efficiency_decreases_with_elements(baseline_cfg):
+    values = [energy_efficiency(4.0, baseline_cfg.with_updates(N=n)) for n in (50, 100, 200, 400)]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -53,6 +53,17 @@ def test_feasibility_applies_overrides(capsys):
         "scenario: anomalous, cancellation: per-symbol")
 
 
+def test_feasibility_warns_on_steep_reflected_links(tmp_path, capsys):
+    """A diffuse surface whose BS-RIS exponent reaches the direct one gets the
+    applicability warning as the report's last line."""
+    cfg_path = tmp_path / "steep.cfg"
+    cfg_path.write_text(BASE.read_text().replace("geometry.alpha1 = 2.2", "geometry.alpha1 = 3.5"))
+    assert run_cli(["feasibility", "--config", cfg_path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "warning: diffuse scattering with alpha1 or alpha2 >= alpha3 requires a very "
+        "large surface; check the feasibility report")
+
+
 def test_feasibility_single_cluster(tmp_path, baseline_cfg, capsys):
     """At M = 1 the engine's system is empty: the rank bound is 0 and N = 1 suffices."""
     cfg_path = tmp_path / "m1.cfg"
@@ -119,15 +130,27 @@ def test_config_errors_exit2(tmp_path, capsys):
     bad.write_text(BASE.read_text().replace("0.6, 0.4", "0.7, 0.4"))
     assert run_cli(["simulate", "--config", bad]) == 2
     assert "sum to 1" in capsys.readouterr().err
+    bad.write_text(BASE.read_text().replace("ris.N = 40", "ris.N 40"))
+    assert run_cli(["feasibility", "--config", bad]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: line 23: expected 'key = value', got 'ris.N 40'")
 
 
-@pytest.mark.parametrize("bad", [["--metrics", "bogus"],
-                                 ["--sweep", "tx_power_dbm=nan"],
-                                 ["--sweep", "tx_power_dbm=0:inf:10"]])
+@pytest.mark.parametrize("bad", [
+    (["--metrics", "bogus"], "unknown metrics ['bogus']"),
+    (["--sweep", "tx_power_dbm=nan"], "sweep values must be finite, got 'nan'"),
+    (["--sweep", "tx_power_dbm=0:inf:10"], "cannot parse sweep spec '0:inf:10'"),
+    (["--mode", "bits=x"], "bad --mode value 'bits=x'"),
+    (["--mode", "foo"], "--mode must be 'ideal' or 'bits=B'"),
+    (["--sweep", "N"], "--sweep expects VAR=START:STOP:STEP or VAR=v1,v2,..."),
+    (["--sweep", "tx_power_dbm=0:10"], "cannot parse sweep spec '0:10'"),
+])
 def test_simulate_bad_sweep_request_exit2(small_cfg_file, bad, capsys):
-    assert run_cli(["simulate", "--config", small_cfg_file, "--trials", "500", *bad]) == 2
+    """A bad flag value is a config error, with its message, before any work."""
+    args, message = bad
+    assert run_cli(["simulate", "--config", small_cfg_file, "--trials", "500", *args]) == 2
     captured = capsys.readouterr()
-    assert "config error:" in captured.err
+    assert captured.err.startswith(f"config error: {message}")
     assert not captured.out
 
 
@@ -205,6 +228,20 @@ def test_simulate_builds_surfaces_once_per_link_sweep(small_cfg_file, tmp_path, 
                     "--sweep", sweep, "--metrics", "OP_user", "--threads", 1]) == 0
     assert len(calls) == runs
     assert len(out.read_text().splitlines()) == 1 + 4 * len(sweep.split(","))
+
+
+def test_simulate_point_with_a_failing_metric_writes_no_rows(small_cfg_file, tmp_path, capsys):
+    """Under --feasible-only a point with no feasible trial has a feasibility rate
+    but no OP_user sample: the point fails whole and writes none of its rows."""
+    out = tmp_path / "feasible.csv"
+    assert run_cli(["simulate", "--config", small_cfg_file, "--out", out, "--trials", 500,
+                    "--sweep", "N=8,16", "--metrics", "feasibility_rate,OP_user",
+                    "--feasible-only", "--threads", 1]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    assert {row[1] for row in rows} == {"16.0"}
+    assert [row[4] for row in rows] == ["feasibility_rate"] + ["OP_user"] * 4
+    assert ("point N=8.0 failed: ValueError: no usable trials survived the feasibility "
+            "filter") in capsys.readouterr().err
 
 
 def test_simulate_failed_link_point_is_isolated(small_cfg_file, tmp_path, capsys):

@@ -357,9 +357,8 @@ def test_se_and_ee_estimates(fast_cfg):
     se = [r for r in estimates_from_batch(fast_cfg, batch, "SE") if r.m == 0][0]
     assert se.estimate == pytest.approx(batch.rate[:, 0, :].sum(axis=1).mean())
     ee = [r for r in estimates_from_batch(fast_cfg, batch, "EE") if r.m == 0][0]
-    pm = fast_cfg.power_model
-    denom = (pm.p_bs_watt + 2 * pm.p_user_watt
-             + fast_cfg.tx_power_watt * pm.amp_factor + fast_cfg.N * pm.p_ris_watt)
+    denom = (fast_cfg.p_bs_watt + 2 * fast_cfg.p_user_watt
+             + fast_cfg.tx_power_watt * fast_cfg.amp_factor + fast_cfg.N * fast_cfg.p_ris_watt)
     assert ee.estimate == pytest.approx(se.estimate / denom)
     assert ee.stderr == pytest.approx(se.stderr / denom)
 
@@ -371,6 +370,20 @@ def test_feasibility_rate_and_conditioning(fast_cfg):
     assert 0.0 <= rate.estimate <= 1.0
     conditioned = estimates_from_batch(fast_cfg, batch, "OP_user", feasible_only=True)
     assert conditioned[0].trials == int(batch.feasible.sum())
+
+
+def test_feasibility_rate_needs_no_feasible_trial(baseline_cfg):
+    """The feasibility filter conditions the user and cluster metrics only: with no
+    feasible trial the feasibility rate is 0, and a filtered metric has no sample."""
+    cfg = baseline_cfg.with_updates(N=8)
+    batch = run_trials(cfg, 500, threads=1)
+    assert not batch.feasible.any() and not batch.failed.any()
+    for feasible_only in (False, True):
+        (rate,) = estimates_from_batch(cfg, batch, "feasibility_rate", feasible_only)
+        assert (rate.estimate, rate.stderr, rate.trials) == (0.0, 0.0, 500)
+    for metric in ("OP_user", "OP_pair"):
+        with pytest.raises(ValueError, match="no usable trials"):
+            estimates_from_batch(cfg, batch, metric, feasible_only=True)
 
 
 def test_ci_coverage_calibration():

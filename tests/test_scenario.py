@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -8,8 +9,8 @@ from scbsim.scenario import (
     CANCELLATION_MODES,
     NUMERIC_FIELDS,
     RIS_SCENARIOS,
+    _SECTION_KEYS,
     ConfigError,
-    PowerModel,
     ScenarioConfig,
     dbm_to_watt,
     fingerprint,
@@ -127,14 +128,23 @@ def shaped(M, K, L, N):
 def test_load_serialize_roundtrip_grid(shape, scenario, mode):
     """Every field survives serialize -> load, over resolution, noise and power-model variants."""
     extras = ({}, {"noise_dbm_override": -101.3},
-              {"power_model": PowerModel(p_bs_watt=6.5, p_user_watt=0.3, p_ris_watt=0.0,
-                                         amp_factor=2.5), "tx_power_dbm": -7.25})
+              {"p_bs_watt": 6.5, "p_user_watt": 0.3, "p_ris_watt": 0.0, "amp_factor": 2.5,
+               "tx_power_dbm": -7.25})
     for bits, extra in itertools.product((None, 1, 3), extras):
         cfg = make_cfg(**shaped(*shape), ris_scenario=scenario, cancellation_mode=mode,
                        resolution_bits=bits, **extra)
         again = load_config(serialize_config(cfg))
         assert again == cfg, (bits, extra)
         assert fingerprint(again) == fingerprint(cfg)
+
+
+def test_serialize_writes_one_line_per_field(baseline_cfg):
+    """The schema is flat: each field is one line of the document, under its own
+    key, so every field reaches the fingerprint."""
+    keys = [line.split(" = ", 1)[0] for line in serialize_config(baseline_cfg).splitlines()]
+    assert len(keys) == len(fields(ScenarioConfig)) == len(set(keys))
+    assert set(keys) <= _SECTION_KEYS.keys()
+    assert {_SECTION_KEYS[key][0] for key in keys} == {f.name for f in fields(ScenarioConfig)}
 
 
 def test_load_rejects_unknown_and_duplicate_keys():
@@ -160,7 +170,8 @@ def test_load_reports_missing_keys(baseline_text):
 
 def test_load_parses_power_model(baseline_text):
     cfg = load_config(baseline_text + "\npower_model.p_bs_watt = 20\n")
-    assert cfg.power_model == PowerModel(p_bs_watt=20.0)
+    assert cfg.p_bs_watt == 20.0
+    assert (cfg.p_user_watt, cfg.p_ris_watt, cfg.amp_factor) == (0.1, 0.01, 1.2)
 
 
 def test_validation_error_names_field():
@@ -169,7 +180,6 @@ def test_validation_error_names_field():
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("power_model", None, "power_model must be a PowerModel, got None"),
     ("d_user", None, "geometry.d_user must be a matrix of numbers, one row per cluster "
                      "(';' between rows), got None"),
     ("d_direct", [200.0, 100.0], "geometry.d_direct must be a matrix of numbers, one row per "
@@ -187,9 +197,8 @@ def test_validation_error_names_field():
     ("bandwidth_hz", 1e-310, "bandwidth_hz must be a bandwidth whose noise power is finite "
                              "and positive in watts, got 1e-310"),
     ("N", 0, "ris.N must be an integer >= 1, got 0"),
-    ("power_model", PowerModel(amp_factor=0.5),
-     "power_model.amp_factor must be finite and >= 1, got 0.5"),
-], ids=["power_model-None", "d_user-None", "d_direct-row", "target_rate-None",
+    ("amp_factor", 0.5, "power_model.amp_factor must be finite and >= 1, got 0.5"),
+], ids=["d_user-None", "d_direct-row", "target_rate-None",
         "power_alloc-str", "target_rate-digits", "d_user-digit-rows", "d1-str",
         "tx_power_dbm-None", "tx_power_dbm-overflow", "noise_dbm_override-underflow",
         "bandwidth_hz-underflow", "N-0", "amp_factor-0.5"])
@@ -294,3 +303,16 @@ def test_sweep_fingerprint_is_fingerprint(baseline_cfg, var):
     assert fp(baseline_cfg) == fingerprint(baseline_cfg)
     if getattr(point, var) != getattr(baseline_cfg, var):
         assert fp(point) != fp(baseline_cfg)
+
+
+POWER_MODEL_LINES = ("power_model.p_bs_watt = 6.5\npower_model.p_user_watt = 0.3\n"
+                     "power_model.p_ris_watt = 0.0\npower_model.amp_factor = 2.5\n")
+
+
+@pytest.mark.parametrize("extra,expected", [("", "a32c1e91e159"),
+                                            (POWER_MODEL_LINES, "d25c23e7c698")],
+                         ids=["baseline", "power-model-off-defaults"])
+def test_fingerprint_frozen_values(baseline_text, extra, expected):
+    """Frozen values: a change to the canonical document (a key, its order or a
+    value's spelling) changes every fingerprint the CSVs carry."""
+    assert fingerprint(load_config(baseline_text + extra)) == expected

@@ -20,7 +20,6 @@ from scbsim.scenario import (
     NUMERIC_FIELDS,
     RIS_SCENARIOS,
     ConfigError,
-    PowerModel,
     ScenarioConfig,
     fingerprint,
     load_config,
@@ -61,9 +60,8 @@ def configs(draw):
         resolution_bits=draw(st.none() | st.integers(1, 16)),
         tx_power_dbm=draw(dbm), bandwidth_hz=draw(bandwidths),
         noise_dbm_override=draw(st.none() | dbm),
-        power_model=PowerModel(p_bs_watt=draw(non_negative), p_user_watt=draw(non_negative),
-                               p_ris_watt=draw(non_negative),
-                               amp_factor=draw(st.floats(1.0, allow_infinity=False))),
+        p_bs_watt=draw(non_negative), p_user_watt=draw(non_negative),
+        p_ris_watt=draw(non_negative), amp_factor=draw(st.floats(1.0, allow_infinity=False)),
         trials=draw(st.integers(1, 2 ** 40)),
         master_seed=draw(st.integers(0, 2 ** 64 - 1)),
     )
@@ -170,13 +168,7 @@ def _field_values(cfg):
                       st.sampled_from([-1.0, math.inf, math.nan]))
              | st.lists(non_negative, max_size=4).filter(lambda r: len(r) != K) | digits
              | st.none())
-    pm = st.builds(PowerModel, p_bs_watt=non_negative, p_user_watt=non_negative,
-                   p_ris_watt=non_negative, amp_factor=st.floats(1.0, 10.0))
-    bad_pm_entry = st.sampled_from([-1.0, math.inf, math.nan])
-    bad_pm = st.sampled_from(["p_bs_watt", "p_user_watt", "p_ris_watt", "amp_factor"]).flatmap(
-        lambda name: st.builds(lambda v: PowerModel(**{name: v}),
-                               bad_pm_entry | st.just(0.5) if name == "amp_factor"
-                               else bad_pm_entry))
+    bad_watts = st.sampled_from([-1.0, math.inf, math.nan, None])
     return {
         "M": counts, "K": counts, "L": counts, "N": counts,
         **{name: positives for name in
@@ -193,7 +185,8 @@ def _field_values(cfg):
                                                1e300, "30", None])),
         "noise_dbm_override": (st.none() | dbm, st.sampled_from([math.nan, -math.inf, 4000.0,
                                                                 -4000.0, "1"])),
-        "power_model": (pm, bad_pm | st.none()),
+        **{name: (non_negative, bad_watts) for name in ("p_bs_watt", "p_user_watt", "p_ris_watt")},
+        "amp_factor": (st.floats(1.0, 10.0), bad_watts | st.just(0.5)),
         "trials": (st.integers(1, 2 ** 40), st.integers(-2, 0) | st.sampled_from([1.5, "5"])),
         "master_seed": (st.integers(0, 2 ** 64 - 1),
                         st.sampled_from([-1, 2 ** 64, 3.0, "3", None])),
@@ -275,13 +268,13 @@ def test_with_updates_matches_replace_and_full_validate(case, data):
         assert error[0] is ConfigError
 
 
-# The config key of each field; power_model's errors name it or one of its
-# power_model.* keys.
+# The config key of each field.
 FIELD_KEYS = {name: f"{section}.{name}" for section, names in (
     ("geometry", "d1 d_user d_direct alpha1 alpha2 alpha3"),
     ("noma", "power_alloc target_rate"),
     ("ris", "N ris_scenario cancellation_mode resolution_bits"),
-    ("montecarlo", "trials master_seed")) for name in names.split()}
+    ("montecarlo", "trials master_seed"),
+    ("power_model", "p_bs_watt p_user_watt p_ris_watt amp_factor")) for name in names.split()}
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
@@ -299,7 +292,7 @@ def test_field_values_build_or_fail_naming_their_key(name, data):
         updates.update({label: data.draw(values)
                         for label, values in _shaped(cfg, name, value).items()})
     bad = data.draw(invalid)
-    key = re.escape(FIELD_KEYS.get(name, name)) + (r"(\.\w+)?" if name == "power_model" else "")
+    key = re.escape(FIELD_KEYS.get(name, name))
     for build in (lambda u: replace(cfg, **u), lambda u: cfg.with_updates(**u)):
         build(updates)
         with pytest.raises(ConfigError) as exc:
