@@ -32,7 +32,7 @@ class InfeasibleRatesError(ValueError):
     """Power allocation cannot support the target rates (outage is certain)."""
 
 
-@dataclass(frozen=True)
+@dataclass   # not frozen: analytic builds M*K per point, and a frozen __init__ is 4x slower
 class ClosedFormInputs:
     """Scalar inputs of the closed-form expressions for one user position."""
 
@@ -46,8 +46,9 @@ class ClosedFormInputs:
 
     @classmethod
     def from_config(cls, cfg, m, k):
-        """The inputs of user k in cluster m (see cluster_inputs)."""
-        return cluster_inputs(cfg, m)[k]
+        """The inputs of user k in cluster m (cluster_inputs builds every user's)."""
+        return cls(cfg.L, cfg.K, cfg.power_alloc, cfg.target_rate, cfg.tx_power_watt,
+                   cfg.noise_watt, largescale_direct(cfg.d_direct[m][k], cfg.alpha3))
 
     @property
     def rate_threshold_scale(self):
@@ -57,25 +58,18 @@ class ClosedFormInputs:
         )
 
 
-def epsilon(rate):
-    """SINR threshold 2^R - 1 of a target rate."""
-    return 2.0 ** rate - 1.0
-
-
 def sic_threshold(inputs, v):
     """Gain threshold I_v below which decoding user v's signal fails.
 
     I_v = L eps_v sigma^2 / (p Lb (alloc_v - eps_v sum_{q>v} alloc_q)); the
     denominator must be positive for the target rates to be reachable at all.
     """
-    eps = epsilon(inputs.target_rate[v])
-    margin = inputs.power_alloc[v] - eps * sum(inputs.power_alloc[v + 1:])
+    eps = 2.0 ** inputs.target_rate[v] - 1.0   # the SINR threshold of the target rate
+    rest = sum(inputs.power_alloc[v + 1:])
+    margin = inputs.power_alloc[v] - eps * rest
     if margin <= 0:
-        raise InfeasibleRatesError(
-            f"power allocation cannot sustain target rate of user {v}: "
-            f"alloc {inputs.power_alloc[v]} vs eps {eps:.4g} * "
-            f"{sum(inputs.power_alloc[v + 1:]):.4g}"
-        )
+        raise InfeasibleRatesError(f"power allocation cannot sustain target rate of user {v}: "
+                                   f"alloc {inputs.power_alloc[v]} vs eps {eps:.4g} * {rest:.4g}")
     return inputs.L * eps * inputs.noise_watt / (inputs.p_watt * inputs.l_direct * margin)
 
 
@@ -97,25 +91,38 @@ def er_user_K(inputs):
     return er_from_threshold_scale(inputs.rate_threshold_scale, inputs.L)
 
 
-def cluster_inputs(cfg, m):
-    """The ClosedFormInputs of cluster m's users, user 0 farthest, as closed_form
-    takes them (the powers converted once per cluster)."""
+def cluster_inputs(cfg):
+    """Every user's ClosedFormInputs, [m][k] with user 0 farthest, as
+    ClosedFormInputs.from_config builds them, the powers converted once."""
     p_watt, noise_watt = cfg.tx_power_watt, cfg.noise_watt
-    return tuple(ClosedFormInputs(cfg.L, cfg.K, cfg.power_alloc, cfg.target_rate, p_watt,
-                                  noise_watt, largescale_direct(d, cfg.alpha3))
-                 for d in cfg.d_direct[m])
+    return [tuple(ClosedFormInputs(cfg.L, cfg.K, cfg.power_alloc, cfg.target_rate, p_watt,
+                                   noise_watt, largescale_direct(d, cfg.alpha3))
+                  for d in row)
+            for row in cfg.d_direct]
 
 
-def closed_form(cluster, metric, k):
-    """OP_user or OP_oma of user k, ER_user of the nearest user (k = K-1) or
-    OP_pair of the cluster (k None, the product of its users' OP), given the
-    cluster's inputs (cluster_inputs).  Raises InfeasibleRatesError when the
-    allocation cannot sustain the rates."""
-    if metric == "OP_pair":
-        return math.prod(op_closed_form(inputs, j) for j, inputs in enumerate(cluster))
-    if metric == "ER_user":
-        return er_user_K(cluster[k])
-    return (op_closed_form if metric == "OP_user" else op_oma)(cluster[k], k)
+def cluster_closed_forms(cluster, metrics):
+    """{(metric, k): value} of one cluster's inputs for the metrics asked for:
+    OP_user and OP_oma of every user k, ER_user of the nearest (k = K-1) and
+    OP_pair (k None), the product of the users' OP floats (one gamma call per
+    user).  None where the allocation cannot sustain the target rates."""
+    values = {}
+    if "OP_user" in metrics or "OP_pair" in metrics:
+        ops = []
+        for k, inputs in enumerate(cluster):
+            try:
+                op = op_closed_form(inputs, k)
+            except InfeasibleRatesError:
+                op = None
+            values["OP_user", k] = op
+            ops.append(op)
+        values["OP_pair", None] = None if None in ops else math.prod(ops)
+    if "OP_oma" in metrics:
+        for k, inputs in enumerate(cluster):
+            values["OP_oma", k] = op_oma(inputs, k)
+    if "ER_user" in metrics:
+        values["ER_user", len(cluster) - 1] = er_user_K(cluster[-1])
+    return values
 
 
 def er_from_threshold_scale(c, L):

@@ -20,7 +20,7 @@ import numpy as np
 from . import beamforming as bf
 from . import montecarlo as mc
 from . import validation
-from .analytics import InfeasibleRatesError, closed_form, cluster_inputs
+from .analytics import cluster_closed_forms, cluster_inputs
 from .channel import assemble_batch
 from .montecarlo import METRICS
 from .pathloss import (
@@ -201,6 +201,9 @@ def _sweep_request(args, cfg, allowed):
     unknown = [m for m in metrics if m not in allowed]
     if unknown:
         raise ConfigError(f"unknown metrics {unknown}; choose from {allowed}")
+    repeated = sorted({m for m in metrics if metrics.count(m) > 1}, key=metrics.index)
+    if repeated:
+        raise ConfigError(f"repeated metrics {repeated}; name each once")
     return var, values, metrics
 
 
@@ -289,9 +292,9 @@ def cmd_analytic(args):
     var, values, metrics = _sweep_request(args, cfg, ANALYTIC_METRICS)
     # every valid point has cfg's M and K (the distance matrices fix them); ER_user
     # has a closed form for the nearest user only, OP_pair one per cluster.  The
-    # rows of a point, in order, with their cluster, user and metric cells
-    # formatted once per sweep
-    rows = [(metric, m, k, _row_cells(m, k, metric))
+    # rows of a point, in order: the cluster, the key of its cluster_closed_forms
+    # value, and the cluster, user and metric cells formatted once per sweep
+    rows = [(m, (metric, k), _row_cells(m, k, metric))
             for metric in metrics
             for m in range(cfg.M)
             for k in {"ER_user": (cfg.K - 1,), "OP_pair": (None,)}.get(metric, range(cfg.K))]
@@ -302,15 +305,14 @@ def cmd_analytic(args):
         point = mc.sweep_config(cfg, var, value)
         head, tail = _point_cells(var, value, point, fp(point))
         tail = ",0.0,0" + tail   # csv_row's stderr and trials cells, 0.0 and 0 here
-        clusters = [cluster_inputs(point, m) for m in range(point.M)]
-        for metric, m, k, cells in rows:
-            try:
-                estimate = closed_form(clusters[m], metric, k)
-            except InfeasibleRatesError:
+        closed = [cluster_closed_forms(cluster, metrics) for cluster in cluster_inputs(point)]
+        for m, key, cells in rows:
+            estimate = closed[m][key]
+            if estimate is None:
                 assumption_violated = True
                 lines.append(f"{head}{cells}_infeasible,1.0{tail}")
-                continue
-            lines.append(f"{head}{cells},{estimate!r}{tail}")
+            else:
+                lines.append(f"{head}{cells},{estimate!r}{tail}")
     _write_lines(args.out, lines)
     return EXIT_ASSUMPTION if assumption_violated else EXIT_OK
 

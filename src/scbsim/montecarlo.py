@@ -384,10 +384,12 @@ def estimates_from_batch(cfg, batch, metric, feasible_only=False):
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
     field, scope, estimator = _ESTIMATORS[metric]
     keep = ~batch.failed
+    if not keep.any():
+        raise ValueError(f"all {keep.size} trials failed numerically; no {metric} estimate")
     if feasible_only and scope != "global":   # the feasibility rate reads every trial
         keep = keep & batch.feasible
-    if not keep.any():
-        raise ValueError("no usable trials survived the feasibility filter")
+        if not keep.any():
+            raise ValueError("no usable trials survived the feasibility filter")
     data = getattr(batch, field)
     if scope == "global":
         cells = [(None, None, data[keep])]

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import montecarlo as mc
 from .analytics import (
-    closed_form,
+    InfeasibleRatesError,
+    cluster_closed_forms,
     cluster_inputs,
     diversity_order,
     er_ceiling_user_k,
@@ -125,21 +126,27 @@ def _power_points(cfg, trials, threads, powers_dbm):
         yield point, mc.link_stage(point, surfaces)
 
 
-def _simulated_vs_closed(name, cfg, trials, powers_dbm, threads, metric, users, se_rule,
-                         where):
-    """|MC - closed| <= 3 se_rule(result, closed) for the users k in ``users`` of
-    every cluster at every power; where(result) labels the worst user.  One
-    batch of ideal surfaces serves every power."""
+def _feasible(value):
+    """A cluster_closed_forms value, None where the target rates are infeasible."""
+    if value is None:
+        raise InfeasibleRatesError("power allocation cannot sustain the target rates")
+    return value
+
+
+def _simulated_vs_closed(name, cfg, trials, powers_dbm, threads, metric, se_rule, where):
+    """|MC - closed| <= 3 se_rule(result, closed) for every user with a closed form
+    of the metric, in every cluster and at every power; where(result) labels the
+    worst user.  One batch of ideal surfaces serves every power."""
     t0 = time.perf_counter()
     worst = 0.0
     worst_at = ""
     ideal = cfg.with_updates(resolution_bits=None)
     for sub, batch in _power_points(ideal, trials, threads, powers_dbm):
-        clusters = [cluster_inputs(sub, m) for m in range(sub.M)]
+        closed_forms = [cluster_closed_forms(c, (metric,)) for c in cluster_inputs(sub)]
         for r in mc.estimates_from_batch(sub, batch, metric):
-            if r.k not in users:
+            if (metric, r.k) not in closed_forms[r.m]:   # ER_user: the nearest user only
                 continue
-            closed = closed_form(clusters[r.m], metric, r.k)
+            closed = _feasible(closed_forms[r.m][metric, r.k])
             pulls = abs(r.estimate - closed) / se_rule(r, closed)
             if pulls > worst:
                 worst, worst_at = pulls, f"p={sub.tx_power_dbm} dBm {where(r)}"
@@ -161,8 +168,7 @@ def check_op_vs_closed_form(cfg, trials, powers_dbm=(20.0, 25.0, 30.0, 35.0),
         return max(r.stderr, math.sqrt(pstar * (1.0 - pstar) / trials))
 
     return _simulated_vs_closed("op_vs_closed_form", cfg, trials, powers_dbm, threads,
-                                "OP_user", range(cfg.K), se_rule,
-                                lambda r: f"user ({r.m},{r.k})")
+                                "OP_user", se_rule, lambda r: f"user ({r.m},{r.k})")
 
 
 def _invert_closed_op(inputs, k, target):
@@ -188,7 +194,7 @@ def check_diversity_order(cfg, trials, threads=None):
         rows = max(1, system_rows(cfg.M, cfg.K, L, cfg.cancellation_mode))
         sub = cfg.with_updates(L=L, N=2 * rows, resolution_bits=None,
                                master_seed=cfg.master_seed + 100 + L)
-        base = cluster_inputs(sub, 0)[0]
+        base = cluster_inputs(sub)[0][0]
         p_lo = _invert_closed_op(base, 0, 8e-3)
         p_hi = _invert_closed_op(base, 0, 2.5e-4)
         closed_curve = [(p, op_closed_form(replace(base, p_watt=p), 0)) for p in (p_lo, p_hi)]
@@ -236,7 +242,7 @@ def check_er_closed_vs_quadrature():
 def check_er_vs_closed_form(cfg, trials, powers_dbm=(20.0, 30.0, 40.0), threads=None):
     """|ER_MC - ER_closed| <= 3 SE for the nearest user at each power."""
     return _simulated_vs_closed("er_vs_closed_form", cfg, trials, powers_dbm, threads,
-                                "ER_user", (cfg.K - 1,), lambda r, _: max(r.stderr, 1e-12),
+                                "ER_user", lambda r, _: max(r.stderr, 1e-12),
                                 lambda r: f"cluster {r.m}")
 
 
@@ -251,7 +257,8 @@ def check_high_snr_slopes(cfg, trials, threads=None):
     curve = []
     for p_dbm in (40.0, 50.0):
         sub = cfg.with_updates(tx_power_dbm=p_dbm)
-        curve.append((sub.tx_power_watt, closed_form(cluster_inputs(sub, 0), "ER_user", k_near)))
+        closed_forms = cluster_closed_forms(cluster_inputs(sub)[0], ("ER_user",))
+        curve.append((sub.tx_power_watt, closed_forms["ER_user", k_near]))
     slope_ideal = high_snr_slope(curve)
     ok_a = 0.95 <= slope_ideal <= 1.0
     details.append(f"closed ER slope {slope_ideal:.4f} in [0.95, 1]")
@@ -332,9 +339,10 @@ def check_residue(cfg, trials_exact, trials_bits, threads=None):
 def check_noma_vs_oma(cfg, p_dbm=30.0):
     """Closed-form pair outage comparison at one power point."""
     t0 = time.perf_counter()
-    cluster = cluster_inputs(cfg.with_updates(tx_power_dbm=float(p_dbm)), 0)
-    noma = closed_form(cluster, "OP_pair", None)
-    oma = math.prod(closed_form(cluster, "OP_oma", k) for k in range(len(cluster)))
+    cluster = cluster_inputs(cfg.with_updates(tx_power_dbm=float(p_dbm)))[0]
+    closed_forms = cluster_closed_forms(cluster, ("OP_pair", "OP_oma"))
+    noma = _feasible(closed_forms["OP_pair", None])
+    oma = math.prod(closed_forms["OP_oma", k] for k in range(len(cluster)))
     ok = noma < oma
     return _finish(
         "noma_vs_oma", t0, ok,

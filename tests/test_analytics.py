@@ -6,7 +6,7 @@ import pytest
 from scbsim.analytics import (
     ClosedFormInputs,
     InfeasibleRatesError,
-    closed_form,
+    cluster_closed_forms,
     cluster_inputs,
     diversity_order,
     energy_efficiency,
@@ -114,31 +114,45 @@ def test_noma_pair_ordering_flips_at_high_power():
     assert noma == pytest.approx((25.0 / 21.0) ** 2 * oma, rel=5e-3)
 
 
-# -- the closed-form dispatcher --------------------------------------------------
+# -- the per-cluster evaluator ----------------------------------------------------
 
 @pytest.mark.parametrize("p_dbm", [0.0, 30.0])
-def test_closed_form_dispatches_each_metric(baseline_cfg, p_dbm):
+def test_cluster_closed_forms_match_each_law(baseline_cfg, p_dbm):
+    """Every value is its per-user law's float; OP_pair is the product of the users'
+    OP, and asking for one metric gives that metric's values."""
     cfg = baseline_cfg.with_updates(tx_power_dbm=p_dbm,
                                     d_direct=((200.0, 100.0), (150.0, 90.0)))
-    clusters = [cluster_inputs(cfg, m) for m in range(cfg.M)]
+    clusters = cluster_inputs(cfg)
+    assert len(clusters) == cfg.M
+    metrics = ("OP_user", "OP_pair", "OP_oma", "ER_user")
     for m, cluster in enumerate(clusters):
         assert cluster == tuple(ClosedFormInputs.from_config(cfg, m, k) for k in range(cfg.K))
-        for k, inp in enumerate(cluster):
-            assert closed_form(cluster, "OP_user", k) == op_closed_form(inp, k)
-            assert closed_form(cluster, "OP_oma", k) == op_oma(inp, k)
-        assert closed_form(cluster, "ER_user", cfg.K - 1) == er_user_K(cluster[-1])
-        users = [closed_form(cluster, "OP_user", k) for k in range(cfg.K)]
-        assert closed_form(cluster, "OP_pair", None) == users[0] * users[1]
-    assert closed_form(clusters[0], "OP_user", 0) != closed_form(clusters[1], "OP_user", 0)
+        users = [op_closed_form(inp, k) for k, inp in enumerate(cluster)]
+        values = cluster_closed_forms(cluster, metrics)
+        assert values == {("OP_user", 0): users[0], ("OP_user", 1): users[1],
+                          ("OP_pair", None): users[0] * users[1],
+                          ("OP_oma", 0): op_oma(cluster[0], 0), ("OP_oma", 1): op_oma(cluster[1], 1),
+                          ("ER_user", cfg.K - 1): er_user_K(cluster[-1])}
+        for metric in metrics:
+            alone = cluster_closed_forms(cluster, (metric,))
+            assert all(alone[key] == v for key, v in values.items() if key[0] == metric)
+    first, second = (cluster_closed_forms(cluster, ("OP_user",)) for cluster in clusters)
+    assert first["OP_user", 0] != second["OP_user", 0]
 
 
-def test_closed_form_infeasible_rates_raise(baseline_cfg):
-    """analytic's exit-5 path needs the error to reach it."""
-    cluster = cluster_inputs(baseline_cfg.with_updates(target_rate=(1.4, 1.5)), 0)
-    for metric, k in (("OP_user", 0), ("OP_user", 1), ("OP_pair", None)):
-        with pytest.raises(InfeasibleRatesError):
-            closed_form(cluster, metric, k)
-    assert 0.0 < closed_form(cluster, "OP_oma", 0) < 1.0
+def test_cluster_closed_forms_mark_infeasible_rates(baseline_cfg):
+    """analytic's exit-5 path: a user whose decoding chain the allocation cannot
+    sustain has no OP, and then neither has the pair; OMA always has one."""
+    cluster = cluster_inputs(baseline_cfg.with_updates(target_rate=(1.4, 1.5)))[0]
+    values = cluster_closed_forms(cluster, ("OP_user", "OP_pair", "OP_oma"))
+    assert values["OP_user", 0] is values["OP_user", 1] is values["OP_pair", None] is None
+    assert 0.0 < values["OP_oma", 0] < 1.0
+    # three users: user 0's stage holds, stage 1 (eps 3.29 against 0.3 / 0.1) does not
+    three = tuple(inputs(l_direct=ld, alloc=(0.6, 0.3, 0.1), rates=(1.0, 2.1, 1.0))
+                  for ld in (1e-8, 1e-7, 1e-6))
+    values = cluster_closed_forms(three, ("OP_pair",))
+    assert values["OP_user", 0] == op_closed_form(three[0], 0)
+    assert values["OP_user", 1] is values["OP_user", 2] is values["OP_pair", None] is None
 
 
 # -- ergodic rate -------------------------------------------------------------------

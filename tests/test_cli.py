@@ -5,7 +5,7 @@ import pytest
 
 from scbsim import analytics, cli
 from scbsim import montecarlo as mc
-from scbsim.analytics import InfeasibleRatesError, closed_form, cluster_inputs
+from scbsim.analytics import ClosedFormInputs, InfeasibleRatesError
 from scbsim.montecarlo import run_trials
 from scbsim.numerics import ks_critical
 from scbsim.scenario import ConfigError, fingerprint, load_config, serialize_config
@@ -144,6 +144,7 @@ def test_config_errors_exit2(tmp_path, capsys):
     (["--mode", "foo"], "--mode must be 'ideal' or 'bits=B'"),
     (["--sweep", "N"], "--sweep expects VAR=START:STOP:STEP or VAR=v1,v2,..."),
     (["--sweep", "tx_power_dbm=0:10"], "cannot parse sweep spec '0:10'"),
+    (["--metrics", "OP_pair,SE,OP_pair"], "repeated metrics ['OP_pair']; name each once"),
 ])
 def test_simulate_bad_sweep_request_exit2(small_cfg_file, bad, capsys):
     """A bad flag value is a config error, with its message, before any work."""
@@ -359,7 +360,8 @@ def test_analytic_er_at_eight_antennas_rises_with_power(tmp_path, baseline_cfg):
         assert all(v > 0.0 for v in rates)
         assert all(a < b for a, b in zip(rates, rates[1:]))
         for p_dbm, v in curve:
-            c = cluster_inputs(cfg.with_updates(tx_power_dbm=p_dbm), m)[-1].rate_threshold_scale
+            point = cfg.with_updates(tx_power_dbm=p_dbm)
+            c = ClosedFormInputs.from_config(point, m, cfg.K - 1).rate_threshold_scale
             assert v < math.log2(1.0 + cfg.L ** 2 / c)
     assert rates[0] < 2e-3
 
@@ -376,9 +378,24 @@ def test_analytic_infeasible_rates_exit5(tmp_path, baseline_cfg):
     assert flagged and all(l.split(",")[5] == "1.0" for l in flagged)
 
 
+def per_user_law(point, metric, m, k):
+    """One analytic value from the per-user laws, as perfbench's replay_analytic
+    takes it: each user's inputs from ClosedFormInputs.from_config, OP_pair as the
+    running product of its users' op_closed_form."""
+    if metric == "OP_pair":
+        pair = 1.0
+        for j in range(point.K):
+            pair *= analytics.op_closed_form(ClosedFormInputs.from_config(point, m, j), j)
+        return pair
+    inputs = ClosedFormInputs.from_config(point, m, k)
+    if metric == "ER_user":
+        return analytics.er_user_K(inputs)
+    return (analytics.op_closed_form if metric == "OP_user" else analytics.op_oma)(inputs, k)
+
+
 def reference_analytic(cfg, var, values, metrics):
     """(CSV text, any infeasible row) of analytic, rebuilt row by row: each row's
-    cluster inputs built afresh, its value from closed_form, its line from csv_row."""
+    value from per_user_law, its line from csv_row."""
     lines, violated = [cli.CSV_HEADER], False
     for value in values:
         point = mc.sweep_config(cfg, var, value)
@@ -388,33 +405,40 @@ def reference_analytic(cfg, var, values, metrics):
             for m in range(point.M):
                 for k in users:
                     try:
-                        name, estimate = metric, closed_form(cluster_inputs(point, m), metric, k)
+                        name, estimate = metric, per_user_law(point, metric, m, k)
                     except InfeasibleRatesError:
                         violated, name, estimate = True, metric + "_infeasible", 1.0
                     lines.append(cli.csv_row(var, value, m, k, name, estimate, 0.0, 0, point, fp))
     return "\n".join(lines) + "\n", violated
 
 
-@pytest.mark.parametrize("target_rate,sweep", [
-    ((1.0, 1.5), "tx_power_dbm=-10:50:5"),
-    ((1.4, 1.5), "tx_power_dbm=-10:50:5"),
-    ((1.0, 1.5), "resolution_bits=1:4:1"),   # the mode cell changes per point
-    ((1.0, 1.5), "L=1:4:1"),                 # the cluster inputs and the gamma shape
-    ((1.0, 1.5), "alpha3=2.0:4.0:0.5"),
-    ((1.0, 1.5), "noise_dbm_override=-110,-95.5,-80"),
-], ids=["baseline", "infeasible", "resolution_bits", "L", "alpha3", "noise_dbm_override"])
+ALL_ANALYTIC = cli.ANALYTIC_METRICS
+
+
+@pytest.mark.parametrize("target_rate,sweep,metrics", [
+    ((1.0, 1.5), "tx_power_dbm=-10:50:5", ALL_ANALYTIC),
+    ((1.4, 1.5), "tx_power_dbm=-10:50:5", ALL_ANALYTIC),
+    ((1.0, 1.5), "resolution_bits=1:4:1", ALL_ANALYTIC),   # the mode cell changes per point
+    ((1.0, 1.5), "L=1:4:1", ALL_ANALYTIC),                 # the cluster inputs and the gamma shape
+    ((1.0, 1.5), "alpha3=2.0:4.0:0.5", ALL_ANALYTIC),
+    ((1.0, 1.5), "noise_dbm_override=-110,-95.5,-80", ALL_ANALYTIC),
+    ((1.0, 1.5), "tx_power_dbm=-10:50:5", ("OP_pair",)),
+    ((1.4, 1.5), "tx_power_dbm=-10:50:5", ("OP_pair",)),
+    ((1.0, 1.5), "tx_power_dbm=-10:50:5", ("OP_oma",)),
+], ids=["baseline", "infeasible", "resolution_bits", "L", "alpha3", "noise_dbm_override",
+        "OP_pair", "OP_pair-infeasible", "OP_oma"])
 def test_analytic_bytes_and_calls_match_per_row_reference(tmp_path, baseline_cfg, monkeypatch,
-                                                          target_rate, sweep):
-    """analytic writes the bytes and exit code of a csv_row + closed_form per-row
-    reference, with one regularized-gamma call per OP_user/OP_oma row and per OP_pair
-    factor and one E1 call per ER_user row.  perfbench's count gate counts the calls
-    of its own replay_analytic, which makes the same calls; the count pinned here is
-    the one a recorder of scbsim analytic's own calls would gate."""
+                                                          target_rate, sweep, metrics):
+    """analytic writes the bytes and exit code of a per-row reference built from the
+    per-user laws, with one regularized-gamma call per user for OP (OP_user and
+    OP_pair share it), one per user for OP_oma, and one E1 call per ER_user row.
+    perfbench's count gate counts the calls of its own replay_analytic, which takes
+    the per-row path; the count pinned here is the one a recorder of scbsim
+    analytic's own calls would gate."""
     cfg = baseline_cfg.with_updates(target_rate=target_rate)
     cfg_path = tmp_path / "an.cfg"
     cfg_path.write_text(serialize_config(cfg))
     out = tmp_path / "an.csv"
-    metrics = ("OP_user", "OP_pair", "OP_oma", "ER_user")
     calls = {"gamma": 0, "e1": 0}
 
     def counting(name, fn):
@@ -435,18 +459,32 @@ def test_analytic_bytes_and_calls_match_per_row_reference(tmp_path, baseline_cfg
     assert code == (5 if violated else 0)
     rows = [line.split(",") for line in expected.splitlines()[1:]]
     pair_rows = [r for r in rows if r[4].startswith("OP_pair")]
-    assert len(pair_rows) == len(values) * cfg.M and all(r[3] == "" for r in pair_rows)
+    assert len(pair_rows) == len(values) * cfg.M * ("OP_pair" in metrics)
+    assert all(r[3] == "" for r in pair_rows)
     if target_rate == (1.0, 1.5):
         assert not violated
-        assert counted == {"gamma": len(values) * 3 * cfg.M * cfg.K, "e1": len(values) * cfg.M}
+        gamma_per_user = ("OP_user" in metrics or "OP_pair" in metrics) + ("OP_oma" in metrics)
+        assert counted == {"gamma": len(values) * gamma_per_user * cfg.M * cfg.K,
+                           "e1": len(values) * cfg.M * ("ER_user" in metrics)}
     else:
         assert violated and code == 5
         names = {r[4] for r in rows}
-        assert names == {"OP_user_infeasible", "OP_pair_infeasible", "OP_oma", "ER_user"}
+        assert names == {m + "_infeasible" if m in ("OP_user", "OP_pair") else m
+                         for m in metrics}
 
 
 def test_analytic_rejects_unsupported_metric(tmp_path):
     assert run_cli(["analytic", "--config", BASE, "--metrics", "residue_mean"]) == 2
+
+
+def test_analytic_rejects_a_repeated_metric(tmp_path, capsys):
+    """A metric named twice would write its rows twice: a config error, no output file."""
+    out = tmp_path / "an.csv"
+    assert run_cli(["analytic", "--config", BASE, "--out", out,
+                    "--metrics", "OP_user,ER_user,OP_user,ER_user"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: repeated metrics ['OP_user', 'ER_user']; name each once\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sweep", ["N=16,24", "master_seed=1,9007199254740993"])

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from scbsim.analytics import ClosedFormInputs, closed_form, cluster_inputs, op_closed_form
+from scbsim.analytics import (
+    ClosedFormInputs,
+    cluster_closed_forms,
+    cluster_inputs,
+    op_closed_form,
+)
 from scbsim.beamforming import build_matrix_batch, build_target_batch, solve_passive_batch
 from scbsim.channel import assemble_batch, empty_fading, normals_per_trial
 from scbsim.cli import parse_sweep
@@ -347,7 +352,7 @@ def test_op_pair_matches_closed_form_on_an_ideal_surface(baseline_cfg):
     cfg = baseline_cfg.with_updates(tx_power_dbm=-10.0)
     batch = run_trials(cfg, 8192, threads=2)
     for pair in estimates_from_batch(cfg, batch, "OP_pair"):
-        closed = closed_form(cluster_inputs(cfg, pair.m), "OP_pair", None)
+        closed = cluster_closed_forms(cluster_inputs(cfg)[pair.m], ("OP_pair",))["OP_pair", None]
         assert 0.02 < closed < 0.2   # outage events are frequent here
         assert abs(pair.estimate - closed) <= 3.0 * pair.stderr, (pair.m, closed)
 
@@ -384,6 +389,22 @@ def test_feasibility_rate_needs_no_feasible_trial(baseline_cfg):
     for metric in ("OP_user", "OP_pair"):
         with pytest.raises(ValueError, match="no usable trials"):
             estimates_from_batch(cfg, batch, metric, feasible_only=True)
+
+
+def test_every_trial_failed_names_the_failed_trials(baseline_cfg, monkeypatch):
+    """With every trial failed, no filter is to blame: the error names the failed
+    trials, with or without --feasible-only and for the unfiltered feasibility rate."""
+    def failing_chunk(cfg, gains, start, count, out=None):
+        raise np.linalg.LinAlgError("injected failure")
+
+    monkeypatch.setattr("scbsim.montecarlo._surface_chunk", failing_chunk)
+    batch = run_trials(baseline_cfg, 4, threads=1)
+    assert batch.failed.all()
+    for metric in ("feasibility_rate", "OP_user", "OP_pair"):
+        for feasible_only in (False, True):
+            with pytest.raises(ValueError, match=f"^all 4 trials failed numerically; "
+                                                 f"no {metric} estimate$"):
+                estimates_from_batch(baseline_cfg, batch, metric, feasible_only)
 
 
 def test_ci_coverage_calibration():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from scbsim import cli
+from scbsim import cli, numerics
 from scbsim.montecarlo import run_trials
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +49,32 @@ def test_replay_analytic_matches_analytic_command(baseline_cfg, replay, tmp_path
     var, values = cli.parse_sweep("tx_power_dbm=-10:50:5")
     replayed = replay.replay_analytic(baseline_cfg, var, values, metrics)
     assert replayed.encode() == out.read_bytes()
+
+
+def test_recorded_special_function_counts(baseline_cfg, replay, tmp_path):
+    """The traced closed_form run gates the calls recorded_special_functions counts
+    against computed counts: per replay_analytic point, one gamma call per OP_user
+    and OP_oma row and per OP_pair factor (12 at M = K = 2) and one E1 call per
+    ER_user row (2); one gamma call per gamma_cdf element.  The recorder rebinds
+    module globals, so a local alias of either function would hide calls from it.
+    The shipped analytic, recorded the same way, shares each user's OP between
+    OP_user and OP_pair: 8 gamma calls per point."""
+    metrics = ("OP_user", "OP_pair", "OP_oma", "ER_user")
+    sweep = "tx_power_dbm=-10,20,50"
+    var, values = cli.parse_sweep(sweep)
+    users = baseline_cfg.M * baseline_cfg.K
+    with replay.recorded_special_functions() as calls:
+        replay.replay_analytic(baseline_cfg, var, values, metrics)
+    assert {name: len(args) for name, args in calls.items()} == {
+        "numerics.gamma": 3 * users * len(values), "numerics.e1": baseline_cfg.M * len(values)}
+    with replay.recorded_special_functions() as calls:
+        assert cli.main(["analytic", "--config", str(BASE), "--out", str(tmp_path / "an.csv"),
+                         "--sweep", sweep, "--metrics", ",".join(metrics)]) == 0
+    assert {name: len(args) for name, args in calls.items()} == {
+        "numerics.gamma": 2 * users * len(values), "numerics.e1": baseline_cfg.M * len(values)}
+    x = [[0.5, 2.0, 7.0], [-1.0, 0.0, 30.0]]
+    with replay.recorded_special_functions() as calls:
+        numerics.gamma_cdf(x, 2)
+    assert calls == {"numerics.gamma": [(2, 0.5), (2, 2.0), (2, 7.0), (2, 0.0), (2, 0.0),
+                                        (2, 30.0)],
+                     "numerics.e1": []}

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from scbsim import montecarlo as mc
 from scbsim import validation
+from scbsim.analytics import InfeasibleRatesError
 from scbsim.channel import assemble_batch
 
 TRIALS = mc.CHUNK + 52
@@ -79,3 +81,13 @@ def test_diversity_check_fails_when_the_simulated_fit_is_impossible(baseline_cfg
     assert result.status == validation.FAIL
     assert result.detail.startswith("L=1: closed 0.999, simulated fit failed (need at least "
                                     "two points with outage below 0.01); L=2: ")
+
+
+def test_closed_form_checks_raise_on_infeasible_rates(baseline_cfg):
+    """Where the allocation cannot sustain the target rates, a check has no closed form
+    to compare, and says so rather than comparing a missing value."""
+    cfg = baseline_cfg.with_updates(target_rate=(1.4, 1.5))
+    with pytest.raises(InfeasibleRatesError, match="cannot sustain the target rates"):
+        validation.check_noma_vs_oma(cfg)
+    with pytest.raises(InfeasibleRatesError, match="cannot sustain the target rates"):
+        validation.check_op_vs_closed_form(cfg, 2000, powers_dbm=(30.0,), threads=1)
