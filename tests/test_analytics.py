@@ -131,7 +131,8 @@ def test_cluster_closed_forms_match_each_law(baseline_cfg, p_dbm):
         values = cluster_closed_forms(cluster, metrics)
         assert values == {("OP_user", 0): users[0], ("OP_user", 1): users[1],
                           ("OP_pair", None): users[0] * users[1],
-                          ("OP_oma", 0): op_oma(cluster[0], 0), ("OP_oma", 1): op_oma(cluster[1], 1),
+                          ("OP_oma", 0): op_oma(cluster[0], 0),
+                          ("OP_oma", 1): op_oma(cluster[1], 1),
                           ("ER_user", cfg.K - 1): er_user_K(cluster[-1])}
         for metric in metrics:
             alone = cluster_closed_forms(cluster, (metric,))

@@ -412,16 +412,13 @@ def reference_analytic(cfg, var, values, metrics):
     return "\n".join(lines) + "\n", violated
 
 
-ALL_ANALYTIC = cli.ANALYTIC_METRICS
-
-
 @pytest.mark.parametrize("target_rate,sweep,metrics", [
-    ((1.0, 1.5), "tx_power_dbm=-10:50:5", ALL_ANALYTIC),
-    ((1.4, 1.5), "tx_power_dbm=-10:50:5", ALL_ANALYTIC),
-    ((1.0, 1.5), "resolution_bits=1:4:1", ALL_ANALYTIC),   # the mode cell changes per point
-    ((1.0, 1.5), "L=1:4:1", ALL_ANALYTIC),                 # the cluster inputs and the gamma shape
-    ((1.0, 1.5), "alpha3=2.0:4.0:0.5", ALL_ANALYTIC),
-    ((1.0, 1.5), "noise_dbm_override=-110,-95.5,-80", ALL_ANALYTIC),
+    ((1.0, 1.5), "tx_power_dbm=-10:50:5", cli.ANALYTIC_METRICS),
+    ((1.4, 1.5), "tx_power_dbm=-10:50:5", cli.ANALYTIC_METRICS),
+    ((1.0, 1.5), "resolution_bits=1:4:1", cli.ANALYTIC_METRICS),   # the mode cell, per point
+    ((1.0, 1.5), "L=1:4:1", cli.ANALYTIC_METRICS),   # the cluster inputs and the gamma shape
+    ((1.0, 1.5), "alpha3=2.0:4.0:0.5", cli.ANALYTIC_METRICS),
+    ((1.0, 1.5), "noise_dbm_override=-110,-95.5,-80", cli.ANALYTIC_METRICS),
     ((1.0, 1.5), "tx_power_dbm=-10:50:5", ("OP_pair",)),
     ((1.4, 1.5), "tx_power_dbm=-10:50:5", ("OP_pair",)),
     ((1.0, 1.5), "tx_power_dbm=-10:50:5", ("OP_oma",)),
