@@ -13,6 +13,18 @@ the terms (C^i / i!) J_i(C) are e^C E_{i+1}(C).  Every term is positive,
 so nothing cancels at any C; the n = 1 term comes from exp_scaled_e1 and
 the others from exp_scaled_en.  The quadrature oracle (tests and validate)
 checks the sum.
+
+The closed forms split the way the Monte Carlo engine does (its LINK_KEYS):
+only the transmit power p and the noise sigma^2 enter per point.  Each
+user's power-free terms -- its direct-link gain Lb, L eps_v and the SIC
+margin alloc_v - eps_v sum_{q>v} alloc_q of every stage v <= k (or an
+infeasible mark), and L eps_OMA -- come from the rest of the config, so
+``PowerFreeTerms.from_config`` builds them once, and ``closed_forms``
+evaluates them at one (p, sigma^2).  A stage's gain threshold is
+((L eps) sigma^2) / ((p Lb) margin), written once in ``_threshold``; the
+per-user laws (``op_closed_form``, ``op_oma``, ``er_user_K``) are built from
+the same pieces, so both paths give the same floats.  The regularized gamma
+and E1 are looked up as this module's globals at each call.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ class InfeasibleRatesError(ValueError):
     """Power allocation cannot support the target rates (outage is certain)."""
 
 
-@dataclass   # not frozen: analytic builds M*K per point, and a frozen __init__ is 4x slower
+@dataclass(frozen=True)
 class ClosedFormInputs:
     """Scalar inputs of the closed-form expressions for one user position."""
 
@@ -46,17 +58,62 @@ class ClosedFormInputs:
 
     @classmethod
     def from_config(cls, cfg, m, k):
-        """The inputs of user k in cluster m (cluster_inputs builds every user's)."""
+        """The inputs of user k in cluster m."""
         return cls(cfg.L, cfg.K, cfg.power_alloc, cfg.target_rate, cfg.tx_power_watt,
                    cfg.noise_watt, largescale_direct(cfg.d_direct[m][k], cfg.alpha3))
 
     @property
     def rate_threshold_scale(self):
         """C = L sigma^2 / (p Lb alpha_K^2), the ergodic-rate threshold scale."""
-        return self.L * self.noise_watt / (
-            self.p_watt * self.l_direct * self.power_alloc[-1]
-        )
+        return _threshold(self.L, self.noise_watt, self.p_watt * self.l_direct,
+                          self.power_alloc[-1])
 
+
+# -- the pieces: power-free stage terms, and the one per-point threshold -----
+
+def _sic_stage(L, power_alloc, target_rate, v):
+    """(L eps_v, alloc_v - eps_v sum_{q>v} alloc_q) of SIC stage v, the margin
+    positive where the target rates are reachable at all."""
+    eps = 2.0 ** target_rate[v] - 1.0   # the SINR threshold of the target rate
+    rest = sum(power_alloc[v + 1:])
+    margin = power_alloc[v] - eps * rest
+    if margin <= 0:
+        raise InfeasibleRatesError(f"power allocation cannot sustain target rate of user {v}: "
+                                   f"alloc {power_alloc[v]} vs eps {eps:.4g} * {rest:.4g}")
+    return L * eps, margin
+
+
+def _sic_stages(L, power_alloc, target_rate, k):
+    """_sic_stage of every stage v <= k: user k decodes users 0..k-1 first."""
+    return [_sic_stage(L, power_alloc, target_rate, v) for v in range(k + 1)]
+
+
+def _oma_stages(L, K, rate):
+    """((L eps_OMA, 1.0),): the orthogonal user's one stage, at K times its rate in
+    one of K slots, with its slot's whole power and no interference."""
+    return ((L * (2.0 ** (K * rate) - 1.0), 1.0),)
+
+
+def _threshold(l_eps, noise_watt, p_lb, margin):
+    """Gain threshold ((L eps) sigma^2) / ((p Lb) margin) of one decoding stage;
+    at L eps = L and margin alloc_K it is the nearest user's rate scale C."""
+    return l_eps * noise_watt / (p_lb * margin)
+
+
+def _outage(L, stages, noise_watt, p_lb):
+    """P(L, worst stage threshold): the outage of a user whose decoding needs
+    every stage; None where the stages are None (infeasible target rates)."""
+    if stages is None:
+        return None
+    worst = -math.inf   # max() of the thresholds, without a list per call
+    for l_eps, margin in stages:
+        threshold = _threshold(l_eps, noise_watt, p_lb, margin)
+        if threshold > worst:
+            worst = threshold
+    return lower_incomplete_gamma_regularized(L, worst)
+
+
+# -- the per-user laws ---------------------------------------------------------
 
 def sic_threshold(inputs, v):
     """Gain threshold I_v below which decoding user v's signal fails.
@@ -64,26 +121,20 @@ def sic_threshold(inputs, v):
     I_v = L eps_v sigma^2 / (p Lb (alloc_v - eps_v sum_{q>v} alloc_q)); the
     denominator must be positive for the target rates to be reachable at all.
     """
-    eps = 2.0 ** inputs.target_rate[v] - 1.0   # the SINR threshold of the target rate
-    rest = sum(inputs.power_alloc[v + 1:])
-    margin = inputs.power_alloc[v] - eps * rest
-    if margin <= 0:
-        raise InfeasibleRatesError(f"power allocation cannot sustain target rate of user {v}: "
-                                   f"alloc {inputs.power_alloc[v]} vs eps {eps:.4g} * {rest:.4g}")
-    return inputs.L * eps * inputs.noise_watt / (inputs.p_watt * inputs.l_direct * margin)
+    l_eps, margin = _sic_stage(inputs.L, inputs.power_alloc, inputs.target_rate, v)
+    return _threshold(l_eps, inputs.noise_watt, inputs.p_watt * inputs.l_direct, margin)
 
 
 def op_closed_form(inputs, k):
     """Outage probability of user k: regularized gamma at the worst threshold."""
-    worst = max(sic_threshold(inputs, v) for v in range(k + 1))
-    return lower_incomplete_gamma_regularized(inputs.L, worst)
+    stages = _sic_stages(inputs.L, inputs.power_alloc, inputs.target_rate, k)
+    return _outage(inputs.L, stages, inputs.noise_watt, inputs.p_watt * inputs.l_direct)
 
 
 def op_oma(inputs, k):
     """Outage probability of the orthogonal baseline user (K equal slots)."""
-    eps_o = 2.0 ** (inputs.K * inputs.target_rate[k]) - 1.0
-    threshold = inputs.L * eps_o * inputs.noise_watt / (inputs.p_watt * inputs.l_direct)
-    return lower_incomplete_gamma_regularized(inputs.L, threshold)
+    stages = _oma_stages(inputs.L, inputs.K, inputs.target_rate[k])
+    return _outage(inputs.L, stages, inputs.noise_watt, inputs.p_watt * inputs.l_direct)
 
 
 def er_user_K(inputs):
@@ -91,38 +142,68 @@ def er_user_K(inputs):
     return er_from_threshold_scale(inputs.rate_threshold_scale, inputs.L)
 
 
-def cluster_inputs(cfg):
-    """Every user's ClosedFormInputs, [m][k] with user 0 farthest, as
-    ClosedFormInputs.from_config builds them, the powers converted once."""
-    p_watt, noise_watt = cfg.tx_power_watt, cfg.noise_watt
-    return [tuple(ClosedFormInputs(cfg.L, cfg.K, cfg.power_alloc, cfg.target_rate, p_watt,
-                                   noise_watt, largescale_direct(d, cfg.alpha3))
-                  for d in row)
-            for row in cfg.d_direct]
+# -- the staged evaluator ------------------------------------------------------
 
+@dataclass(frozen=True)
+class PowerFreeTerms:
+    """Every user's power-free terms under one config: what a change of the link
+    keys (montecarlo.LINK_KEYS) leaves as it is.  ``closed_forms`` evaluates
+    them at one transmit power and noise."""
 
-def cluster_closed_forms(cluster, metrics):
-    """{(metric, k): value} of one cluster's inputs for the metrics asked for:
-    OP_user and OP_oma of every user k, ER_user of the nearest (k = K-1) and
-    OP_pair (k None), the product of the users' OP floats (one gamma call per
-    user).  None where the allocation cannot sustain the target rates."""
-    values = {}
-    if "OP_user" in metrics or "OP_pair" in metrics:
-        ops = []
-        for k, inputs in enumerate(cluster):
+    L: int
+    alloc_near: float      # alloc_K, the nearest user's share after SIC
+    users: tuple           # [m][k] (Lb, SIC stages v <= k or None if one is infeasible,
+                           # OMA stages), user 0 farthest
+
+    @classmethod
+    def from_config(cls, cfg):
+        L, K, alloc, rates = cfg.L, cfg.K, cfg.power_alloc, cfg.target_rate
+        sic = []
+        for k in range(K):
             try:
-                op = op_closed_form(inputs, k)
+                sic.append(_sic_stages(L, alloc, rates, k))
             except InfeasibleRatesError:
-                op = None
-            values["OP_user", k] = op
-            ops.append(op)
-        values["OP_pair", None] = None if None in ops else math.prod(ops)
-    if "OP_oma" in metrics:
-        for k, inputs in enumerate(cluster):
-            values["OP_oma", k] = op_oma(inputs, k)
-    if "ER_user" in metrics:
-        values["ER_user", len(cluster) - 1] = er_user_K(cluster[-1])
-    return values
+                sic.append(None)
+        oma = [_oma_stages(L, K, rates[k]) for k in range(K)]
+        users = tuple(tuple((largescale_direct(d, cfg.alpha3), sic[k], oma[k])
+                            for k, d in enumerate(row))
+                      for row in cfg.d_direct)
+        return cls(L, alloc[-1], users)
+
+    def op_user(self, m, k, p_watt, noise_watt):
+        """OP of user k in cluster m, op_closed_form's float; None where the
+        allocation cannot sustain the target rates."""
+        l_direct, sic, _ = self.users[m][k]
+        return _outage(self.L, sic, noise_watt, p_watt * l_direct)
+
+    def closed_forms(self, p_watt, noise_watt, metrics):
+        """[m] {(metric, k): value} at one transmit power and noise, for the
+        metrics asked for: OP_user and OP_oma of every user k, ER_user of the
+        nearest (k = K-1) and OP_pair (k None), the product of the users' OP
+        floats (one gamma call per user).  Each value is its per-user law's
+        float, None where the allocation cannot sustain the target rates."""
+        L = self.L
+        op = "OP_user" in metrics or "OP_pair" in metrics
+        oma = "OP_oma" in metrics
+        er = "ER_user" in metrics
+        out = []
+        for cluster in self.users:
+            values = {}
+            ops = []
+            for k, (l_direct, sic, oma_stages) in enumerate(cluster):
+                p_lb = p_watt * l_direct
+                if op:
+                    values["OP_user", k] = value = _outage(L, sic, noise_watt, p_lb)
+                    ops.append(value)
+                if oma:
+                    values["OP_oma", k] = _outage(L, oma_stages, noise_watt, p_lb)
+            if op:
+                values["OP_pair", None] = None if None in ops else math.prod(ops)
+            if er:   # k and p_lb are the nearest user's
+                c = _threshold(L, noise_watt, p_lb, self.alloc_near)
+                values["ER_user", k] = er_from_threshold_scale(c, L)
+            out.append(values)
+        return out
 
 
 def er_from_threshold_scale(c, L):

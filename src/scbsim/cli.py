@@ -1,8 +1,8 @@
 """Command-line interface: feasibility | table2 | simulate | analytic | validate | dump.
 
 Exit codes: 0 ok, 2 config error, 3 golden-table mismatch, 4 output I/O
-error, 5 closed-form assumption violated at some sweep point, 6 validation
-check failed.
+error, 5 closed-form assumption violated at some sweep point or in some
+validation check (and no check failed), 6 validation check failed.
 
 All numeric CSV fields use repr() formatting ('.' decimal separator, no
 locale), so a fixed seed yields byte-identical files for any --threads.
@@ -20,7 +20,7 @@ import numpy as np
 from . import beamforming as bf
 from . import montecarlo as mc
 from . import validation
-from .analytics import cluster_closed_forms, cluster_inputs
+from .analytics import PowerFreeTerms
 from .channel import assemble_batch
 from .montecarlo import METRICS
 from .pathloss import (
@@ -292,8 +292,8 @@ def cmd_analytic(args):
     var, values, metrics = _sweep_request(args, cfg, ANALYTIC_METRICS)
     # every valid point has cfg's M and K (the distance matrices fix them); ER_user
     # has a closed form for the nearest user only, OP_pair one per cluster.  The
-    # rows of a point, in order: the cluster, the key of its cluster_closed_forms
-    # value, and the cluster, user and metric cells formatted once per sweep
+    # rows of a point, in order: the cluster, the key of its closed_forms value,
+    # and the cluster, user and metric cells formatted once per sweep
     rows = [(m, (metric, k), _row_cells(m, k, metric))
             for metric in metrics
             for m in range(cfg.M)
@@ -301,11 +301,16 @@ def cmd_analytic(args):
     fp = sweep_fingerprint(cfg, var)
     lines = [CSV_HEADER]
     assumption_violated = False
+    terms = None
     for value in values:
         point = mc.sweep_config(cfg, var, value)
         head, tail = _point_cells(var, value, point, fp(point))
         tail = ",0.0,0" + tail   # csv_row's stderr and trials cells, 0.0 and 0 here
-        closed = [cluster_closed_forms(cluster, metrics) for cluster in cluster_inputs(point)]
+        # a link-key sweep builds the power-free terms once, as simulate builds
+        # its surfaces once: only the transmit power and noise read the swept value
+        if terms is None or var not in mc.LINK_KEYS:
+            terms = PowerFreeTerms.from_config(point)
+        closed = terms.closed_forms(point.tx_power_watt, point.noise_watt, metrics)
         for m, key, cells in rows:
             estimate = closed[m][key]
             if estimate is None:
@@ -327,8 +332,9 @@ def cmd_validate(args):
                                     threads=args.threads, trials=args.trials)
     _write_lines(args.out, [f"{r.status} {r.name} ({r.seconds:.1f}s): {r.detail}"
                             for r in results])
-    failed = any(r.status == validation.FAIL for r in results)
-    return EXIT_VALIDATION if failed else EXIT_OK
+    if any(r.status == validation.FAIL for r in results):
+        return EXIT_VALIDATION
+    return EXIT_ASSUMPTION if any(r.infeasible for r in results) else EXIT_OK
 
 
 def cmd_dump(args):

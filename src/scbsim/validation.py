@@ -13,20 +13,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import montecarlo as mc
 from .analytics import (
     InfeasibleRatesError,
-    cluster_closed_forms,
-    cluster_inputs,
+    PowerFreeTerms,
     diversity_order,
     er_ceiling_user_k,
     er_from_threshold_scale,
     high_snr_slope,
-    op_closed_form,
 )
 from .beamforming import effective_gains, system_rows
 from .channel import assemble_batch
@@ -51,6 +49,7 @@ class CheckResult:
     status: str          # PASS | FAIL | SKIP
     detail: str
     seconds: float
+    infeasible: bool = False   # skipped: the allocation cannot sustain the target rates
 
     @property
     def passed(self):
@@ -127,7 +126,7 @@ def _power_points(cfg, trials, threads, powers_dbm):
 
 
 def _feasible(value):
-    """A cluster_closed_forms value, None where the target rates are infeasible."""
+    """A closed-form value, None where the target rates are infeasible."""
     if value is None:
         raise InfeasibleRatesError("power allocation cannot sustain the target rates")
     return value
@@ -141,8 +140,9 @@ def _simulated_vs_closed(name, cfg, trials, powers_dbm, threads, metric, se_rule
     worst = 0.0
     worst_at = ""
     ideal = cfg.with_updates(resolution_bits=None)
+    terms = PowerFreeTerms.from_config(ideal)
     for sub, batch in _power_points(ideal, trials, threads, powers_dbm):
-        closed_forms = [cluster_closed_forms(c, (metric,)) for c in cluster_inputs(sub)]
+        closed_forms = terms.closed_forms(sub.tx_power_watt, sub.noise_watt, (metric,))
         for r in mc.estimates_from_batch(sub, batch, metric):
             if (metric, r.k) not in closed_forms[r.m]:   # ER_user: the nearest user only
                 continue
@@ -171,12 +171,12 @@ def check_op_vs_closed_form(cfg, trials, powers_dbm=(20.0, 25.0, 30.0, 35.0),
                                 "OP_user", se_rule, lambda r: f"user ({r.m},{r.k})")
 
 
-def _invert_closed_op(inputs, k, target):
-    """Transmit power (watts) at which the closed-form OP of user k hits target."""
+def _invert_closed_op(op, target):
+    """Transmit power (watts) at which op(p_watt), a closed-form OP, hits target."""
     lo, hi = 1e-9, 1e9
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if op_closed_form(replace(inputs, p_watt=mid), k) > target:
+        if op(mid) > target:
             lo = mid
         else:
             hi = mid
@@ -194,10 +194,14 @@ def check_diversity_order(cfg, trials, threads=None):
         rows = max(1, system_rows(cfg.M, cfg.K, L, cfg.cancellation_mode))
         sub = cfg.with_updates(L=L, N=2 * rows, resolution_bits=None,
                                master_seed=cfg.master_seed + 100 + L)
-        base = cluster_inputs(sub)[0][0]
-        p_lo = _invert_closed_op(base, 0, 8e-3)
-        p_hi = _invert_closed_op(base, 0, 2.5e-4)
-        closed_curve = [(p, op_closed_form(replace(base, p_watt=p), 0)) for p in (p_lo, p_hi)]
+        terms, noise_watt = PowerFreeTerms.from_config(sub), sub.noise_watt
+
+        def op00(p_watt):
+            return _feasible(terms.op_user(0, 0, p_watt, noise_watt))
+
+        p_lo = _invert_closed_op(op00, 8e-3)
+        p_hi = _invert_closed_op(op00, 2.5e-4)
+        closed_curve = [(p, op00(p)) for p in (p_lo, p_hi)]
         slope_closed = diversity_order(closed_curve)
 
         sim_curve = []
@@ -255,10 +259,11 @@ def check_high_snr_slopes(cfg, trials, threads=None):
 
     # (a) closed-form nearest-user rate slope over 40 -> 50 dBm
     curve = []
+    terms = PowerFreeTerms.from_config(cfg)
     for p_dbm in (40.0, 50.0):
         sub = cfg.with_updates(tx_power_dbm=p_dbm)
-        closed_forms = cluster_closed_forms(cluster_inputs(sub)[0], ("ER_user",))
-        curve.append((sub.tx_power_watt, closed_forms["ER_user", k_near]))
+        closed_forms = terms.closed_forms(sub.tx_power_watt, sub.noise_watt, ("ER_user",))
+        curve.append((sub.tx_power_watt, closed_forms[0]["ER_user", k_near]))
     slope_ideal = high_snr_slope(curve)
     ok_a = 0.95 <= slope_ideal <= 1.0
     details.append(f"closed ER slope {slope_ideal:.4f} in [0.95, 1]")
@@ -339,10 +344,11 @@ def check_residue(cfg, trials_exact, trials_bits, threads=None):
 def check_noma_vs_oma(cfg, p_dbm=30.0):
     """Closed-form pair outage comparison at one power point."""
     t0 = time.perf_counter()
-    cluster = cluster_inputs(cfg.with_updates(tx_power_dbm=float(p_dbm)))[0]
-    closed_forms = cluster_closed_forms(cluster, ("OP_pair", "OP_oma"))
+    sub = cfg.with_updates(tx_power_dbm=float(p_dbm))
+    closed_forms = PowerFreeTerms.from_config(sub).closed_forms(
+        sub.tx_power_watt, sub.noise_watt, ("OP_pair", "OP_oma"))[0]
     noma = _feasible(closed_forms["OP_pair", None])
-    oma = math.prod(closed_forms["OP_oma", k] for k in range(len(cluster)))
+    oma = math.prod(closed_forms["OP_oma", k] for k in range(sub.K))
     ok = noma < oma
     return _finish(
         "noma_vs_oma", t0, ok,
@@ -391,7 +397,9 @@ TRIALS_FLOOR = 2000   # fewest Monte Carlo trials per point a check runs
 def run_checks(cfg, names=None, quick=False, threads=None, trials=None):
     """Run the named checks (all by default) against a config.
 
-    Each Monte Carlo check runs its default per-point trial count, or
+    A check whose closed form the config's allocation cannot sustain
+    (InfeasibleRatesError) is a SKIP marked ``infeasible``, and the remaining
+    checks run.  Each Monte Carlo check runs its default per-point trial count, or
     ``trials`` (at least TRIALS_FLOOR) in its place; the exact-residual and
     determinism runs cap it at 20000 and 50000.  ``quick`` then divides the
     count by 10, to no fewer than TRIALS_FLOOR trials.
@@ -432,5 +440,10 @@ def run_checks(cfg, names=None, quick=False, threads=None, trials=None):
                 "configs skip this comparison", 0.0,
             ))
             continue
-        results.append(registry[name]())
+        t0 = time.perf_counter()
+        try:
+            results.append(registry[name]())
+        except InfeasibleRatesError as exc:   # no closed form to compare: the next check runs
+            results.append(CheckResult(name, SKIP, f"no closed form to compare: {exc}",
+                                       time.perf_counter() - t0, infeasible=True))
     return results

@@ -6,8 +6,7 @@ import pytest
 from scbsim.analytics import (
     ClosedFormInputs,
     InfeasibleRatesError,
-    cluster_closed_forms,
-    cluster_inputs,
+    PowerFreeTerms,
     diversity_order,
     energy_efficiency,
     er_ceiling_user_k,
@@ -114,45 +113,51 @@ def test_noma_pair_ordering_flips_at_high_power():
     assert noma == pytest.approx((25.0 / 21.0) ** 2 * oma, rel=5e-3)
 
 
-# -- the per-cluster evaluator ----------------------------------------------------
+# -- the staged evaluator: power-free terms once, each point from p and sigma^2 ----
+
+def closed_at(cfg, metrics):
+    """PowerFreeTerms.closed_forms of cfg at cfg's own power and noise."""
+    return PowerFreeTerms.from_config(cfg).closed_forms(cfg.tx_power_watt, cfg.noise_watt,
+                                                        metrics)
+
 
 @pytest.mark.parametrize("p_dbm", [0.0, 30.0])
 def test_cluster_closed_forms_match_each_law(baseline_cfg, p_dbm):
-    """Every value is its per-user law's float; OP_pair is the product of the users'
-    OP, and asking for one metric gives that metric's values."""
+    """Every cluster's value is its per-user law's float; OP_pair is the product of the
+    users' OP, and asking for one metric gives that metric's values."""
     cfg = baseline_cfg.with_updates(tx_power_dbm=p_dbm,
                                     d_direct=((200.0, 100.0), (150.0, 90.0)))
-    clusters = cluster_inputs(cfg)
-    assert len(clusters) == cfg.M
     metrics = ("OP_user", "OP_pair", "OP_oma", "ER_user")
-    for m, cluster in enumerate(clusters):
-        assert cluster == tuple(ClosedFormInputs.from_config(cfg, m, k) for k in range(cfg.K))
+    clusters = closed_at(cfg, metrics)
+    assert len(clusters) == cfg.M
+    for m, values in enumerate(clusters):
+        cluster = [ClosedFormInputs.from_config(cfg, m, k) for k in range(cfg.K)]
         users = [op_closed_form(inp, k) for k, inp in enumerate(cluster)]
-        values = cluster_closed_forms(cluster, metrics)
         assert values == {("OP_user", 0): users[0], ("OP_user", 1): users[1],
                           ("OP_pair", None): users[0] * users[1],
                           ("OP_oma", 0): op_oma(cluster[0], 0),
                           ("OP_oma", 1): op_oma(cluster[1], 1),
                           ("ER_user", cfg.K - 1): er_user_K(cluster[-1])}
         for metric in metrics:
-            alone = cluster_closed_forms(cluster, (metric,))
+            alone = closed_at(cfg, (metric,))[m]
             assert all(alone[key] == v for key, v in values.items() if key[0] == metric)
-    first, second = (cluster_closed_forms(cluster, ("OP_user",)) for cluster in clusters)
+    first, second = closed_at(cfg, ("OP_user",))
     assert first["OP_user", 0] != second["OP_user", 0]
 
 
 def test_cluster_closed_forms_mark_infeasible_rates(baseline_cfg):
     """analytic's exit-5 path: a user whose decoding chain the allocation cannot
     sustain has no OP, and then neither has the pair; OMA always has one."""
-    cluster = cluster_inputs(baseline_cfg.with_updates(target_rate=(1.4, 1.5)))[0]
-    values = cluster_closed_forms(cluster, ("OP_user", "OP_pair", "OP_oma"))
+    values = closed_at(baseline_cfg.with_updates(target_rate=(1.4, 1.5)),
+                       ("OP_user", "OP_pair", "OP_oma"))[0]
     assert values["OP_user", 0] is values["OP_user", 1] is values["OP_pair", None] is None
     assert 0.0 < values["OP_oma", 0] < 1.0
     # three users: user 0's stage holds, stage 1 (eps 3.29 against 0.3 / 0.1) does not
-    three = tuple(inputs(l_direct=ld, alloc=(0.6, 0.3, 0.1), rates=(1.0, 2.1, 1.0))
-                  for ld in (1e-8, 1e-7, 1e-6))
-    values = cluster_closed_forms(three, ("OP_pair",))
-    assert values["OP_user", 0] == op_closed_form(three[0], 0)
+    three = baseline_cfg.with_updates(K=3, M=1, d_user=((160.0, 120.0, 80.0),),
+                                      d_direct=((400.0, 200.0, 100.0),),
+                                      power_alloc=(0.6, 0.3, 0.1), target_rate=(1.0, 2.1, 1.0))
+    values = closed_at(three, ("OP_pair",))[0]
+    assert values["OP_user", 0] == op_closed_form(ClosedFormInputs.from_config(three, 0, 0), 0)
     assert values["OP_user", 1] is values["OP_user", 2] is values["OP_pair", None] is None
 
 

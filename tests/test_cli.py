@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from scbsim import analytics, cli
+from scbsim import analytics, cli, validation
 from scbsim import montecarlo as mc
 from scbsim.analytics import ClosedFormInputs, InfeasibleRatesError
 from scbsim.montecarlo import run_trials
@@ -422,8 +422,10 @@ def reference_analytic(cfg, var, values, metrics):
     ((1.0, 1.5), "tx_power_dbm=-10:50:5", ("OP_pair",)),
     ((1.4, 1.5), "tx_power_dbm=-10:50:5", ("OP_pair",)),
     ((1.0, 1.5), "tx_power_dbm=-10:50:5", ("OP_oma",)),
+    ((1.0, 1.5), "bandwidth_hz=1e6,1e7,1e8,3e9", cli.ANALYTIC_METRICS),
+    ((1.4, 1.5), "bandwidth_hz=1e6,1e7,1e8,3e9", cli.ANALYTIC_METRICS),
 ], ids=["baseline", "infeasible", "resolution_bits", "L", "alpha3", "noise_dbm_override",
-        "OP_pair", "OP_pair-infeasible", "OP_oma"])
+        "OP_pair", "OP_pair-infeasible", "OP_oma", "bandwidth_hz", "bandwidth_hz-infeasible"])
 def test_analytic_bytes_and_calls_match_per_row_reference(tmp_path, baseline_cfg, monkeypatch,
                                                           target_rate, sweep, metrics):
     """analytic writes the bytes and exit code of a per-row reference built from the
@@ -468,6 +470,29 @@ def test_analytic_bytes_and_calls_match_per_row_reference(tmp_path, baseline_cfg
         names = {r[4] for r in rows}
         assert names == {m + "_infeasible" if m in ("OP_user", "OP_pair") else m
                          for m in metrics}
+
+
+@pytest.mark.parametrize("sweep,per_point", [
+    ("tx_power_dbm=-10:50:20", False), ("bandwidth_hz=1e6,1e8", False),
+    ("noise_dbm_override=-110,-90", False), ("alpha3=2.0,3.0,4.0", True), ("L=1:3:1", True)])
+def test_analytic_builds_power_free_terms_once_per_link_sweep(tmp_path, baseline_cfg,
+                                                              monkeypatch, sweep, per_point):
+    """A sweep over a link key takes each user's direct-link gain (largescale_direct)
+    once, M*K calls in all; any other sweep takes them at every point, as simulate
+    builds its surfaces."""
+    calls = []
+    real = analytics.largescale_direct
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analytics, "largescale_direct", counted)
+    out = tmp_path / "an.csv"
+    assert run_cli(["analytic", "--config", BASE, "--out", out, "--sweep", sweep,
+                    "--metrics", ",".join(cli.ANALYTIC_METRICS)]) == 0
+    points = len(cli.parse_sweep(sweep)[1])
+    assert len(calls) == baseline_cfg.M * baseline_cfg.K * (points if per_point else 1)
 
 
 def test_analytic_rejects_unsupported_metric(tmp_path):
@@ -735,6 +760,25 @@ def test_validate_failing_check_exit6(small_cfg_file, capsys):
     # the closed-form pair outage of NOMA exceeds OMA at this operating point
     assert "FAIL noma_vs_oma" in out
     assert code == 6
+
+
+def test_validate_skips_infeasible_rates_and_runs_on(tmp_path, baseline_cfg, monkeypatch,
+                                                     capsys):
+    """A check with no closed form under the config's target rates is a SKIP that
+    says why; the next check runs, and validate exits 5, or 6 once a check FAILs."""
+    cfg_path = tmp_path / "inf.cfg"
+    cfg_path.write_text(serialize_config(baseline_cfg.with_updates(target_rate=(1.4, 1.5))))
+    args = ["validate", "--config", cfg_path, "--quick", "--checks", "noma_vs_oma,table2"]
+    assert run_cli(args) == 5
+    skip, after = capsys.readouterr().out.splitlines()
+    assert skip.startswith("SKIP noma_vs_oma (")
+    assert skip.endswith("s): no closed form to compare: "
+                         "power allocation cannot sustain the target rates")
+    assert after.startswith("PASS table2 (")
+    monkeypatch.setattr(validation, "check_table2", lambda: validation.CheckResult(
+        "table2", validation.FAIL, "forced", 0.0))
+    assert run_cli(args) == 6
+    assert capsys.readouterr().out.splitlines()[1] == "FAIL table2 (0.0s): forced"
 
 
 def test_validate_skips_closed_form_checks_for_quantized(small_cfg_file, tmp_path,

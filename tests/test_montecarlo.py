@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scbsim.analytics import (
-    ClosedFormInputs,
-    cluster_closed_forms,
-    cluster_inputs,
-    op_closed_form,
-)
+from scbsim.analytics import ClosedFormInputs, PowerFreeTerms, op_closed_form
 from scbsim.beamforming import build_matrix_batch, build_target_batch, solve_passive_batch
 from scbsim.channel import assemble_batch, empty_fading, normals_per_trial
 from scbsim.cli import parse_sweep
@@ -351,8 +346,10 @@ def test_op_pair_matches_closed_form_on_an_ideal_surface(baseline_cfg):
     the joint outage rate estimates the product of the users' closed-form OP."""
     cfg = baseline_cfg.with_updates(tx_power_dbm=-10.0)
     batch = run_trials(cfg, 8192, threads=2)
+    closed_forms = PowerFreeTerms.from_config(cfg).closed_forms(
+        cfg.tx_power_watt, cfg.noise_watt, ("OP_pair",))
     for pair in estimates_from_batch(cfg, batch, "OP_pair"):
-        closed = cluster_closed_forms(cluster_inputs(cfg)[pair.m], ("OP_pair",))["OP_pair", None]
+        closed = closed_forms[pair.m]["OP_pair", None]
         assert 0.02 < closed < 0.2   # outage events are frequent here
         assert abs(pair.estimate - closed) <= 3.0 * pair.stderr, (pair.m, closed)
 
