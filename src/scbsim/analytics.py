@@ -20,11 +20,15 @@ user's power-free terms -- its direct-link gain Lb, L eps_v and the SIC
 margin alloc_v - eps_v sum_{q>v} alloc_q of every stage v <= k (or an
 infeasible mark), and L eps_OMA -- come from the rest of the config, so
 ``PowerFreeTerms.from_config`` builds them once, and ``closed_forms``
-evaluates them at one (p, sigma^2).  A stage's gain threshold is
-((L eps) sigma^2) / ((p Lb) margin), written once in ``_threshold``; the
+evaluates them at one (p, sigma^2), or at arrays of them: a link-key sweep's
+points in one call, with one array regularized-gamma call per user and OP
+metric (numerics' array P, bit for bit the scalar) and the rate per element.
+A stage's gain threshold is ((L eps) sigma^2) / ((p Lb) margin), written
+once in ``_threshold`` and taken element by element over arrays; the
 per-user laws (``op_closed_form``, ``op_oma``, ``er_user_K``) are built from
-the same pieces, so both paths give the same floats.  The regularized gamma
-and E1 are looked up as this module's globals at each call.
+the same pieces, so every path gives the same floats.  The regularized gamma
+(scalar and array) and E1 are looked up as this module's globals at each
+call.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import exp_scaled_e1, exp_scaled_en, lower_incomplete_gamma_regularized
+import numpy as np
+
+from .numerics import (
+    exp_scaled_e1,
+    exp_scaled_en,
+    lower_incomplete_gamma_regularized,
+    lower_incomplete_gamma_regularized_array,
+)
 from .pathloss import largescale_direct
 
 LN2 = math.log(2.0)
@@ -113,6 +124,25 @@ def _outage(L, stages, noise_watt, p_lb):
     return lower_incomplete_gamma_regularized(L, worst)
 
 
+def _outage_array(L, stages, noise_watt, p_lb):
+    """_outage over arrays of sigma^2 and p Lb, element by element: the worst
+    threshold chosen by the same comparison, then one array gamma call."""
+    if stages is None:
+        return None
+    worst = -math.inf
+    for l_eps, margin in stages:
+        threshold = _threshold(l_eps, noise_watt, p_lb, margin)
+        worst = np.where(threshold > worst, threshold, worst)
+    return lower_incomplete_gamma_regularized_array(L, worst)
+
+
+def _rates_array(c, L):
+    """er_from_threshold_scale of each element of the array c, as an array of c's
+    shape."""
+    rates = (er_from_threshold_scale(v, L) for v in c.ravel().tolist())
+    return np.fromiter(rates, float, c.size).reshape(c.shape)
+
+
 # -- the per-user laws ---------------------------------------------------------
 
 def sic_threshold(inputs, v):
@@ -148,7 +178,7 @@ def er_user_K(inputs):
 class PowerFreeTerms:
     """Every user's power-free terms under one config: what a change of the link
     keys (montecarlo.LINK_KEYS) leaves as it is.  ``closed_forms`` evaluates
-    them at one transmit power and noise."""
+    them at one transmit power and noise, or at arrays of them."""
 
     L: int
     alloc_near: float      # alloc_K, the nearest user's share after SIC
@@ -170,38 +200,46 @@ class PowerFreeTerms:
                       for row in cfg.d_direct)
         return cls(L, alloc[-1], users)
 
-    def op_user(self, m, k, p_watt, noise_watt):
-        """OP of user k in cluster m, op_closed_form's float; None where the
-        allocation cannot sustain the target rates."""
-        l_direct, sic, _ = self.users[m][k]
-        return _outage(self.L, sic, noise_watt, p_watt * l_direct)
-
     def closed_forms(self, p_watt, noise_watt, metrics):
-        """[m] {(metric, k): value} at one transmit power and noise, for the
-        metrics asked for: OP_user and OP_oma of every user k, ER_user of the
-        nearest (k = K-1) and OP_pair (k None), the product of the users' OP
-        floats (one gamma call per user).  Each value is its per-user law's
-        float, None where the allocation cannot sustain the target rates."""
+        """[m] {(metric, k): value} at a transmit power and noise, for the metrics
+        asked for: OP_user and OP_oma of every user k, ER_user of the nearest
+        (k = K-1) and OP_pair (k None), the product of the users' OP floats.
+        Each value is its per-user law's float, None where the allocation cannot
+        sustain the target rates.
+
+        p_watt and noise_watt are floats, or sequences that broadcast to one
+        1-D shape.  Floats take one scalar gamma call per user and OP metric;
+        sequences take one array call per user and OP metric for all their
+        points, and give each value as a list with one float per point.  Any
+        other input (an int, a 0-d array) takes the array path and gives floats."""
         L = self.L
+        arrays = not (isinstance(p_watt, float) and isinstance(noise_watt, float))
+        if arrays:
+            p_watt, noise_watt = np.broadcast_arrays(np.asarray(p_watt, dtype=float),
+                                                     np.asarray(noise_watt, dtype=float))
+            outage, rate = _outage_array, _rates_array
+        else:
+            outage, rate = _outage, er_from_threshold_scale
         op = "OP_user" in metrics or "OP_pair" in metrics
         oma = "OP_oma" in metrics
         er = "ER_user" in metrics
         out = []
         for cluster in self.users:
             values = {}
-            ops = []
+            pair = 1   # math.prod's start and order
             for k, (l_direct, sic, oma_stages) in enumerate(cluster):
                 p_lb = p_watt * l_direct
                 if op:
-                    values["OP_user", k] = value = _outage(L, sic, noise_watt, p_lb)
-                    ops.append(value)
+                    values["OP_user", k] = value = outage(L, sic, noise_watt, p_lb)
+                    pair = None if value is None or pair is None else pair * value
                 if oma:
-                    values["OP_oma", k] = _outage(L, oma_stages, noise_watt, p_lb)
+                    values["OP_oma", k] = outage(L, oma_stages, noise_watt, p_lb)
             if op:
-                values["OP_pair", None] = None if None in ops else math.prod(ops)
+                values["OP_pair", None] = pair
             if er:   # k and p_lb are the nearest user's
-                c = _threshold(L, noise_watt, p_lb, self.alloc_near)
-                values["ER_user", k] = er_from_threshold_scale(c, L)
+                values["ER_user", k] = rate(_threshold(L, noise_watt, p_lb, self.alloc_near), L)
+            if arrays:
+                values = {key: None if v is None else v.tolist() for key, v in values.items()}
             out.append(values)
         return out
 

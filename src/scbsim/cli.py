@@ -56,6 +56,7 @@ EXIT_VALIDATION = 6
 
 DEFAULT_METRICS = ("OP_user", "ER_user")
 ANALYTIC_METRICS = ("OP_user", "OP_pair", "OP_oma", "ER_user")
+ANALYTIC_BLOCK = 256   # link-key sweep points per closed-form evaluation
 
 
 def _fmt(value):
@@ -301,23 +302,34 @@ def cmd_analytic(args):
     fp = sweep_fingerprint(cfg, var)
     lines = [CSV_HEADER]
     assumption_violated = False
+    # a link-key sweep builds the power-free terms once, as simulate builds its
+    # surfaces once, and evaluates them over a block of points per call: only
+    # the transmit power and noise read the swept value.  Any other sweep builds
+    # and evaluates them per point
+    link = var in mc.LINK_KEYS
+    step = ANALYTIC_BLOCK if link else 1
     terms = None
-    for value in values:
-        point = mc.sweep_config(cfg, var, value)
-        head, tail = _point_cells(var, value, point, fp(point))
-        tail = ",0.0,0" + tail   # csv_row's stderr and trials cells, 0.0 and 0 here
-        # a link-key sweep builds the power-free terms once, as simulate builds
-        # its surfaces once: only the transmit power and noise read the swept value
-        if terms is None or var not in mc.LINK_KEYS:
+    for start in range(0, len(values), step):
+        cells, powers, noises = [], [], []
+        for value in values[start:start + step]:
+            point = mc.sweep_config(cfg, var, value)
+            head, tail = _point_cells(var, value, point, fp(point))
+            cells.append((head, ",0.0,0" + tail))   # csv_row's stderr and trials, 0.0 and 0
+            powers.append(point.tx_power_watt)
+            noises.append(point.noise_watt)
+        if terms is None or not link:
             terms = PowerFreeTerms.from_config(point)
-        closed = terms.closed_forms(point.tx_power_watt, point.noise_watt, metrics)
-        for m, key, cells in rows:
-            estimate = closed[m][key]
-            if estimate is None:
-                assumption_violated = True
-                lines.append(f"{head}{cells}_infeasible,1.0{tail}")
-            else:
-                lines.append(f"{head}{cells},{estimate!r}{tail}")
+        # a block's values are lists, one float per point; a single point's are floats
+        closed = (terms.closed_forms(powers, noises, metrics) if link
+                  else terms.closed_forms(powers[0], noises[0], metrics))
+        for i, (head, tail) in enumerate(cells):
+            for m, key, row in rows:
+                estimate = closed[m][key]
+                if estimate is None:
+                    assumption_violated = True
+                    lines.append(f"{head}{row}_infeasible,1.0{tail}")
+                else:
+                    lines.append(f"{head}{row},{estimate[i] if link else estimate!r}{tail}")
     _write_lines(args.out, lines)
     return EXIT_ASSUMPTION if assumption_violated else EXIT_OK
 

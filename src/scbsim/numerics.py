@@ -27,7 +27,11 @@ a number of steps that grows with sqrt(s).  e^x E_n(x) is an upward
 recurrence from the E1 series up to x = 1 and the same continued fraction
 above it.
 ``gamma_cdf`` evaluates the scalar P(s, x) once per element, on Python
-floats, so its arrays match the scalar function bit for bit.  An adaptive
+floats, so its arrays match the scalar function bit for bit.
+``lower_incomplete_gamma_regularized_array`` gives the same bits for an
+integer shape below 1e3 with one numpy pass per branch: the same float
+operations in the same order, with math's exp, log, lgamma and expm1 taken
+per element; every other element goes to the scalar.  An adaptive
 Gauss-Kronrod quadrature provides the independent oracle used by the test
 suite and the validate command; it never sits on the hot path.
 """
@@ -312,6 +316,82 @@ def lower_incomplete_gamma_regularized(s, x):
     if x < s + 1.0:
         return _gamma_series(s, x)
     return 1.0 - math.exp(-x + s * math.log(x) - math.lgamma(s)) * _upper_gamma_cf(s, x)
+
+
+def _map(fn, a):
+    """fn (a math function) of each element of the 1-D float array a, as an array."""
+    return np.fromiter(map(fn, a.tolist()), float, a.size)
+
+
+def _gamma_series_array(s, x):
+    """_gamma_series(s, v) of each element v of the 1-D array x, bit for bit: each
+    element steps until its own term is below 1e-16 of its sum."""
+    ap = s
+    delt = np.full(x.size, 1.0 / s)
+    total = delt.copy()
+    sums = np.empty(x.size)
+    todo, v = np.arange(x.size), x
+    for _ in range(_ITMAX):
+        ap += 1.0
+        delt *= v / ap
+        total += delt
+        done = delt < total * 1e-16
+        if done.any():
+            sums[todo[done]] = total[done]
+            keep = ~done
+            todo, v, delt, total = todo[keep], v[keep], delt[keep], total[keep]
+            if not todo.size:
+                return sums * _map(math.exp, -x + s * _map(math.log, x) - math.lgamma(s))
+    raise NumericsError("incomplete gamma series did not converge")
+
+
+def lower_incomplete_gamma_regularized_array(s, x):
+    """P(s, x) over an array x: each element is
+    lower_incomplete_gamma_regularized(s, v) of the element v as a Python float,
+    bit for bit.  Returns an array of x's shape (0-d for a scalar).
+
+    An integer shape 1 <= s < _LARGE_SHAPE takes the scalar's branches in its
+    order, each on all of its elements at once: -expm1(-x) at s = 1, the series
+    below x = s/2, the finite sum where Q <= 0.9, then the series below
+    x = s + 1.  numpy does the +, -, * and /, which round as Python's do;
+    exp, log, lgamma and expm1 come from math per element, because numpy's
+    SIMD versions can differ from them by an ulp.  Every other element (x = 0
+    or inf, x past _EXP_ARG_MAX, NaN or negative x, and every element under
+    any other shape) goes to the scalar function, looked up at call time, which
+    also raises its ValueError.
+    """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    out = np.empty(flat.size)
+    if 1 <= s < _LARGE_SHAPE and s == int(s):
+        fast = (flat > 0.0) & (flat <= _EXP_ARG_MAX)
+    else:
+        fast = np.zeros(flat.size, dtype=bool)
+    if s == 1:
+        out[fast] = -_map(math.expm1, -flat[fast])
+    elif fast.any():
+        series = fast & (flat < 0.5 * s)
+        summed = np.flatnonzero(fast & ~series)
+        if summed.size:
+            v = flat[summed]
+            term, total = np.ones(v.size), np.ones(v.size)
+            for i in range(1, int(s)):
+                term *= v / i
+                total += term
+            q = _map(math.exp, -v) * total
+            ok = q <= 0.9
+            out[summed[ok]] = 1.0 - q[ok]
+            over = summed[~ok]   # Q > 0.9: the series below s + 1, the scalar above
+            below = flat[over] < s + 1.0
+            series[over[below]] = True
+            fast[over[~below]] = False
+        if series.any():
+            out[series] = _gamma_series_array(s, flat[series])
+    rest = np.flatnonzero(~fast)
+    if rest.size:
+        scalar = lower_incomplete_gamma_regularized
+        out[rest] = [scalar(s, v) for v in flat[rest].tolist()]
+    return out.reshape(xs.shape)
 
 
 def gamma_cdf(x, shape):

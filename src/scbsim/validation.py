@@ -197,7 +197,7 @@ def check_diversity_order(cfg, trials, threads=None):
         terms, noise_watt = PowerFreeTerms.from_config(sub), sub.noise_watt
 
         def op00(p_watt):
-            return _feasible(terms.op_user(0, 0, p_watt, noise_watt))
+            return _feasible(terms.closed_forms(p_watt, noise_watt, ("OP_user",))[0]["OP_user", 0])
 
         p_lo = _invert_closed_op(op00, 8e-3)
         p_hi = _invert_closed_op(op00, 2.5e-4)
@@ -268,14 +268,20 @@ def check_high_snr_slopes(cfg, trials, threads=None):
     ok_a = 0.95 <= slope_ideal <= 1.0
     details.append(f"closed ER slope {slope_ideal:.4f} in [0.95, 1]")
 
-    # (b) simulated far-user rate pinned at its ceiling at 50 dBm
-    ceiling = er_ceiling_user_k(cfg.power_alloc, 0)
-    sub50 = cfg.with_updates(tx_power_dbm=50.0, resolution_bits=None)
-    er50 = mc.estimates_from_batch(sub50, mc.run_trials(sub50, trials, threads),
-                                   "ER_user")
-    er_far = next(r for r in er50 if r.m == 0 and r.k == 0).estimate
-    ok_b = abs(er_far - ceiling) <= 0.01 * ceiling
-    details.append(f"far-user ER {er_far:.4f} vs ceiling {ceiling:.4f} (1%)")
+    # (b) simulated far-user rate pinned at its ceiling at 50 dBm, where one
+    # applies: K = 1 has no far user, and a degenerate allocation no finite ceiling
+    try:
+        ceiling = er_ceiling_user_k(cfg.power_alloc, 0)
+    except ValueError as exc:
+        ok_b = True
+        details.append(f"no far-user ceiling applies ({exc})")
+    else:
+        sub50 = cfg.with_updates(tx_power_dbm=50.0, resolution_bits=None)
+        er50 = mc.estimates_from_batch(sub50, mc.run_trials(sub50, trials, threads),
+                                       "ER_user")
+        er_far = next(r for r in er50 if r.m == 0 and r.k == 0).estimate
+        ok_b = abs(er_far - ceiling) <= 0.01 * ceiling
+        details.append(f"far-user ER {er_far:.4f} vs ceiling {ceiling:.4f} (1%)")
 
     # (c) 3-bit surface: rate ceiling and outage floor between 40 and 50 dBm
     ni_er, ni_op = {}, {}

@@ -145,6 +145,20 @@ def test_cluster_closed_forms_match_each_law(baseline_cfg, p_dbm):
     assert first["OP_user", 0] != second["OP_user", 0]
 
 
+@pytest.mark.parametrize("p_watt", [1, np.array(1.0), np.array([1.0])],
+                         ids=["int", "0-d", "1-D"])
+def test_closed_forms_take_any_power_input(baseline_cfg, p_watt):
+    """An int or a 0-d array takes the array path and gives the floats of the scalar
+    path; a 1-element sequence gives them as one-float lists."""
+    terms = PowerFreeTerms.from_config(baseline_cfg)
+    metrics = ("OP_user", "OP_pair", "OP_oma", "ER_user")
+    expected = terms.closed_forms(1.0, baseline_cfg.noise_watt, metrics)
+    got = terms.closed_forms(p_watt, baseline_cfg.noise_watt, metrics)
+    if np.ndim(p_watt):
+        expected = [{key: [v] for key, v in values.items()} for values in expected]
+    assert repr(got) == repr(expected)
+
+
 def test_cluster_closed_forms_mark_infeasible_rates(baseline_cfg):
     """analytic's exit-5 path: a user whose decoding chain the allocation cannot
     sustain has no OP, and then neither has the pair; OMA always has one."""

@@ -1,7 +1,7 @@
 """Property test of the staged closed forms: a config's PowerFreeTerms, built at
-one transmit power and noise and evaluated at another, against the per-user laws
-at the second point, and against the laws' formulas written out here in their
-order of operations."""
+one transmit power and noise and evaluated at others, one point per call and all
+points in one call, against the per-user laws at each point, and against the
+laws' formulas written out here in their order of operations."""
 
 import math
 from pathlib import Path
@@ -82,28 +82,46 @@ def written_out_er(inputs):
     return er_from_threshold_scale(c, inputs.L)
 
 
+def expected_closed_forms(point, m):
+    """{(metric, k): value} of cluster m at point from the per-user laws, each law
+    checked against its written-out formula; None where the law raises."""
+    users = [ClosedFormInputs.from_config(point, m, k) for k in range(point.K)]
+    expected = {("ER_user", point.K - 1): er_user_K(users[-1])}
+    for k, inputs in enumerate(users):
+        expected["OP_user", k] = law(op_closed_form, inputs, k)
+        expected["OP_oma", k] = op_oma(inputs, k)
+        assert repr(expected["OP_user", k]) == repr(written_out_op(inputs, k))
+        assert repr(expected["OP_oma", k]) == repr(written_out_oma(inputs, k))
+    assert repr(expected["ER_user", point.K - 1]) == repr(written_out_er(users[-1]))
+    ops = [expected["OP_user", k] for k in range(point.K)]
+    expected["OP_pair", None] = None if None in ops else math.prod(ops)
+    return expected
+
+
 @PROPERTY
-@given(configs(), powers_dbm, noise_dbm)
-def test_staged_closed_forms_equal_the_per_user_laws(cfg, p_dbm, n_dbm):
-    """Terms built at cfg's power and noise, evaluated at another point's, give each
-    per-user law's float at that point bit for bit (repr), and None exactly where
-    the law raises InfeasibleRatesError."""
-    point = cfg.with_updates(tx_power_dbm=p_dbm, noise_dbm_override=n_dbm)
+@given(configs(), st.lists(st.tuples(powers_dbm, noise_dbm), min_size=1, max_size=6))
+def test_staged_closed_forms_equal_the_per_user_laws(cfg, links):
+    """Terms built at cfg's power and noise, evaluated at other points' -- one
+    point at a time, and all of them in one call -- give each per-user law's
+    float at each point bit for bit (repr), and None exactly where the law
+    raises InfeasibleRatesError."""
+    points = [cfg.with_updates(tx_power_dbm=p, noise_dbm_override=n) for p, n in links]
     terms = PowerFreeTerms.from_config(cfg)
-    clusters = terms.closed_forms(point.tx_power_watt, point.noise_watt, METRICS)
+    expected = [[expected_closed_forms(point, m) for m in range(cfg.M)] for point in points]
+    for point, point_expected in zip(points, expected):
+        clusters = terms.closed_forms(point.tx_power_watt, point.noise_watt, METRICS)
+        assert len(clusters) == cfg.M
+        for values, cluster_expected in zip(clusters, point_expected):
+            assert values.keys() == cluster_expected.keys()
+            assert all(repr(values[key]) == repr(v) for key, v in cluster_expected.items())
+    clusters = terms.closed_forms([point.tx_power_watt for point in points],
+                                  [point.noise_watt for point in points], METRICS)
     assert len(clusters) == cfg.M
     for m, values in enumerate(clusters):
-        users = [ClosedFormInputs.from_config(point, m, k) for k in range(cfg.K)]
-        expected = {("ER_user", cfg.K - 1): er_user_K(users[-1])}
-        for k, inputs in enumerate(users):
-            expected["OP_user", k] = law(op_closed_form, inputs, k)
-            expected["OP_oma", k] = op_oma(inputs, k)
-            assert repr(expected["OP_user", k]) == repr(written_out_op(inputs, k))
-            assert repr(expected["OP_oma", k]) == repr(written_out_oma(inputs, k))
-            assert repr(terms.op_user(m, k, point.tx_power_watt, point.noise_watt)) \
-                == repr(expected["OP_user", k])
-        assert repr(expected["ER_user", cfg.K - 1]) == repr(written_out_er(users[-1]))
-        ops = [expected["OP_user", k] for k in range(cfg.K)]
-        expected["OP_pair", None] = None if None in ops else math.prod(ops)
-        assert values.keys() == expected.keys()
-        assert all(repr(values[key]) == repr(v) for key, v in expected.items()), (m, values)
+        assert values.keys() == expected[0][m].keys()
+        for key, column in values.items():
+            laws = [point_expected[m][key] for point_expected in expected]
+            if column is None:
+                assert laws == [None] * len(points)
+            else:
+                assert list(map(repr, column)) == list(map(repr, laws)), (m, key)

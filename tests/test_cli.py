@@ -429,16 +429,17 @@ def reference_analytic(cfg, var, values, metrics):
 def test_analytic_bytes_and_calls_match_per_row_reference(tmp_path, baseline_cfg, monkeypatch,
                                                           target_rate, sweep, metrics):
     """analytic writes the bytes and exit code of a per-row reference built from the
-    per-user laws, with one regularized-gamma call per user for OP (OP_user and
-    OP_pair share it), one per user for OP_oma, and one E1 call per ER_user row.
-    perfbench's count gate counts the calls of its own replay_analytic, which takes
-    the per-row path; the count pinned here is the one a recorder of scbsim
-    analytic's own calls would gate."""
+    per-user laws.  A link-key sweep makes no scalar gamma call: one array call per
+    user for OP (OP_user and OP_pair share it) and one per user for OP_oma each
+    cover every point.  Any other sweep makes those calls per point, on the scalar.
+    Either makes one E1 call per ER_user row.  perfbench's count gate counts the
+    calls of its own replay_analytic, which takes the per-row path."""
     cfg = baseline_cfg.with_updates(target_rate=target_rate)
     cfg_path = tmp_path / "an.cfg"
     cfg_path.write_text(serialize_config(cfg))
     out = tmp_path / "an.csv"
     calls = {"gamma": 0, "e1": 0}
+    sizes = []   # the element count of each array gamma call
 
     def counting(name, fn):
         def counted(*args):
@@ -446,8 +447,16 @@ def test_analytic_bytes_and_calls_match_per_row_reference(tmp_path, baseline_cfg
             return fn(*args)
         return counted
 
+    def sized(fn):
+        def counted(s, x):
+            sizes.append(x.size)
+            return fn(s, x)
+        return counted
+
     monkeypatch.setattr(analytics, "lower_incomplete_gamma_regularized",
                         counting("gamma", analytics.lower_incomplete_gamma_regularized))
+    monkeypatch.setattr(analytics, "lower_incomplete_gamma_regularized_array",
+                        sized(analytics.lower_incomplete_gamma_regularized_array))
     monkeypatch.setattr(analytics, "exp_scaled_e1", counting("e1", analytics.exp_scaled_e1))
     code = run_cli(["analytic", "--config", cfg_path, "--out", out, "--sweep", sweep,
                     "--metrics", ",".join(metrics)])
@@ -463,13 +472,42 @@ def test_analytic_bytes_and_calls_match_per_row_reference(tmp_path, baseline_cfg
     if target_rate == (1.0, 1.5):
         assert not violated
         gamma_per_user = ("OP_user" in metrics or "OP_pair" in metrics) + ("OP_oma" in metrics)
-        assert counted == {"gamma": len(values) * gamma_per_user * cfg.M * cfg.K,
-                           "e1": len(values) * cfg.M * ("ER_user" in metrics)}
+        e1 = len(values) * cfg.M * ("ER_user" in metrics)
+        if var in mc.LINK_KEYS:
+            assert counted == {"gamma": 0, "e1": e1}
+            assert sizes == [len(values)] * (gamma_per_user * cfg.M * cfg.K)
+        else:
+            assert counted == {"gamma": len(values) * gamma_per_user * cfg.M * cfg.K, "e1": e1}
+            assert sizes == []
     else:
         assert violated and code == 5
         names = {r[4] for r in rows}
         assert names == {m + "_infeasible" if m in ("OP_user", "OP_pair") else m
                          for m in metrics}
+
+
+def test_analytic_link_sweep_blocks_match_per_row_reference(tmp_path, baseline_cfg,
+                                                            monkeypatch):
+    """A link-key sweep longer than ANALYTIC_BLOCK takes one array gamma call per
+    user and OP metric per block of points, the last block partial, and keeps the
+    bytes of the per-row reference."""
+    sizes = []
+    real = analytics.lower_incomplete_gamma_regularized_array
+
+    def sized(s, x):
+        sizes.append(x.size)
+        return real(s, x)
+
+    monkeypatch.setattr(analytics, "lower_incomplete_gamma_regularized_array", sized)
+    monkeypatch.setattr(cli, "ANALYTIC_BLOCK", 5)
+    sweep, out = "tx_power_dbm=-10:50:5", tmp_path / "an.csv"
+    assert run_cli(["analytic", "--config", BASE, "--out", out, "--sweep", sweep,
+                    "--metrics", ",".join(cli.ANALYTIC_METRICS)]) == 0
+    var, values = cli.parse_sweep(sweep)
+    expected, _ = reference_analytic(baseline_cfg, var, values, cli.ANALYTIC_METRICS)
+    assert out.read_bytes() == expected.encode()
+    per_block = 2 * baseline_cfg.M * baseline_cfg.K   # OP and OP_oma of every user
+    assert sizes == [5] * per_block + [5] * per_block + [3] * per_block
 
 
 @pytest.mark.parametrize("sweep,per_point", [
@@ -779,6 +817,27 @@ def test_validate_skips_infeasible_rates_and_runs_on(tmp_path, baseline_cfg, mon
         "table2", validation.FAIL, "forced", 0.0))
     assert run_cli(args) == 6
     assert capsys.readouterr().out.splitlines()[1] == "FAIL table2 (0.0s): forced"
+
+
+@pytest.mark.parametrize("updates,reason", [
+    (dict(M=1, K=1, d_user=((80.0,),), d_direct=((100.0,),), power_alloc=(1.0,),
+          target_rate=(1.5,)), "the nearest user has no interference-limited ceiling"),
+    (dict(power_alloc=(0.9999999999999, 1e-13)), "degenerate allocation: ceiling exceeds the cap"),
+], ids=["K=1", "degenerate-allocation"])
+def test_validate_high_snr_slopes_without_a_far_user_ceiling(tmp_path, baseline_cfg, capsys,
+                                                             updates, reason):
+    """Check 07(b) has no ceiling to compare against when K = 1 or the allocation
+    is degenerate: the check says so and reports PASS or FAIL from its other
+    parts, and the next check runs."""
+    cfg_path = tmp_path / "nc.cfg"
+    cfg_path.write_text(serialize_config(baseline_cfg.with_updates(**updates)))
+    code = run_cli(["validate", "--config", cfg_path, "--quick", "--trials", 2000,
+                    "--checks", "high_snr_slopes,table2"])
+    slopes, table2 = capsys.readouterr().out.splitlines()
+    assert slopes.split(" ")[:2] in (["PASS", "high_snr_slopes"], ["FAIL", "high_snr_slopes"])
+    assert f"no far-user ceiling applies ({reason})" in slopes
+    assert table2.startswith("PASS table2 ")
+    assert code == (6 if slopes.startswith("FAIL") else 0)
 
 
 def test_validate_skips_closed_form_checks_for_quantized(small_cfg_file, tmp_path,

@@ -1,10 +1,16 @@
-"""Property test of the min-norm solver against the truncated-SVD reference.
+"""Property tests of the min-norm solver and of the array regularized gamma.
 
-Stacks are built as U diag(s) V^H with known singular values: condition
-numbers from 1 to 1e14, exact zeros, rows <= columns (the Gram path) and
-rows > columns (SVD only).  The eigenvalue-ratio test of a a^H, computed
+Solver stacks are built as U diag(s) V^H with known singular values:
+condition numbers from 1 to 1e14, exact zeros, rows <= columns (the Gram path)
+and rows > columns (SVD only).  The eigenvalue-ratio test of a a^H, computed
 here with eigvalsh, is the reference for which trials the Gram path keeps.
+
+The array P(s, x) must equal the scalar P on every element, byte for byte:
+arguments are drawn over 1e-300 to 1e3, across the scalar's branches (0 to
+2s + 2) and at their edges.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbsim import numerics
-from scbsim.numerics import GRAM_MIN_EIG_RATIO, min_norm_solve_batch
+from scbsim.numerics import (
+    GRAM_MIN_EIG_RATIO,
+    lower_incomplete_gamma_regularized,
+    lower_incomplete_gamma_regularized_array,
+    min_norm_solve_batch,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -74,3 +85,76 @@ def test_min_norm_matches_truncated_svd(system):
     # every other trial is the SVD's answer
     assert np.array_equal(x[~accepted], x_ref[~accepted])
     assert np.array_equal(resid[~accepted], resid_ref[~accepted])
+
+
+def _q_edge(s):
+    """The x at which Q(s, x) = 1 - P(s, x) crosses 0.9, by bisection on the scalar."""
+    lo, hi = 0.0, s + 50.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if lower_incomplete_gamma_regularized(s, mid) < 0.1 else (lo, mid)
+    return hi
+
+
+def _branch_edges(s):
+    """x at and beside each edge of the scalar's branches under shape s: s/2,
+    s + 1, 708 and Q = 0.9, with 0 and inf."""
+    edges = [0.0, math.inf]
+    for x in (0.5 * s, s + 1.0, 708.0, _q_edge(s)):
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+    return [float(x) for x in edges]
+
+
+@st.composite
+def gamma_arguments(draw):
+    """(s, x): an integer shape, and x as a 0-d, 1-D (maybe empty) or 2-D array."""
+    s = draw(st.integers(1, 12) | st.sampled_from([50, 200, 999]))
+    value = (st.floats(-300.0, 3.0).map(lambda e: 10.0 ** e) | st.floats(1e-300, 1e3)
+             | st.floats(0.0, 2.0 * s + 2.0) | st.sampled_from(_branch_edges(s)))
+    xs = draw(st.lists(value, max_size=40))
+    kind = draw(st.sampled_from(["0-d", "1-D", "2-D"]))
+    if kind == "0-d":
+        return s, np.array(xs[0] if xs else 1.0)
+    if kind == "2-D":
+        return s, np.array(xs[:len(xs) // 2 * 2]).reshape(2, -1)
+    return s, np.array(xs)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(gamma_arguments())
+def test_array_gamma_is_the_scalar_bit_for_bit(args):
+    s, x = args
+    got = lower_incomplete_gamma_regularized_array(s, x)
+    expected = np.array([lower_incomplete_gamma_regularized(s, v) for v in x.ravel().tolist()])
+    assert got.shape == x.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("s", [1, 2, 7])
+@pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300])
+def test_array_gamma_raises_the_scalars_error(s, bad):
+    x = np.array([0.5, bad, 3.0])
+    with pytest.raises(ValueError) as scalar_error:
+        lower_incomplete_gamma_regularized(s, bad)
+    with pytest.raises(ValueError) as array_error:
+        lower_incomplete_gamma_regularized_array(s, x)
+    assert str(array_error.value) == str(scalar_error.value)
+
+
+@pytest.mark.parametrize("s", [2.5, 1000, 1e4])
+def test_array_gamma_hands_other_shapes_to_the_scalar(monkeypatch, s):
+    """A non-integer shape or one from 1e3 on sends every element to the scalar,
+    looked up at call time (which itself takes shape 1 at x = 0 and inf)."""
+    calls = []
+    scalar = numerics.lower_incomplete_gamma_regularized
+
+    def counted(shape, v):
+        if shape == s:
+            calls.append(v)
+        return scalar(shape, v)
+
+    x = np.array([0.0, 1e-3, 0.4 * s, s, 3.0 * s, math.inf])
+    monkeypatch.setattr(numerics, "lower_incomplete_gamma_regularized", counted)
+    got = lower_incomplete_gamma_regularized_array(s, x)
+    assert calls == x.tolist()
+    assert got.tobytes() == np.array([scalar(s, v) for v in x.tolist()]).tobytes()

@@ -57,8 +57,9 @@ def test_recorded_special_function_counts(baseline_cfg, replay, tmp_path):
     and OP_oma row and per OP_pair factor (12 at M = K = 2) and one E1 call per
     ER_user row (2); one gamma call per gamma_cdf element.  The recorder rebinds
     module globals, so a local alias of either function would hide calls from it.
-    The shipped analytic, recorded the same way, shares each user's OP between
-    OP_user and OP_pair: 8 gamma calls per point."""
+    The shipped analytic, recorded the same way, evaluates a link-key sweep's OP
+    rows through the array gamma (tests/test_cli.py pins those calls): no scalar
+    gamma call, and the same E1 calls."""
     metrics = ("OP_user", "OP_pair", "OP_oma", "ER_user")
     sweep = "tx_power_dbm=-10,20,50"
     var, values = cli.parse_sweep(sweep)
@@ -71,7 +72,7 @@ def test_recorded_special_function_counts(baseline_cfg, replay, tmp_path):
         assert cli.main(["analytic", "--config", str(BASE), "--out", str(tmp_path / "an.csv"),
                          "--sweep", sweep, "--metrics", ",".join(metrics)]) == 0
     assert {name: len(args) for name, args in calls.items()} == {
-        "numerics.gamma": 2 * users * len(values), "numerics.e1": baseline_cfg.M * len(values)}
+        "numerics.gamma": 0, "numerics.e1": baseline_cfg.M * len(values)}
     x = [[0.5, 2.0, 7.0], [-1.0, 0.0, 30.0]]
     with replay.recorded_special_functions() as calls:
         numerics.gamma_cdf(x, 2)
