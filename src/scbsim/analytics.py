@@ -145,16 +145,6 @@ def _rates_array(c, L):
 
 # -- the per-user laws ---------------------------------------------------------
 
-def sic_threshold(inputs, v):
-    """Gain threshold I_v below which decoding user v's signal fails.
-
-    I_v = L eps_v sigma^2 / (p Lb (alloc_v - eps_v sum_{q>v} alloc_q)); the
-    denominator must be positive for the target rates to be reachable at all.
-    """
-    l_eps, margin = _sic_stage(inputs.L, inputs.power_alloc, inputs.target_rate, v)
-    return _threshold(l_eps, inputs.noise_watt, inputs.p_watt * inputs.l_direct, margin)
-
-
 def op_closed_form(inputs, k):
     """Outage probability of user k: regularized gamma at the worst threshold."""
     stages = _sic_stages(inputs.L, inputs.power_alloc, inputs.target_rate, k)

@@ -253,21 +253,17 @@ def cmd_simulate(args):
     var, values, metrics = _sweep_request(args, cfg, METRICS)
     lines = [CSV_HEADER]
     failures = []
-    surfaces = None
+    run = mc.sweep_runner(threads=args.threads)   # a link-key sweep builds its surfaces once
     for i, value in enumerate(values):
         def progress(trials):
             print(f"[{i + 1}/{len(values)}] {var}={_fmt_sweep(value)} ({trials} trials)",
                   file=sys.stderr, flush=True)
 
-        point = None
+        point = batch = None   # free the last point's arrays before this point allocates its own
         try:
             point = mc.sweep_config(cfg, var, value)
             progress(point.trials)
-            # a link-key sweep reuses the first valid point's surfaces: only
-            # the link stage reads the swept value
-            if surfaces is None or var not in mc.LINK_KEYS:
-                surfaces = mc.surface_stage(point, point.trials, args.threads)
-            batch = mc.link_stage(point, surfaces)
+            batch = run(point)
             if batch.failures:
                 failures.append(
                     (value, f"{batch.failures} trials failed numerically (excluded)"))
@@ -277,7 +273,6 @@ def cmd_simulate(args):
                               r.trials, point, r.fingerprint)
                       for metric in metrics
                       for r in mc.estimates_from_batch(point, batch, metric, args.feasible_only)]
-            del batch   # free this point's arrays before the next point allocates its own
         except Exception as exc:   # noqa: BLE001 - per-point isolation is the contract
             if point is None:   # no valid point config: report the base trial count
                 progress(cfg.trials)

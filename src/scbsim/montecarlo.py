@@ -13,8 +13,8 @@ solves, quantizes and takes residues, chunk by chunk on the thread pool, and
 keeps per trial only the effective gains, residues, feasibility, solver
 residual and failure mark.  ``link_stage`` turns those into SIC and OMA
 outcomes for one config.  Only the link stage reads the LINK_KEYS (transmit
-power and noise), so a sweep over one of them builds its surfaces once and
-runs the link stage per point; ``run_trials`` is the two stages in a row.
+power and noise), so ``sweep_runner`` builds a sweep's surfaces once over them
+and runs the link stage per point; ``run_trials`` is the two stages in a row.
 
 Work units of the surface stage: a chunk (CHUNK trials) is one thread-pool
 task and the unit the salvage path reruns trial by trial.  Every chunk runs
@@ -290,8 +290,8 @@ def surface_stage(cfg, trials=None, threads=None):
 
 
 def _surface_keys(cfg):
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)
-            if f.name not in LINK_KEYS + ("trials",)}
+    return tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                 if f.name not in LINK_KEYS + ("trials",))
 
 
 def link_stage(cfg, surfaces):
@@ -333,6 +333,23 @@ def link_stage(cfg, surfaces):
 def run_trials(cfg, trials=None, threads=None):
     """Simulate a batch of trials; deterministic for any thread count."""
     return link_stage(cfg, surface_stage(cfg, trials, threads))
+
+
+def sweep_runner(trials=None, threads=None):
+    """run(point) -> TrialBatch of ``trials`` trials (point.trials when None); run
+    builds surfaces again only when point differs from the last surfaces' config
+    beyond LINK_KEYS, or in trial count, and drops those first."""
+    last = {}   # the last surfaces, under their (trial count, surface keys)
+
+    def run(point):
+        count = point.trials if trials is None else int(trials)
+        key = (count, _surface_keys(point))
+        if key not in last:
+            last.clear()   # free the old surfaces before the new ones are allocated
+            last[key] = surface_stage(point, count, threads)
+        return link_stage(point, last[key])
+
+    return run
 
 
 def _mean(sample, cfg):

@@ -5,8 +5,8 @@ CLI command and by the acceptance test suite.  Tolerances are fixed here.
 Every Monte Carlo check takes its trial counts as arguments: the acceptance
 tests pass the full counts, and ``run_checks`` holds the defaults of the
 ``validate`` command and alone shrinks them for ``--quick``.  A check that
-compares several transmit powers on one config builds its trials' surfaces
-once and runs only the link stage per power (``_power_points``).
+compares several transmit powers of one config runs them through one
+``montecarlo.sweep_runner``, which builds the surfaces once for them all.
 """
 
 from __future__ import annotations
@@ -116,15 +116,6 @@ def check_channel_statistics(cfg, draws):
 
 # -- 4: Monte Carlo vs closed-form outage ------------------------------------
 
-def _power_points(cfg, trials, threads, powers_dbm):
-    """(point, batch) per transmit power: cfg at that power and its link-stage
-    batch, every batch from one surface batch built for cfg."""
-    surfaces = mc.surface_stage(cfg, trials, threads)
-    for p_dbm in powers_dbm:
-        point = cfg.with_updates(tx_power_dbm=float(p_dbm))
-        yield point, mc.link_stage(point, surfaces)
-
-
 def _feasible(value):
     """A closed-form value, None where the target rates are infeasible."""
     if value is None:
@@ -141,9 +132,11 @@ def _simulated_vs_closed(name, cfg, trials, powers_dbm, threads, metric, se_rule
     worst_at = ""
     ideal = cfg.with_updates(resolution_bits=None)
     terms = PowerFreeTerms.from_config(ideal)
-    for sub, batch in _power_points(ideal, trials, threads, powers_dbm):
+    run = mc.sweep_runner(trials, threads)
+    for p_dbm in powers_dbm:
+        sub = ideal.with_updates(tx_power_dbm=float(p_dbm))
         closed_forms = terms.closed_forms(sub.tx_power_watt, sub.noise_watt, (metric,))
-        for r in mc.estimates_from_batch(sub, batch, metric):
+        for r in mc.estimates_from_batch(sub, run(sub), metric):
             if (metric, r.k) not in closed_forms[r.m]:   # ER_user: the nearest user only
                 continue
             closed = _feasible(closed_forms[r.m][metric, r.k])
@@ -190,6 +183,7 @@ def check_diversity_order(cfg, trials, threads=None):
     t0 = time.perf_counter()
     details = []
     ok = True
+    run = mc.sweep_runner(trials, threads)
     for L in (1, 2, 3):
         rows = max(1, system_rows(cfg.M, cfg.K, L, cfg.cancellation_mode))
         sub = cfg.with_updates(L=L, N=2 * rows, resolution_bits=None,
@@ -205,10 +199,9 @@ def check_diversity_order(cfg, trials, threads=None):
         slope_closed = diversity_order(closed_curve)
 
         sim_curve = []
-        powers_dbm = [10.0 * math.log10(p) + 30.0 for p in (p_lo, p_hi)]
-        for p, (point, batch) in zip((p_lo, p_hi),
-                                     _power_points(sub, trials, threads, powers_dbm)):
-            res = mc.estimates_from_batch(point, batch, "OP_user")
+        for p in (p_lo, p_hi):
+            point = sub.with_updates(tx_power_dbm=10.0 * math.log10(p) + 30.0)
+            res = mc.estimates_from_batch(point, run(point), "OP_user")
             op00 = next(r for r in res if r.m == 0 and r.k == 0)
             sim_curve.append((p, op00.estimate))
         try:
@@ -285,9 +278,10 @@ def check_high_snr_slopes(cfg, trials, threads=None):
 
     # (c) 3-bit surface: rate ceiling and outage floor between 40 and 50 dBm
     ni_er, ni_op = {}, {}
-    three_bit = cfg.with_updates(resolution_bits=3)
-    for sub, batch in _power_points(three_bit, trials, threads, (40.0, 50.0)):
-        p_dbm = sub.tx_power_dbm
+    run = mc.sweep_runner(trials, threads)
+    for p_dbm in (40.0, 50.0):
+        sub = cfg.with_updates(resolution_bits=3, tx_power_dbm=p_dbm)
+        batch = run(sub)
         ni_er[p_dbm] = next(r.estimate for r in mc.estimates_from_batch(sub, batch, "ER_user")
                             if r.m == 0 and r.k == k_near)
         ni_op[p_dbm] = {r.k: r.estimate for r in mc.estimates_from_batch(sub, batch, "OP_user")
@@ -333,9 +327,9 @@ def check_residue(cfg, trials_exact, trials_bits, threads=None):
 
     # (b) mean residue non-increasing in resolution bits (same seeds)
     means = []
+    run = mc.sweep_runner(trials_bits, threads)   # each bit count builds its own surfaces
     for bits in (3, 4, 5, 6):
-        sub = cfg.with_updates(resolution_bits=bits)
-        batch = mc.run_trials(sub, trials_bits, threads)
+        batch = run(cfg.with_updates(resolution_bits=bits))
         means.append(float(batch.residue[~batch.failed].mean()))
     ok_b = all(means[i + 1] <= means[i] for i in range(len(means) - 1))
     details.append("mean residue by bits " +
@@ -437,6 +431,9 @@ def run_checks(cfg, names=None, quick=False, threads=None, trials=None):
     unknown = [n for n in names if n not in registry]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}; choose from {list(registry)}")
+    repeated = sorted({n for n in names if names.count(n) > 1}, key=names.index)
+    if repeated:
+        raise ConfigError(f"repeated checks {repeated}; name each once")
     results = []
     for name in names:
         if cfg.resolution_bits is not None and name in CLOSED_FORM_CHECKS:

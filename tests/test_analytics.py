@@ -15,7 +15,6 @@ from scbsim.analytics import (
     high_snr_slope,
     op_closed_form,
     op_oma,
-    sic_threshold,
 )
 from scbsim.numerics import gamma_cdf, quadrature_semi_infinite
 from scbsim.scenario import dbm_to_watt
@@ -31,15 +30,20 @@ def inputs(p_watt=1.0, L=2, l_direct=1e-7, alloc=(0.6, 0.4), rates=(1.0, 1.5)):
 # -- outage ---------------------------------------------------------------------
 
 def test_op_single_antenna_is_exponential():
-    one = inputs(L=1)
-    worst = max(sic_threshold(one, v) for v in (0, 1))
-    assert op_closed_form(one, 1) == pytest.approx(1.0 - math.exp(-worst), rel=1e-12)
+    # the nearest user's stages, threshold L eps sigma^2 / (p Lb margin): eps_v = 2^rate_v - 1,
+    # margins 0.6 - eps_0 0.4 and 0.4; at L = 1 the outage is 1 - e^-(worst threshold)
+    eps = [2.0 ** r - 1.0 for r in (1.0, 1.5)]
+    worst = max(1 * eps[0] * NOISE / (1.0 * 1e-7 * (0.6 - eps[0] * 0.4)),
+                1 * eps[1] * NOISE / (1.0 * 1e-7 * 0.4))
+    assert op_closed_form(inputs(L=1), 1) == pytest.approx(-math.expm1(-worst), rel=1e-12)
 
 
 def test_op_threshold_formula():
-    # stage 0: eps=1, margin 0.6 - 0.4 = 0.2
-    expected = 2 * 1.0 * NOISE / (1.0 * 1e-7 * 0.2)
-    assert sic_threshold(inputs(), 0) == pytest.approx(expected, rel=1e-12)
+    # user 0 decodes stage 0 alone: eps=1, margin 0.6 - 0.4 = 0.2, at L = 2; the
+    # outage P(2, x) = e^-x sum_{n>=2} x^n / n! (the series, exact at this small x)
+    x = 2 * 1.0 * NOISE / (1.0 * 1e-7 * 0.2)
+    expected = math.exp(-x) * sum(x ** n / math.factorial(n) for n in range(2, 20))
+    assert op_closed_form(inputs(), 0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_op_limits_in_power():

@@ -1,4 +1,5 @@
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,25 @@ def test_simulate_builds_surfaces_once_per_link_sweep(small_cfg_file, tmp_path, 
                     "--sweep", sweep, "--metrics", "OP_user", "--threads", 1]) == 0
     assert len(calls) == runs
     assert len(out.read_text().splitlines()) == 1 + 4 * len(sweep.split(","))
+
+
+def test_simulate_holds_one_surface_batch_at_a_time(small_cfg_file, tmp_path, monkeypatch):
+    """The first point's surface arrays are released before the second point's
+    surface stage allocates its own."""
+    real = mc.surface_stage
+    built, alive = [], []
+
+    def stage(*args, **kwargs):
+        alive.append([ref() is not None for ref in built])
+        surfaces = real(*args, **kwargs)
+        built.append(weakref.ref(surfaces.eff_gain))
+        return surfaces
+
+    monkeypatch.setattr(mc, "surface_stage", stage)
+    assert run_cli(["simulate", "--config", small_cfg_file, "--out", tmp_path / "n.csv",
+                    "--trials", 500, "--sweep", "N=16,24", "--metrics", "OP_user",
+                    "--threads", 1]) == 0
+    assert alive == [[], [False]]
 
 
 def test_simulate_point_with_a_failing_metric_writes_no_rows(small_cfg_file, tmp_path, capsys):
@@ -767,6 +787,19 @@ def test_validate_writes_report_to_out(small_cfg_file, tmp_path, capsys):
 def test_validate_unknown_check_exit2(small_cfg_file, capsys):
     assert run_cli(["validate", "--config", small_cfg_file, "--checks", "bogus"]) == 2
     assert "config error: unknown checks ['bogus']" in capsys.readouterr().err
+
+
+def test_validate_repeated_check_exit2(small_cfg_file, monkeypatch, capsys):
+    """A check named twice is a config error before any check runs."""
+    def never():
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(validation, "check_table2", never)
+    assert run_cli(["validate", "--config", small_cfg_file, "--quick",
+                    "--checks", "table2,table2,noma_vs_oma"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: repeated checks ['table2']; name each once" in err
 
 
 def test_validate_trials_override(small_cfg_file, capsys):

@@ -1,7 +1,7 @@
 """No module of the package or the test suite imports a name it never uses, the
 package imports nothing beyond numpy and the standard library, no package
-module reads another's underscore names, and the package's only bit generator
-is numpy's SFC64."""
+module reads another's underscore names, the package's only bit generator
+is numpy's SFC64, and only montecarlo runs its two stages itself."""
 
 import ast
 import sys
@@ -141,3 +141,36 @@ def test_guard_finds_other_generators():
 def test_package_draws_from_sfc64_only(path):
     """The package constructs no numpy.random bit generator other than SFC64."""
     assert random_reads(path.read_text(encoding="utf-8")) == []
+
+
+# montecarlo's two stages: every other module runs trials through run_trials or
+# sweep_runner, so the rule of when surfaces are built again lives in one place.
+STAGES = {"surface_stage", "link_stage"}
+
+
+def stage_reads(source):
+    """(line, name) of each read of a stage: ``alias.surface_stage``, a bare
+    ``link_stage`` or ``from .montecarlo import surface_stage``."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            reads += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            reads.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.lineno, node.id))
+    return sorted((line, name) for line, name in reads if name in STAGES)
+
+
+def test_guard_finds_stage_reads():
+    source = ("from . import montecarlo as mc\nfrom .montecarlo import link_stage, run_trials\n"
+              "mc.surface_stage(cfg)\nmc.run_trials(cfg)\nstage = mc.link_stage\n"
+              "surface_stage = None\nlink_stage(cfg, stage)\n")
+    assert stage_reads(source) == [(2, "link_stage"), (3, "surface_stage"), (5, "link_stage"),
+                                   (7, "link_stage")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "montecarlo.py"],
+                         ids=lambda p: p.name)
+def test_only_montecarlo_runs_the_stages(path):
+    assert stage_reads(path.read_text(encoding="utf-8")) == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scbsim import montecarlo as mc
 from scbsim.analytics import ClosedFormInputs, PowerFreeTerms, op_closed_form
 from scbsim.beamforming import build_matrix_batch, build_target_batch, solve_passive_batch
 from scbsim.channel import assemble_batch, empty_fading, normals_per_trial
@@ -219,6 +220,36 @@ def test_link_stage_over_shared_surfaces_matches_run_trials(baseline_cfg, update
             for feasible_only in (False, True):
                 assert (estimates_from_batch(point, shared, metric, feasible_only)
                         == estimates_from_batch(point, own, metric, feasible_only))
+
+
+def test_sweep_runner_rebuilds_only_beyond_the_link_keys(fast_cfg, monkeypatch):
+    """A runner builds surfaces again only for a point that differs from their config
+    beyond the link keys or in trial count; every batch equals the point's own
+    run_trials, and the reuse stays within one runner."""
+    base = fast_cfg.with_updates(trials=500)
+    points = [base, base.with_updates(tx_power_dbm=40.0),
+              base.with_updates(bandwidth_hz=1e6, noise_dbm_override=-90.0),
+              base.with_updates(N=24), base.with_updates(N=24, tx_power_dbm=40.0),
+              base.with_updates(trials=300), base]
+    want = [rows_of(run_trials(point, threads=1)) for point in points]
+    built = []
+    real = mc.surface_stage
+
+    def counted(cfg, trials, threads):
+        built.append(trials)
+        return real(cfg, trials, threads)
+
+    monkeypatch.setattr(mc, "surface_stage", counted)
+    run = mc.sweep_runner(threads=1)
+    for point, rows in zip(points, want, strict=True):
+        assert rows_of(run(point)) == rows
+    assert built == [500, 500, 300, 500]
+    mc.sweep_runner(threads=1)(base)
+    assert len(built) == 5
+    # a fixed trial count: the points' own counts do not enter the comparison
+    fixed = mc.sweep_runner(200, threads=1)
+    assert [fixed(point).trials for point in points[:3] + points[5:]] == [200] * 5
+    assert built[5:] == [200]
 
 
 def test_link_stage_rejects_surfaces_of_another_config(fast_cfg):

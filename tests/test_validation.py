@@ -74,6 +74,29 @@ def test_failed_trial_moves_no_validation_number(baseline_cfg, fail_trial, monke
     assert set(failures) == {1}
 
 
+@pytest.mark.parametrize("check,args,builds", [
+    ("check_op_vs_closed_form", (300,), 1),
+    ("check_er_vs_closed_form", (300,), 1),
+    ("check_diversity_order", (300,), 3),
+    ("check_high_snr_slopes", (300,), 2),
+    ("check_residue", (100, 300), 7),
+], ids=["04", "06b", "05", "07", "08"])
+def test_checks_build_surfaces_once_per_config(baseline_cfg, monkeypatch, check, args, builds):
+    """A check builds one surface batch per config it simulates, whatever the number
+    of transmit powers: 04 and 06(b) one, 05 one per L, 07 one ideal and one 3-bit,
+    08 three exact-cancellation variants and four bit counts."""
+    real = mc.surface_stage
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(a[0])
+        return real(*a, **kw)
+
+    monkeypatch.setattr(mc, "surface_stage", counted)
+    getattr(validation, check)(baseline_cfg, *args, threads=1)
+    assert len(calls) == builds
+
+
 def test_diversity_check_fails_when_the_simulated_fit_is_impossible(baseline_cfg):
     """Too few trials for two simulated outage values below the fit cap: the check
     FAILs and names the L value, instead of raising out of validate."""
